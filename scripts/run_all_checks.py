@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Run every verification family over its standard grid and print a table.
+"""Check every identity of the verification table over its standard grid,
+then the bordered binomial Pfaffians over theirs, and print one line each.
 
-A compact standalone mirror of the acceptance suite for interactive use:
+    PYTHONPATH=src python3 scripts/run_all_checks.py [--fast]
 
-    python3 scripts/run_all_checks.py [--fast]
+``--fast`` keeps only the tuples whose numeric parameters are all <= 4.
+Exits 0 when every tuple matches and 1 otherwise.
 """
 
 import argparse
@@ -11,130 +13,36 @@ import sys
 import time
 
 from scpp.pfaffian import pfaffian_check
-from scpp.verify import (
-    verify_box,
-    verify_middle_line,
-    verify_schurid,
-    verify_scpp_count,
-    verify_signed_enumeration,
-    verify_specialization_bridge,
-    verify_square_reduction,
-    verify_weight_consistency,
-)
+from scpp.verify import IDENTITIES, PFAFFIAN_GRID
 
 
-def sweep(label, reports):
+def sweep(label, check, tuples):
     start = time.perf_counter()
     total = bad = 0
-    for report in reports:
+    for values in tuples:
         total += 1
-        if not report.match:
+        if not check(values).match:
             bad += 1
-            print(f"  MISMATCH {report.identity} {report.parameters}")
+            print(f"  MISMATCH {label} {values}")
     status = "ok" if bad == 0 else f"{bad} MISMATCHES"
-    print(f"{label:48s} {total:5d} tuples  {status:14s} {time.perf_counter() - start:6.1f}s")
+    print(f"{label:20s} {total:5d} tuples  {status:14s} {time.perf_counter() - start:6.1f}s")
     return bad
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true", help="shrink the grids")
+    parser.add_argument("--fast", action="store_true", help="keep parameters <= 4")
     args = parser.parse_args()
-    top = 4 if args.fast else 6
+
+    def kept(grid):
+        return (
+            t for t in grid if not args.fast or all(v <= 4 for v in t if isinstance(v, int))
+        )
 
     failures = 0
-
-    failures += sweep(
-        "box product vs enumeration",
-        (verify_box(a, b, c) for a in range(4) for b in range(4) for c in range(4)),
-    )
-    failures += sweep(
-        "self-complementary product vs enumeration",
-        (
-            verify_scpp_count(a, b, c)
-            for a in range(top + 1)
-            for b in range(top + 1)
-            for c in range(top + 1)
-            if not (a % 2 and b % 2 and c % 2)
-        ),
-    )
-    failures += sweep(
-        "middle-line products vs constrained enumeration",
-        (
-            verify_middle_line(a, b, c1, c2)
-            for a in range(6)
-            for b in range(6)
-            if not (a % 2 == 0 and b % 2 == 1)
-            for c1 in range(0, 7, 2)
-            for c2 in range(0, c1 + 1, 2)
-        ),
-    )
-    failures += sweep(
-        "signed enumeration vs products",
-        (
-            verify_signed_enumeration(a, b, c)
-            for a in range(top + 1)
-            for b in range(top + 1)
-            for c in range(top + 1)
-            if (a % 2 == 0 and b % 2 and c % 2) or (a % 2 and b % 2 == 0 and c % 2 == 0)
-        ),
-    )
-    failures += sweep(
-        "Schur product identities (full expansion)",
-        (
-            verify_schurid(which, g1, g2, al, n)
-            for which in (1, 2)
-            for g1 in range(4)
-            for g2 in range(g1 + 1)
-            for al in range(4)
-            for n in range(5)
-        ),
-    )
-    failures += sweep(
-        "square reduction of the gluing sum",
-        (
-            verify_square_reduction(g, al, n)
-            for g in range(3)
-            for al in range(3)
-            for n in range(4)
-        ),
-    )
-    failures += sweep(
-        "weight move-graph consistency",
-        (
-            verify_weight_consistency(a, b, c)
-            for a in range(5)
-            for b in range(5)
-            for c in range(5)
-            if not (a % 2 and b % 2 and c % 2)
-        ),
-    )
-    failures += sweep(
-        "specialization bridge",
-        (
-            verify_specialization_bridge(g, al, m)
-            for g in range(4)
-            for al in range(4)
-            for m in range(al, 8)
-        ),
-    )
-
-    start = time.perf_counter()
-    total = bad = 0
-    for case, apar, bpar in (("even-even", 0, 0), ("a-odd", 1, 0), ("ab-odd", 1, 1)):
-        for a in range(apar, 7, 2):
-            for b in range(bpar, 7, 2):
-                for c1 in range(0, 9, 2):
-                    for c2 in range(0, c1 + 1, 2):
-                        check = pfaffian_check(case, a, b, c1, c2)
-                        total += 1
-                        if not check.match:
-                            bad += 1
-                            print(f"  MISMATCH pfaffian {check}")
-    status = "ok" if bad == 0 else f"{bad} MISMATCHES"
-    print(f"{'bordered binomial Pfaffians vs products':48s} {total:5d} tuples  {status:14s} {time.perf_counter() - start:6.1f}s")
-    failures += bad
-
+    for name, row in IDENTITIES.items():
+        failures += sweep(name, row.run, kept(row.grid))
+    failures += sweep("pfaffian", lambda values: pfaffian_check(*values), kept(PFAFFIAN_GRID))
     print("all checks passed" if failures == 0 else f"{failures} total mismatches")
     return 0 if failures == 0 else 1
 

@@ -18,7 +18,6 @@ from scpp.partitions import (
     rectangle,
     rotated_complement,
     size,
-    skew_size,
 )
 from scpp.pfaffian import (
     PfaffianCheck,
@@ -51,7 +50,6 @@ from scpp.plane_partitions import (
 )
 from scpp.polynomials import MPoly
 from scpp.products import (
-    BoxDims,
     ParityError,
     box_count,
     middle_line_product,
@@ -70,7 +68,6 @@ from scpp.schur import (
     lr_coefficient,
     schur_determinant_oracle,
     schur_tableau_sum,
-    skew_schur_tableau_sum,
     specialize_alternating,
 )
 from scpp.verify import (

@@ -5,6 +5,16 @@ sorted, big integers are rendered as decimal strings, and timing fields
 are kept out of the serialized reports.  Exit codes: 0 on success and on
 verifications that match, 1 on a verification mismatch, 2 on usage,
 precondition, or budget errors.
+
+``verify`` and ``sweep`` read their identities, parameter flags and
+``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
+line per tuple, whose ``status`` is ``ok`` (checked; ``match`` tells the
+outcome), ``skipped`` (outside the identity's cases), ``budget-exceeded``
+(the tuple passed ``--budget``) or ``error`` (an arithmetic failure); the
+last three carry a ``reason``.  A tuple that fails does not stop the
+others.  The closing summary line counts ``checked``, ``matched``,
+``mismatched``, ``skipped`` and ``failed`` (budget-exceeded or error).  A
+sweep exits 2 if any tuple failed, else 1 if any mismatched, else 0.
 """
 
 from __future__ import annotations
@@ -12,16 +22,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _cartesian
-from typing import Callable, Sequence
+from typing import Sequence
 
 from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import partition
 from scpp.pfaffian import pfaffian_check
 from scpp.plane_partitions import (
+    SignedCount,
     count_pp,
     count_scpp,
     count_scpp_middle_line,
@@ -40,89 +51,11 @@ from scpp.schur import (
     schur_tableau_sum,
     specialize_alternating,
 )
-from scpp.verify import (
-    VerificationReport,
-    verify_box,
-    verify_middle_line,
-    verify_schurid,
-    verify_scpp_count,
-    verify_signed_enumeration,
-    verify_specialization_bridge,
-    verify_square_reduction,
-    verify_weight_consistency,
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation."""
-
-    command: str
-    parameters: dict[str, int] = field(default_factory=dict)
-    format: str = "json"
-    budget: int | None = None
-    workers: int = 1
-    out: str | None = None
+from scpp.verify import IDENTITIES, METHODS, VerificationReport
 
 
 class UsageError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# identity registry: name -> (parameter names, runner)
-
-def _run_box(p, budget, method):
-    return verify_box(p["a"], p["b"], p["c"], budget)
-
-
-def _run_scpp(p, budget, method):
-    return verify_scpp_count(p["a"], p["b"], p["c"], budget)
-
-
-def _run_middle_line(p, budget, method):
-    return verify_middle_line(p["a"], p["b"], p["c1"], p["c2"], budget)
-
-
-def _run_signed(p, budget, method):
-    return verify_signed_enumeration(p["a"], p["b"], p["c"], budget)
-
-
-def _run_schurid1(p, budget, method):
-    return verify_schurid(
-        1, p["gamma1"], p["gamma2"], p["alpha"], p["n"], method or "full-expansion", budget
-    )
-
-
-def _run_schurid2(p, budget, method):
-    return verify_schurid(
-        2, p["gamma1"], p["gamma2"], p["alpha"], p["n"], method or "full-expansion", budget
-    )
-
-
-def _run_square_reduction(p, budget, method):
-    return verify_square_reduction(p["gamma"], p["alpha"], p["n"], budget)
-
-
-def _run_weight(p, budget, method):
-    return verify_weight_consistency(p["a"], p["b"], p["c"], budget)
-
-
-def _run_bridge(p, budget, method):
-    return verify_specialization_bridge(p["gamma"], p["alpha"], p["m"], budget)
-
-
-IDENTITIES: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "box": (("a", "b", "c"), _run_box),
-    "scpp": (("a", "b", "c"), _run_scpp),
-    "middle-line": (("a", "b", "c1", "c2"), _run_middle_line),
-    "signed": (("a", "b", "c"), _run_signed),
-    "schurid1": (("gamma1", "gamma2", "alpha", "n"), _run_schurid1),
-    "schurid2": (("gamma1", "gamma2", "alpha", "n"), _run_schurid2),
-    "square-reduction": (("gamma", "alpha", "n"), _run_square_reduction),
-    "weight": (("a", "b", "c"), _run_weight),
-    "bridge": (("gamma", "alpha", "m"), _run_bridge),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -190,46 +123,46 @@ def _value_str(v) -> str:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _handle_count(args) -> tuple[dict, int]:
-    target = args.target
-    budget = WorkBudget(args.budget) if args.budget else None
-    if target == "box":
-        value = box_count(args.a, args.b, args.c)
-    elif target == "box-brute":
-        value = count_pp(args.a, args.b, args.c, budget)
-    elif target == "scpp":
-        value = sc_count(args.a, args.b, args.c)
-    elif target == "scpp-brute":
-        value = count_scpp(args.a, args.b, args.c, budget)
-    elif target == "scpp-signed":
-        sc = count_scpp_signed(args.a, args.b, args.c, budget)
-        return (
-            {
-                "negative": str(sc.negative),
-                "positive": str(sc.positive),
-                "signed_total": str(sc.signed_total),
-            },
-            0,
-        )
-    elif target == "signed-product":
-        value = signed_enumeration_product(args.a, args.b, args.c)
-    elif target == "signed-all-even":
-        value = signed_enumeration_all_even(args.a, args.b, args.c)
-    elif target == "middle-line":
-        _require(args, "c1", "c2")
-        value = middle_line_product(args.a, args.b, args.c1, args.c2)
-    elif target == "middle-line-brute":
-        _require(args, "c1", "c2")
-        value = count_scpp_middle_line(args.a, args.b, args.c1, args.c2, budget)
-    else:
-        raise UsageError(f"unknown count target {target!r}")
-    return {"value": str(value)}, 0
+_BOX = ("a", "b", "c")
+_LINE = ("a", "b", "c1", "c2")
+
+# count target -> (function, its parameters, whether it enumerates and so
+# takes the work budget)
+COUNT_TARGETS = {
+    "box": (box_count, _BOX, False),
+    "box-brute": (count_pp, _BOX, True),
+    "scpp": (sc_count, _BOX, False),
+    "scpp-brute": (count_scpp, _BOX, True),
+    "scpp-signed": (count_scpp_signed, _BOX, True),
+    "signed-product": (signed_enumeration_product, _BOX, False),
+    "signed-all-even": (signed_enumeration_all_even, _BOX, False),
+    "middle-line": (middle_line_product, _LINE, False),
+    "middle-line-brute": (count_scpp_middle_line, _LINE, True),
+}
 
 
-def _require(args, *names):
+def _values(args, names: Sequence[str], what: str) -> list[int]:
     for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--{name} is required for this target")
+        if getattr(args, name) is None:
+            raise UsageError(f"--{name} is required for {what}")
+    return [getattr(args, name) for name in names]
+
+
+def _budget(args) -> WorkBudget | None:
+    return WorkBudget(args.budget) if args.budget else None
+
+
+def _handle_count(args) -> tuple[dict, int]:
+    count, names, enumerates = COUNT_TARGETS[args.target]
+    values = _values(args, names, "this target")
+    value = count(*values, _budget(args)) if enumerates else count(*values)
+    if isinstance(value, SignedCount):
+        return {
+            "negative": str(value.negative),
+            "positive": str(value.positive),
+            "signed_total": str(value.signed_total),
+        }, 0
+    return {"value": str(value)}, 0
 
 
 def _handle_schur(args) -> tuple[dict, int]:
@@ -265,17 +198,9 @@ def _handle_pfaffian(args) -> tuple[dict, int]:
 
 
 def _handle_verify(args) -> tuple[dict, int]:
-    if args.identity not in IDENTITIES:
-        raise UsageError(f"unknown identity {args.identity!r}")
-    names, runner = IDENTITIES[args.identity]
-    params = {}
-    for name in names:
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is None:
-            raise UsageError(f"--{name} is required for identity {args.identity}")
-        params[name] = value
-    budget = WorkBudget(args.budget) if args.budget else None
-    report = runner(params, budget, getattr(args, "method", None))
+    row = IDENTITIES[args.identity]
+    values = _values(args, row.params, f"identity {args.identity}")
+    report = row.run(values, _budget(args), args.method)
     return _report_payload(report), 0 if report.match else 1
 
 
@@ -317,29 +242,24 @@ def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[
 
 
 def _sweep_tuple(task) -> dict:
+    """Check one tuple of a sweep; a tuple that fails is recorded, not raised."""
     identity, params, budget_cap, method = task
-    _, runner = IDENTITIES[identity]
     budget = WorkBudget(budget_cap) if budget_cap else None
     try:
-        report = runner(params, budget, method)
-    except (ParityError, ValueError) as exc:
-        if isinstance(exc, BudgetExceededError):
-            raise
-        return {
-            "identity": identity,
-            "parameters": params,
-            "status": "skipped",
-            "reason": str(exc),
-        }
-    payload = _report_payload(report)
-    payload["status"] = "ok"
-    return payload
+        report = IDENTITIES[identity].run(tuple(params.values()), budget, method)
+    except BudgetExceededError as exc:
+        status, reason = "budget-exceeded", str(exc)
+    except ArithmeticError as exc:
+        status, reason = "error", str(exc)
+    except ValueError as exc:  # a ParityError too: outside the identity's cases
+        status, reason = "skipped", str(exc)
+    else:
+        return {**_report_payload(report), "status": "ok"}
+    return {"identity": identity, "parameters": params, "status": status, "reason": reason}
 
 
 def _handle_sweep(args) -> tuple[list[dict], int]:
-    if args.identity not in IDENTITIES:
-        raise UsageError(f"unknown identity {args.identity!r}")
-    names, _ = IDENTITIES[args.identity]
+    names = IDENTITIES[args.identity].params
     grid = _parse_grid(args.set or [], args.config)
     missing = [n for n in names if n not in grid]
     if missing:
@@ -350,7 +270,7 @@ def _handle_sweep(args) -> tuple[list[dict], int]:
 
     tuples = sorted(_cartesian(*(grid[n] for n in names)))
     tasks = [
-        (args.identity, dict(zip(names, values)), args.budget, getattr(args, "method", None))
+        (args.identity, dict(zip(names, values)), args.budget, args.method)
         for values in tuples
     ]
     if args.workers > 1:
@@ -359,18 +279,20 @@ def _handle_sweep(args) -> tuple[list[dict], int]:
     else:
         results = [_sweep_tuple(t) for t in tasks]
 
-    matched = sum(1 for r in results if r.get("status") == "ok" and r["match"])
-    mismatched = sum(1 for r in results if r.get("status") == "ok" and not r["match"])
-    skipped = sum(1 for r in results if r.get("status") == "skipped")
+    statuses = Counter(r["status"] for r in results)
+    matched = sum(1 for r in results if r["status"] == "ok" and r["match"])
+    mismatched = statuses["ok"] - matched
+    failed = statuses["budget-exceeded"] + statuses["error"]
     summary = {
         "identity": args.identity,
         "status": "summary",
-        "checked": matched + mismatched,
+        "checked": statuses["ok"],
         "matched": matched,
         "mismatched": mismatched,
-        "skipped": skipped,
+        "skipped": statuses["skipped"],
+        "failed": failed,
     }
-    return results + [summary], 0 if mismatched == 0 else 1
+    return results + [summary], 2 if failed else 1 if mismatched else 0
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="closed-form and brute-force counts")
-    p_count.add_argument(
-        "target",
-        choices=(
-            "box",
-            "box-brute",
-            "scpp",
-            "scpp-brute",
-            "scpp-signed",
-            "signed-product",
-            "signed-all-even",
-            "middle-line",
-            "middle-line-brute",
-        ),
-    )
+    p_count.add_argument("target", choices=tuple(COUNT_TARGETS))
     p_count.add_argument("--a", type=int, required=True)
     p_count.add_argument("--b", type=int, required=True)
     p_count.add_argument("--c", type=int, default=None)
@@ -431,11 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check one identity at one tuple")
     p_verify.add_argument("identity", choices=sorted(IDENTITIES))
-    for flag in ("a", "b", "c", "c1", "c2", "gamma", "gamma1", "gamma2", "alpha", "n", "m"):
+    for flag in dict.fromkeys(name for row in IDENTITIES.values() for name in row.params):
         p_verify.add_argument(f"--{flag}", type=int, default=None)
-    p_verify.add_argument(
-        "--method", choices=("full-expansion", "evaluation-sweep"), default=None
-    )
+    p_verify.add_argument("--method", choices=METHODS, default=None)
     _add_common(p_verify)
 
     p_sweep = sub.add_parser("sweep", help="run one identity over a parameter grid")
@@ -448,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--config", default=None, help="file of key=range lines")
     p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument(
-        "--method", choices=("full-expansion", "evaluation-sweep"), default=None
-    )
+    p_sweep.add_argument("--method", choices=METHODS, default=None)
     _add_common(p_sweep)
 
     return parser
@@ -459,19 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler = {
+        "count": _handle_count,
+        "schur": _handle_schur,
+        "pfaffian": _handle_pfaffian,
+        "verify": _handle_verify,
+        "sweep": _handle_sweep,
+    }[args.command]
     try:
-        if args.command == "count":
-            payload, code = _handle_count(args)
-        elif args.command == "schur":
-            payload, code = _handle_schur(args)
-        elif args.command == "pfaffian":
-            payload, code = _handle_pfaffian(args)
-        elif args.command == "verify":
-            payload, code = _handle_verify(args)
-        elif args.command == "sweep":
-            payload, code = _handle_sweep(args)
-        else:  # pragma: no cover - argparse enforces choices
-            raise UsageError(f"unknown command {args.command!r}")
+        payload, code = handler(args)
     except BudgetExceededError as exc:
         _emit(_render({"error": {"code": "budget-exceeded", "message": str(exc)}}, "json"), None)
         return 2

@@ -74,14 +74,6 @@ def rotated_complement(lam: Iterable[int], alpha: int, gamma: int) -> Partition:
     return partition(gamma - part_at(lam, alpha - 1 - i) for i in range(alpha))
 
 
-def skew_size(lam: Iterable[int], mu: Iterable[int]) -> int:
-    """Number of squares of lam not in mu; requires mu inside lam."""
-    lam, mu = partition(lam), partition(mu)
-    if not contains(lam, mu):
-        raise ValueError(f"{mu} is not contained in {lam}")
-    return size(lam) - size(mu)
-
-
 def skew_cells(lam: Iterable[int], mu: Iterable[int]) -> Iterator[tuple[int, int]]:
     """(row, col) pairs of the squares of lam/mu, 0-indexed, row-major."""
     lam, mu = partition(lam), partition(mu)

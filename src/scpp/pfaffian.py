@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from scpp.products import ParityError, middle_line_product
+from scpp.products import ParityError, check_line_lengths, middle_line_product
 
 Scalar = int | Fraction
 
@@ -103,27 +103,42 @@ def binomial_safe(n: int, k: int) -> int:
     return comb(n, k)
 
 
-CASES = ("even-even", "a-odd", "ab-odd")
+# the (a, b) parities each case covers, as its error message names them
+CASE_PARITY = {
+    "even-even": ((0, 0), "a and b even"),
+    "a-odd": ((1, 0), "a odd and b even"),
+    "ab-odd": ((1, 1), "a and b odd"),
+}
+CASES = tuple(CASE_PARITY)
 
 
 def _check_case(case: str, a: int, b: int, c1: int, c2: int) -> None:
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    if a < 0 or b < 0 or c1 < 0 or c2 < 0:
-        raise ValueError("parameters must be nonnegative")
-    if c1 % 2 or c2 % 2:
-        raise ParityError("c1 and c2 must be even")
-    if c1 < c2:
-        raise ValueError("c1 must be at least c2")
-    if case == "even-even":
-        if a % 2 or b % 2:
-            raise ParityError("case even-even requires a and b even")
-    elif case == "a-odd":
-        if a % 2 == 0 or b % 2:
-            raise ParityError("case a-odd requires a odd and b even")
-    else:
-        if a % 2 == 0 or b % 2 == 0:
-            raise ParityError("case ab-odd requires a and b odd")
+    check_line_lengths(a, b, c1, c2)
+    parity, needs = CASE_PARITY[case]
+    if (a % 2, b % 2) != parity:
+        raise ParityError(f"case {case} requires {needs}")
+
+
+def _core_rows(
+    a: int, b: int, kmax: int, top_row: int, top_col: int
+) -> list[tuple[int, ...]]:
+    """The a x a core block: entry (i, j) antisymmetrizes a sum over k of
+    products of two binomials with tops ``top_row`` and ``top_col``."""
+
+    def entry(i: int, j: int) -> int:
+        total = 0
+        for k in range(1, kmax + 1):
+            total += binomial_safe(top_row, b + i - k) * binomial_safe(
+                top_col, j + k - a - 1
+            )
+            total -= binomial_safe(top_row, b + j - k) * binomial_safe(
+                top_col, i + k - a - 1
+            )
+        return total
+
+    return [tuple(entry(i, j) for j in range(1, a + 1)) for i in range(1, a + 1)]
 
 
 def corollary_matrix(
@@ -143,77 +158,24 @@ def corollary_matrix(
     the total count on small boxes).
     """
     _check_case(case, a, b, c1, c2)
-
     if case == "even-even":
-        kmax = (a + b) // 2
-        top_row, top_col = (b + c1) // 2, (b + c2) // 2
-
-        def core(i: int, j: int) -> int:
-            total = 0
-            for k in range(1, kmax + 1):
-                total += binomial_safe(top_row, b + i - k) * binomial_safe(
-                    top_col, j + k - a - 1
-                )
-                total -= binomial_safe(top_row, b + j - k) * binomial_safe(
-                    top_col, i + k - a - 1
-                )
-            return total
-
-        rows = tuple(
-            tuple(core(i, j) for j in range(1, a + 1)) for i in range(1, a + 1)
-        )
-        return SkewSymmetricMatrix(rows), 1
-
+        rows = _core_rows(a, b, (a + b) // 2, (b + c1) // 2, (b + c2) // 2)
+        return SkewSymmetricMatrix(tuple(rows)), 1
     if case == "a-odd":
-        kmax = (a + b - 1) // 2
-        top_row, top_col = (b + c2) // 2, (b + c1) // 2
-        border_top = top_row
-        border_shift = (a + b + 1) // 2
-
-        def core(i: int, j: int) -> int:
-            total = 0
-            for k in range(1, kmax + 1):
-                total += binomial_safe(top_row, b + i - k) * binomial_safe(
-                    top_col, j + k - a - 1
-                )
-                total -= binomial_safe(top_row, b + j - k) * binomial_safe(
-                    top_col, i + k - a - 1
-                )
-            return total
-
-        def border(i: int) -> int:
-            return binomial_safe(border_top, b + i - border_shift)
-
-        rows = []
-        for i in range(1, a + 1):
-            rows.append(tuple(core(i, j) for j in range(1, a + 1)) + (border(i),))
-        rows.append(tuple(-border(j) for j in range(1, a + 1)) + (0,))
-        return SkewSymmetricMatrix(tuple(rows)), (-1) ** ((a - 1) // 2)
-
-    # ab-odd
-    kmax = (a + b) // 2
-    top_row, top_col = (b + c2 - 1) // 2, (b + c1 + 1) // 2
-    border_shift = (a + b) // 2 + 1
-
-    def core(i: int, j: int) -> int:
-        total = 0
-        for k in range(1, kmax + 1):
-            total += binomial_safe(top_row, b + i - k) * binomial_safe(
-                top_col, j + k - a - 1
-            )
-            total -= binomial_safe(top_row, b + j - k) * binomial_safe(
-                top_col, i + k - a - 1
-            )
-        return total
-
-    def border(i: int) -> int:
-        return binomial_safe(top_row, b + i - border_shift)
-
-    rows = []
-    for i in range(1, a + 1):
-        rows.append(tuple(core(i, j) for j in range(1, a + 1)) + (-border(i),))
-    rows.append(tuple(border(j) for j in range(1, a + 1)) + (0,))
-    return SkewSymmetricMatrix(tuple(rows)), (-1) ** ((a + 1) // 2)
+        top_row = (b + c2) // 2
+        rows = _core_rows(a, b, (a + b - 1) // 2, top_row, (b + c1) // 2)
+        shift = (a + b + 1) // 2
+        border = [binomial_safe(top_row, b + i - shift) for i in range(1, a + 1)]
+        prefactor = (-1) ** ((a - 1) // 2)
+    else:  # ab-odd
+        top_row = (b + c2 - 1) // 2
+        rows = _core_rows(a, b, (a + b) // 2, top_row, (b + c1 + 1) // 2)
+        shift = (a + b) // 2 + 1
+        border = [-binomial_safe(top_row, b + i - shift) for i in range(1, a + 1)]
+        prefactor = (-1) ** ((a + 1) // 2)
+    rows = [row + (x,) for row, x in zip(rows, border)]
+    rows.append(tuple(-x for x in border) + (0,))
+    return SkewSymmetricMatrix(tuple(rows)), prefactor
 
 
 @dataclass(frozen=True)

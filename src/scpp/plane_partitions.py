@@ -15,7 +15,7 @@ from typing import Iterator
 
 from scpp.budget import WorkBudget
 from scpp.partitions import rectangle
-from scpp.products import ParityError
+from scpp.products import ParityError, check_middle_line_params
 from scpp.schur import SemistandardTableau
 
 Grid = tuple[tuple[int, ...], ...]
@@ -281,28 +281,12 @@ def _scpp_halves(
     if a == 0:
         yield ((), None)
         return
-    free = (a - 1) // 2 if a % 2 else a // 2 - 1
-    acc: list[tuple[int, ...]] = []
-
-    def rec(r: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...] | None]]:
-        if budget is not None:
-            budget.charge()
-        if r == free:
-            bound = acc[-1] if acc else (b,) * c
-            if a % 2 == 0:
-                for row in _constrained_row(bound, c, b, "wrap"):
-                    yield tuple(acc) + (row,), None
-            else:
-                for mid in _constrained_row(bound, c, b, "exact"):
-                    yield tuple(acc), mid
-            return
-        bound = acc[-1] if acc else (b,) * c
-        for row in _decreasing_rows(bound, c):
-            acc.append(row)
-            yield from rec(r + 1)
-            acc.pop()
-
-    yield from rec(0)
+    # the free upper rows, then the boundary row (a even) or central row (a odd)
+    mode = "exact" if a % 2 else "wrap"
+    for upper in _pp_grids((a - 1) // 2, b, c, budget):
+        bound = upper[-1] if upper else (b,) * c
+        for row in _constrained_row(bound, c, b, mode):
+            yield (upper, row) if a % 2 else (upper + (row,), None)
 
 
 def _assemble(
@@ -407,15 +391,8 @@ def count_scpp_middle_line(
     Dispatches on the parity of (a, b); the odd/odd case counts punctured
     arrays whose central segment has no integer entries.
     """
-    if a < 0 or b < 0 or c1 < 0 or c2 < 0:
-        raise ValueError("parameters must be nonnegative")
-    if c1 % 2 or c2 % 2:
-        raise ParityError("c1 and c2 must be even")
-    if c1 < c2:
-        raise ValueError("c1 must be at least c2")
+    check_middle_line_params(a, b, c1, c2)
     c = (c1 + c2) // 2
-    if a % 2 == 0 and b % 2 == 1:
-        raise ParityError("a even with b odd is not a covered case")
     if a % 2 == 1 and b % 2 == 1:
         return _count_punctured_middle_line(a, b, c1, c2, budget)
     if a % 2 == 0 and b % 2 == 0:
@@ -457,7 +434,6 @@ def _count_punctured_middle_line(
     above_min = (b - 1) // 2
     left_min = (b + 1) // 2
     free = (a - 1) // 2
-    total = 0
 
     def count_middles(above: tuple[int, ...] | None) -> int:
         if above is not None and any(above[t] < above_min for t in range(seg_lo, seg_hi)):
@@ -487,23 +463,7 @@ def _count_punctured_middle_line(
     if free == 0:
         return count_middles(None)
 
-    acc: list[tuple[int, ...]] = []
-
-    def rec_rows(r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if budget is not None:
-            budget.charge()
-        if r == free:
-            yield tuple(acc)
-            return
-        bound = acc[-1] if acc else (b,) * c
-        for row in _decreasing_rows(bound, c):
-            acc.append(row)
-            yield from rec_rows(r + 1)
-            acc.pop()
-
-    for upper in rec_rows(0):
-        total += count_middles(upper[-1])
-    return total
+    return sum(count_middles(upper[-1]) for upper in _pp_grids(free, b, c, budget))
 
 
 # ---------------------------------------------------------------------------

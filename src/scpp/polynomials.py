@@ -255,13 +255,6 @@ def upoly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return upoly_trim(quot)
 
 
-def upoly_eval(p: Sequence[int], x: int | Fraction) -> int | Fraction:
-    value: int | Fraction = 0
-    for c in reversed(p):
-        value = value * x + c
-    return value
-
-
 def one_minus_power(m: int) -> list[int]:
     """The polynomial 1 - q^m."""
     if m <= 0:

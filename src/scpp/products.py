@@ -7,29 +7,11 @@ rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
 class ParityError(ValueError):
     """Side-length parities outside the cases a formula covers."""
-
-
-@dataclass(frozen=True)
-class BoxDims:
-    """Side lengths of a box of unit cubes."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.c < 0:
-            raise ValueError("box sides must be nonnegative")
-
-    def sorted(self) -> "BoxDims":
-        x, y, z = sorted((self.a, self.b, self.c))
-        return BoxDims(x, y, z)
 
 
 def rising_factorial(a: int, n: int) -> int:
@@ -83,13 +65,20 @@ def sc_count(a: int, b: int, c: int) -> int:
     return 0
 
 
-def _check_middle_line_params(a: int, b: int, c1: int, c2: int) -> None:
+def check_line_lengths(a: int, b: int, c1: int, c2: int) -> None:
+    """Nonnegative parameters with c1 >= c2, both even: the checks shared by
+    every middle-line count and Pfaffian."""
     if a < 0 or b < 0 or c1 < 0 or c2 < 0:
         raise ValueError("parameters must be nonnegative")
     if c1 % 2 or c2 % 2:
         raise ParityError("c1 and c2 must be even")
     if c1 < c2:
         raise ValueError("c1 must be at least c2")
+
+
+def check_middle_line_params(a: int, b: int, c1: int, c2: int) -> None:
+    """The line lengths, and an (a, b) parity that the products cover."""
+    check_line_lengths(a, b, c1, c2)
     if a % 2 == 0 and b % 2 == 1:
         raise ParityError("a even with b odd is not a covered case")
 
@@ -104,7 +93,7 @@ def middle_line_product(a: int, b: int, c1: int, c2: int) -> int:
     exhaustive enumeration (see tests); the two printed variants of that
     case disagree, and only this one matches the objects being counted.
     """
-    _check_middle_line_params(a, b, c1, c2)
+    check_middle_line_params(a, b, c1, c2)
     if a % 2 == 0 and b % 2 == 0:
         return box_count(a // 2, b // 2, c1 // 2) * box_count(a // 2, b // 2, c2 // 2)
     if a % 2 == 1 and b % 2 == 0:

@@ -150,11 +150,6 @@ def _schur_sum_cached(lam: Partition, n: int) -> MPoly:
     return _content_sum(lam, (), n)
 
 
-@lru_cache(maxsize=None)
-def _skew_schur_sum_cached(outer: Partition, inner: Partition, n: int) -> MPoly:
-    return _content_sum(outer, inner, n)
-
-
 def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
     """Schur polynomial of shape lam in n variables, summed over tableaux.
 
@@ -166,17 +161,6 @@ def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
     if len(lam) > n:
         return MPoly.zero(n)
     return _schur_sum_cached(lam, n)
-
-
-def skew_schur_tableau_sum(outer: Iterable[int], inner: Iterable[int], n: int) -> MPoly:
-    """Generating polynomial of SSYT of shape outer/inner with entries <= n."""
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
-    outer = partition(outer)
-    inner = partition(inner)
-    if not contains(outer, inner):
-        raise ValueError(f"inner shape {inner} not contained in outer {outer}")
-    return _skew_schur_sum_cached(outer, inner, n)
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,16 @@ Each verifier computes both sides by independent routes (brute-force
 enumeration vs. closed form, or full polynomial expansion vs. a gluing
 construction) and returns a report with deterministic digests of the two
 sides.
+
+``IDENTITIES`` is the one table of the checkable identities.  Each row,
+keyed by its CLI name, gives the ordered parameter names, the ``verify_*``
+function that runs both routes, the standard grid (ranges plus an
+admissibility filter) and whether a ``--method`` applies.  The CLI
+``verify`` and ``sweep`` commands, ``scripts/run_all_checks.py`` and the
+acceptance suite all read it.  To add an identity, write a ``verify_*``
+function that takes the parameters in order plus ``budget`` (and
+``method`` if it has more than one route), then add one row.
+``PFAFFIAN_GRID`` beside it is the standard grid of ``pfaffian_check``.
 """
 
 from __future__ import annotations
@@ -11,7 +21,9 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as _cartesian
+from typing import Callable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
 from scpp.partitions import (
@@ -23,6 +35,7 @@ from scpp.partitions import (
     rectangle,
     size,
 )
+from scpp.pfaffian import CASE_PARITY, CASES
 from scpp.plane_partitions import (
     check_move_graph,
     count_pp,
@@ -43,6 +56,7 @@ from scpp.schur import schur_tableau_sum, specialize_alternating
 FULL_EXPANSION = "full-expansion"
 EVALUATION_SWEEP = "evaluation-sweep"
 ENUMERATION = "enumeration"
+METHODS = (FULL_EXPANSION, EVALUATION_SWEEP)
 
 
 @dataclass(frozen=True)
@@ -340,3 +354,80 @@ def verify_specialization_bridge(
     lhs = f"ones={ones};alternating={alt}"
     rhs = f"ones={box};alternating={sc}"
     return _report("bridge", params, lhs, rhs, lhs == rhs, "evaluation", start)
+
+
+# ---------------------------------------------------------------------------
+# the verification table
+
+@dataclass(frozen=True)
+class Grid:
+    """The tuples of a cartesian product of ranges that pass ``admissible``."""
+
+    ranges: tuple[Sequence, ...]
+    admissible: Callable[..., bool] = lambda *values: True
+
+    def __iter__(self) -> Iterator[tuple]:
+        return (t for t in _cartesian(*self.ranges) if self.admissible(*t))
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One checkable identity: its parameters, both routes and standard grid."""
+
+    params: tuple[str, ...]
+    verify: Callable[..., VerificationReport]
+    grid: Grid
+    takes_method: bool = False
+
+    def run(
+        self, values: Sequence[int], budget: WorkBudget | None = None, method: str | None = None
+    ) -> VerificationReport:
+        """Check the identity at one tuple, given in ``params`` order."""
+        if self.takes_method:
+            return self.verify(*values, method=method or FULL_EXPANSION, budget=budget)
+        return self.verify(*values, budget=budget)
+
+
+_BOX = ("a", "b", "c")
+_SCHURID = ("gamma1", "gamma2", "alpha", "n")
+_SCHURID_GRID = Grid((range(4), range(4), range(4), range(5)), lambda g1, g2, alpha, n: g2 <= g1)
+
+IDENTITIES: dict[str, Identity] = {
+    "box": Identity(_BOX, verify_box, Grid((range(5),) * 3)),
+    # all-odd boxes stay in: both routes give 0 there
+    "scpp": Identity(_BOX, verify_scpp_count, Grid((range(7),) * 3)),
+    "middle-line": Identity(
+        ("a", "b", "c1", "c2"),
+        verify_middle_line,
+        Grid(
+            (range(6), range(6), range(0, 7, 2), range(0, 7, 2)),
+            lambda a, b, c1, c2: not (a % 2 == 0 and b % 2) and c2 <= c1,
+        ),
+    ),
+    "signed": Identity(
+        _BOX,
+        verify_signed_enumeration,
+        Grid((range(7),) * 3, lambda a, b, c: (a % 2, b % 2, c % 2) in ((0, 1, 1), (1, 0, 0))),
+    ),
+    "schurid1": Identity(_SCHURID, partial(verify_schurid, 1), _SCHURID_GRID, takes_method=True),
+    "schurid2": Identity(_SCHURID, partial(verify_schurid, 2), _SCHURID_GRID, takes_method=True),
+    "square-reduction": Identity(
+        ("gamma", "alpha", "n"), verify_square_reduction, Grid((range(3), range(3), range(4)))
+    ),
+    "weight": Identity(
+        _BOX,
+        verify_weight_consistency,
+        Grid((range(5),) * 3, lambda a, b, c: not (a % 2 and b % 2 and c % 2)),
+    ),
+    "bridge": Identity(
+        ("gamma", "alpha", "m"),
+        verify_specialization_bridge,
+        Grid((range(4), range(4), range(8)), lambda gamma, alpha, m: m >= alpha),
+    ),
+}
+
+# (case, a, b, c1, c2) for pfaffian_check
+PFAFFIAN_GRID = Grid(
+    (CASES, range(7), range(7), range(0, 9, 2), range(0, 9, 2)),
+    lambda case, a, b, c1, c2: (a % 2, b % 2) == CASE_PARITY[case][0] and c2 <= c1,
+)

@@ -16,7 +16,6 @@ from scpp.partitions import (
     rotated_complement,
     size,
     skew_cells,
-    skew_size,
 )
 
 
@@ -143,19 +142,6 @@ def test_rotated_complement_is_an_involution_up_to_6():
                 assert rotated_complement(
                     rotated_complement(lam, alpha, gamma), alpha, gamma
                 ) == lam
-
-
-@pytest.mark.parametrize(
-    ("lam", "mu", "expected"),
-    [((4, 2, 1), (2, 2), 3), ((3, 1), (3, 1), 0), ((3, 1), (), 4)],
-)
-def test_skew_size(lam, mu, expected):
-    assert skew_size(lam, mu) == expected
-
-
-def test_skew_size_rejects_non_contained():
-    with pytest.raises(ValueError):
-        skew_size((2, 2), (3,))
 
 
 def test_partitions_in_rectangle_count_is_binomial():

@@ -8,7 +8,6 @@ from scpp.polynomials import (
     MPoly,
     one_minus_power,
     upoly_divexact,
-    upoly_eval,
     upoly_mul,
     upoly_trim,
 )
@@ -78,7 +77,7 @@ def test_q_substitution_matches_power_point(p):
     powers = [1, 2, 3]
     q0 = Fraction(3, 2)
     coeffs = p.to_q_coeffs(powers)
-    assert upoly_eval(coeffs, q0) == p.evaluate([q0**k for k in powers])
+    assert sum(c * q0**k for k, c in enumerate(coeffs)) == p.evaluate([q0**k for k in powers])
 
 
 def test_lift_and_restrict():
@@ -119,7 +118,7 @@ def test_upoly_divexact_rejects_inexact():
 
 def test_one_minus_power():
     assert one_minus_power(3) == [1, 0, 0, -1]
-    assert upoly_eval(one_minus_power(4), -1) == 0
+    assert sum(c * (-1) ** k for k, c in enumerate(one_minus_power(4))) == 0
     with pytest.raises(ValueError):
         one_minus_power(0)
 

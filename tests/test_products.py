@@ -4,7 +4,6 @@ import pytest
 
 from scpp.plane_partitions import count_scpp
 from scpp.products import (
-    BoxDims,
     ParityError,
     box_count,
     middle_line_product,
@@ -146,10 +145,3 @@ def test_sc_count_matches_enumeration_to_4():
         for b in range(5):
             for c in range(5):
                 assert sc_count(a, b, c) == count_scpp(a, b, c)
-
-
-def test_box_dims():
-    dims = BoxDims(3, 1, 2)
-    assert dims.sorted() == BoxDims(1, 2, 3)
-    with pytest.raises(ValueError):
-        BoxDims(-1, 0, 0)

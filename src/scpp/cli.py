@@ -1,10 +1,14 @@
 """Command-line interface: counting, evaluation, and verification sweeps.
 
 All output is byte-deterministic for a fixed invocation: JSON keys are
-sorted, big integers are rendered as decimal strings, and timing fields
-are kept out of the serialized reports.  Exit codes: 0 on success and on
-verifications that match, 1 on a verification mismatch, 2 on usage,
-precondition, or budget errors.
+sorted, big integers are rendered as decimal strings, and reports carry
+no timings.  Exit codes: 0 on success and on verifications that match, 1
+on a verification mismatch, 2 on errors.  An error prints one JSON line
+``{"error": {"code": ..., "message": ...}}`` on stdout, with code
+``usage`` (a missing parameter, or ``--method`` given for an identity
+with a single route), ``bad-parity``, ``budget-exceeded`` or
+``invalid-parameter`` (a parameter out of range, including a ``--budget``
+below 1, which every subcommand rejects before doing any work).
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
@@ -24,13 +28,14 @@ import json
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Sequence
 
 from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import partition
-from scpp.pfaffian import pfaffian_check
+from scpp.pfaffian import CASES, pfaffian_check
 from scpp.plane_partitions import (
     SignedCount,
     count_pp,
@@ -51,7 +56,7 @@ from scpp.schur import (
     schur_tableau_sum,
     specialize_alternating,
 )
-from scpp.verify import IDENTITIES, METHODS, VerificationReport
+from scpp.verify import IDENTITIES, METHODS, Identity
 
 
 class UsageError(ValueError):
@@ -60,18 +65,6 @@ class UsageError(ValueError):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def _report_payload(report: VerificationReport) -> dict:
-    # elapsed is deliberately omitted: output must be byte-deterministic
-    return {
-        "identity": report.identity,
-        "parameters": report.parameters,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "match": report.match,
-        "method": report.method,
-    }
-
 
 def _render(payload: dict | list[dict], fmt: str) -> str:
     if fmt == "json":
@@ -91,19 +84,18 @@ def _render(payload: dict | list[dict], fmt: str) -> str:
                 cells.append(str(v))
             lines.append(",".join(cells))
         return "\n".join(lines)
-    if fmt == "text":
-        rows = payload if isinstance(payload, list) else [payload]
-        lines = []
-        for row in rows:
-            bits = []
-            for k in sorted(row):
-                v = row[k]
-                if isinstance(v, dict):
-                    v = ";".join(f"{a}={b}" for a, b in sorted(v.items()))
-                bits.append(f"{k}={v}")
-            lines.append("  ".join(bits))
-        return "\n".join(lines)
-    raise UsageError(f"unknown format {fmt!r}")
+    # text
+    rows = payload if isinstance(payload, list) else [payload]
+    lines = []
+    for row in rows:
+        bits = []
+        for k in sorted(row):
+            v = row[k]
+            if isinstance(v, dict):
+                v = ";".join(f"{a}={b}" for a, b in sorted(v.items()))
+            bits.append(f"{k}={v}")
+        lines.append("  ".join(bits))
+    return "\n".join(lines)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -149,7 +141,7 @@ def _values(args, names: Sequence[str], what: str) -> list[int]:
 
 
 def _budget(args) -> WorkBudget | None:
-    return WorkBudget(args.budget) if args.budget else None
+    return WorkBudget(args.budget) if args.budget is not None else None
 
 
 def _handle_count(args) -> tuple[dict, int]:
@@ -182,9 +174,8 @@ def _handle_schur(args) -> tuple[dict, int]:
     if action == "hook-content":
         coeffs = hook_content_rectangular(args.gamma, args.alpha, args.n)
         return {"coefficients": [str(c) for c in coeffs]}, 0
-    if action == "alternating":
-        return {"value": str(specialize_alternating(args.gamma, args.alpha, args.m))}, 0
-    raise UsageError(f"unknown schur action {action!r}")
+    # alternating
+    return {"value": str(specialize_alternating(args.gamma, args.alpha, args.m))}, 0
 
 
 def _handle_pfaffian(args) -> tuple[dict, int]:
@@ -197,11 +188,20 @@ def _handle_pfaffian(args) -> tuple[dict, int]:
     return payload, 0 if check.match else 1
 
 
-def _handle_verify(args) -> tuple[dict, int]:
+def _identity(args) -> Identity:
+    """The table row of ``args.identity``, after checking that ``--method``
+    applies to it."""
     row = IDENTITIES[args.identity]
+    if args.method is not None and not row.takes_method:
+        raise UsageError(f"--method does not apply to identity {args.identity}")
+    return row
+
+
+def _handle_verify(args) -> tuple[dict, int]:
+    row = _identity(args)
     values = _values(args, row.params, f"identity {args.identity}")
     report = row.run(values, _budget(args), args.method)
-    return _report_payload(report), 0 if report.match else 1
+    return asdict(report), 0 if report.match else 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[
 def _sweep_tuple(task) -> dict:
     """Check one tuple of a sweep; a tuple that fails is recorded, not raised."""
     identity, params, budget_cap, method = task
-    budget = WorkBudget(budget_cap) if budget_cap else None
+    budget = WorkBudget(budget_cap) if budget_cap is not None else None
     try:
         report = IDENTITIES[identity].run(tuple(params.values()), budget, method)
     except BudgetExceededError as exc:
@@ -254,12 +254,12 @@ def _sweep_tuple(task) -> dict:
     except ValueError as exc:  # a ParityError too: outside the identity's cases
         status, reason = "skipped", str(exc)
     else:
-        return {**_report_payload(report), "status": "ok"}
+        return {**asdict(report), "status": "ok"}
     return {"identity": identity, "parameters": params, "status": status, "reason": reason}
 
 
 def _handle_sweep(args) -> tuple[list[dict], int]:
-    names = IDENTITIES[args.identity].params
+    names = _identity(args).params
     grid = _parse_grid(args.set or [], args.config)
     missing = [n for n in names if n not in grid]
     if missing:
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_schur)
 
     p_pf = sub.add_parser("pfaffian", help="evaluate one bordered binomial Pfaffian")
-    p_pf.add_argument("--case", choices=("even-even", "a-odd", "ab-odd"), required=True)
+    p_pf.add_argument("--case", choices=CASES, required=True)
     p_pf.add_argument("--a", type=int, required=True)
     p_pf.add_argument("--b", type=int, required=True)
     p_pf.add_argument("--c1", type=int, required=True)
@@ -372,6 +372,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": _handle_sweep,
     }[args.command]
     try:
+        # checked here because schur and pfaffian take --budget but charge nothing
+        if args.budget is not None and args.budget <= 0:
+            raise ValueError("budget cap must be positive")
         payload, code = handler(args)
     except BudgetExceededError as exc:
         _emit(_render({"error": {"code": "budget-exceeded", "message": str(exc)}}, "json"), None)

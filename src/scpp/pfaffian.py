@@ -44,27 +44,36 @@ class SkewSymmetricMatrix:
 
 def pfaffian(matrix: SkewSymmetricMatrix) -> Scalar:
     """Pfaffian via first-row expansion; satisfies Pf(M)^2 = det(M)."""
-    entries = matrix.entries
+    # the memo is reachable only from this call chain, so it is freed as soon
+    # as the call returns, without waiting for the cyclic collector
+    return _pf((1 << matrix.dim) - 1, matrix.entries, {})
 
-    cache: dict[tuple[int, ...], Scalar] = {}
 
-    def pf(indices: tuple[int, ...]) -> Scalar:
-        if not indices:
-            return 1
-        if indices in cache:
-            return cache[indices]
-        first, rest = indices[0], indices[1:]
-        total: Scalar = 0
-        for t, j in enumerate(rest):
-            coeff = entries[first][j]
-            if coeff:
-                sub = rest[:t] + rest[t + 1 :]
-                term = coeff * pf(sub)
-                total = total + term if t % 2 == 0 else total - term
-        cache[indices] = total
-        return total
-
-    return pf(tuple(range(matrix.dim)))
+def _pf(
+    indices: int, entries: tuple[tuple[Scalar, ...], ...], cache: dict[int, Scalar]
+) -> Scalar:
+    """Pfaffian of the principal submatrix on the bit set ``indices``,
+    expanded along its lowest index and memoized in ``cache``."""
+    if not indices:
+        return 1
+    if indices in cache:
+        return cache[indices]
+    first_bit = indices & -indices
+    row = entries[first_bit.bit_length() - 1]
+    rest = indices ^ first_bit
+    total: Scalar = 0
+    sign = 1
+    others = rest
+    while others:
+        bit = others & -others
+        others ^= bit
+        coeff = row[bit.bit_length() - 1]
+        if coeff:
+            term = coeff * _pf(rest ^ bit, entries, cache)
+            total = total + term if sign > 0 else total - term
+        sign = -sign
+    cache[indices] = total
+    return total
 
 
 def exact_determinant(rows: Sequence[Sequence[Scalar]]) -> Fraction:

@@ -478,22 +478,20 @@ def pp_to_tableau(pp: PlanePartition) -> SemistandardTableau:
     """
     a, c, b = pp.rows, pp.cols, pp.height_bound
     if a == 0 or c == 0:
-        return SemistandardTableau((), (), a + b, ())
+        return SemistandardTableau((), a + b, ())
     rows = tuple(
         tuple(pp.entries[a - 1 - i][c - 1 - j] + i + 1 for j in range(c))
         for i in range(a)
     )
-    return SemistandardTableau(rectangle(a, c), (), a + b, rows)
+    return SemistandardTableau(rectangle(a, c), a + b, rows)
 
 
 def tableau_to_pp(t: SemistandardTableau) -> PlanePartition:
-    """Inverse of :func:`pp_to_tableau` for rectangular straight shapes."""
-    if t.inner:
-        raise ValueError("expected a straight (non-skew) shape")
-    a = len(t.outer)
-    if any(w != t.outer[0] for w in t.outer):
+    """Inverse of :func:`pp_to_tableau` for rectangular shapes."""
+    a = len(t.shape)
+    if any(w != t.shape[0] for w in t.shape):
         raise ValueError("expected a rectangular shape")
-    c = t.outer[0] if a else 0
+    c = t.shape[0] if a else 0
     b = t.max_entry - a
     if b < 0:
         raise ValueError("max_entry smaller than the number of rows")

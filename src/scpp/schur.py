@@ -16,49 +16,39 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
-from scpp.budget import WorkBudget
 from scpp.partitions import Partition, contains, part_at, partition, rectangle, size
 from scpp.polynomials import MPoly, one_minus_power, upoly_divexact, upoly_mul
 
 
 @dataclass(frozen=True)
 class SemistandardTableau:
-    """A (possibly skew) semistandard filling with entries in [1, max_entry].
+    """A semistandard filling of a straight shape with entries in [1, max_entry].
 
-    ``rows[r]`` holds the entries of row r for columns inner_r .. outer_r - 1.
+    ``rows[r]`` holds the entries of row r.
     """
 
-    outer: Partition
-    inner: Partition
+    shape: Partition
     max_entry: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        outer = partition(self.outer)
-        inner = partition(self.inner)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+        shape = partition(self.shape)
+        object.__setattr__(self, "shape", shape)
         if self.max_entry < 0:
             raise ValueError("max_entry must be nonnegative")
-        if not contains(outer, inner):
-            raise ValueError(f"inner shape {inner} not contained in outer {outer}")
-        if len(self.rows) != len(outer):
+        if len(self.rows) != len(shape):
             raise ValueError("wrong number of rows")
-        for r, width in enumerate(outer):
-            lo = part_at(inner, r)
+        for r, width in enumerate(shape):
             row = self.rows[r]
-            if len(row) != width - lo:
+            if len(row) != width:
                 raise ValueError(f"row {r} has wrong length")
-            for t, v in enumerate(row):
+            for c, v in enumerate(row):
                 if not 1 <= v <= self.max_entry:
                     raise ValueError(f"entry {v} out of range [1, {self.max_entry}]")
-                if t and row[t - 1] > v:
+                if c and row[c - 1] > v:
                     raise ValueError(f"row {r} is not weakly increasing")
-                col = lo + t
-                if r and part_at(inner, r - 1) <= col < part_at(outer, r - 1):
-                    above = self.rows[r - 1][col - part_at(inner, r - 1)]
-                    if above >= v:
-                        raise ValueError(f"column {col} is not strictly increasing")
+                if r and self.rows[r - 1][c] >= v:
+                    raise ValueError(f"column {c} is not strictly increasing")
 
     def content(self) -> tuple[int, ...]:
         """Multiplicity vector: entry i counts occurrences of the value i+1."""
@@ -68,47 +58,37 @@ class SemistandardTableau:
                 counts[v - 1] += 1
         return tuple(counts)
 
-    def entry(self, r: int, c: int) -> int:
-        """Entry at 0-indexed row r, absolute column c."""
-        return self.rows[r][c - part_at(self.inner, r)]
 
+def _ssyt_row_fillings(shape: Partition, max_entry: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the row tuples of every SSYT of the given shape, exactly once.
 
-def _ssyt_row_fillings(
-    outer: Partition,
-    inner: Partition,
-    max_entry: int,
-    budget: WorkBudget | None = None,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield the row tuples of every SSYT of the given skew shape, exactly once.
-
-    Rows are generated top to bottom; each row is a weakly increasing
-    sequence compatible with strict increase below the previous row.
+    Rows are generated top to bottom; each row is weakly increasing and
+    strictly exceeds the row above it column by column.  An entry leaves
+    room for the strictly increasing cells below it in its column, so every
+    partial filling extends to a tableau.
     """
-    nrows = len(outer)
-    inn = [part_at(inner, r) for r in range(nrows)]
+    nrows = len(shape)
+    heights = [sum(1 for width in shape if width > c) for c in range(part_at(shape, 0))]
     acc: list[tuple[int, ...]] = []
 
-    def build_row(r: int, c: int, row: list[int]) -> Iterator[tuple[int, ...]]:
-        if c == outer[r]:
+    def build_row(r: int, row: list[int]) -> Iterator[tuple[int, ...]]:
+        c = len(row)
+        if c == shape[r]:
             yield tuple(row)
             return
-        floor = 1
-        if row:
-            floor = max(floor, row[-1])
-        if r > 0 and inn[r - 1] <= c < outer[r - 1]:
-            floor = max(floor, acc[r - 1][c - inn[r - 1]] + 1)
-        for v in range(floor, max_entry + 1):
+        floor = row[-1] if row else 1
+        if r and acc[r - 1][c] >= floor:
+            floor = acc[r - 1][c] + 1
+        for v in range(floor, max_entry - heights[c] + r + 2):
             row.append(v)
-            yield from build_row(r, c + 1, row)
+            yield from build_row(r, row)
             row.pop()
 
     def rec(r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if r == nrows:
             yield tuple(acc)
             return
-        for row in build_row(r, inn[r], []):
-            if budget is not None:
-                budget.charge()
+        for row in build_row(r, []):
             acc.append(row)
             yield from rec(r + 1)
             acc.pop()
@@ -116,38 +96,13 @@ def _ssyt_row_fillings(
     yield from rec(0)
 
 
-def enumerate_ssyt(
-    outer: Iterable[int],
-    inner: Iterable[int],
-    max_entry: int,
-    budget: WorkBudget | None = None,
-) -> Iterator[SemistandardTableau]:
-    """All semistandard tableaux of shape outer/inner with entries <= max_entry."""
-    outer = partition(outer)
-    inner = partition(inner)
+def enumerate_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[SemistandardTableau]:
+    """All semistandard tableaux of the given shape with entries <= max_entry."""
+    shape = partition(shape)
     if max_entry < 0:
         raise ValueError("max_entry must be nonnegative")
-    if not contains(outer, inner):
-        raise ValueError(f"inner shape {inner} not contained in outer {outer}")
-    for rows in _ssyt_row_fillings(outer, inner, max_entry, budget):
-        yield SemistandardTableau(outer, inner, max_entry, rows)
-
-
-def _content_sum(outer: Partition, inner: Partition, n: int) -> MPoly:
-    acc: dict[tuple[int, ...], int] = {}
-    for rows in _ssyt_row_fillings(outer, inner, n):
-        counts = [0] * n
-        for row in rows:
-            for v in row:
-                counts[v - 1] += 1
-        e = tuple(counts)
-        acc[e] = acc.get(e, 0) + 1
-    return MPoly._raw(n, acc)
-
-
-@lru_cache(maxsize=None)
-def _schur_sum_cached(lam: Partition, n: int) -> MPoly:
-    return _content_sum(lam, (), n)
+    for rows in _ssyt_row_fillings(shape, max_entry):
+        yield SemistandardTableau(shape, max_entry, rows)
 
 
 def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
@@ -160,7 +115,20 @@ def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
     lam = partition(lam)
     if len(lam) > n:
         return MPoly.zero(n)
-    return _schur_sum_cached(lam, n)
+    return _schur_sum(lam, n)
+
+
+@lru_cache(maxsize=None)
+def _schur_sum(lam: Partition, n: int) -> MPoly:
+    acc: dict[tuple[int, ...], int] = {}
+    for rows in _ssyt_row_fillings(lam, n):
+        counts = [0] * n
+        for row in rows:
+            for v in row:
+                counts[v - 1] += 1
+        e = tuple(counts)
+        acc[e] = acc.get(e, 0) + 1
+    return MPoly._raw(n, acc)
 
 
 @lru_cache(maxsize=None)

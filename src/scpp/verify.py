@@ -19,7 +19,6 @@ function that takes the parameters in order plus ``budget`` (and
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import product as _cartesian
@@ -29,10 +28,9 @@ from scpp.budget import WorkBudget
 from scpp.partitions import (
     Partition,
     horizontal_strips_within,
-    part_at,
-    partition,
     partitions_in_rectangle,
     rectangle,
+    rotated_complement,
     size,
 )
 from scpp.pfaffian import CASE_PARITY, CASES
@@ -69,10 +67,9 @@ class VerificationReport:
     rhs: str
     match: bool
     method: str
-    elapsed: float
 
 
-def _report(identity, parameters, lhs, rhs, match, method, start) -> VerificationReport:
+def _report(identity, parameters, lhs, rhs, match, method) -> VerificationReport:
     return VerificationReport(
         identity=identity,
         parameters=dict(parameters),
@@ -80,7 +77,6 @@ def _report(identity, parameters, lhs, rhs, match, method, start) -> Verificatio
         rhs=str(rhs),
         match=bool(match),
         method=method,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -92,65 +88,58 @@ def _glued_terms(
 ) -> list[tuple[Partition, int]]:
     """(shape, strip size) pairs for the gluing sum of identity 1 or 2.
 
-    Identity 1 sums over shapes lam inside the alpha x gamma2 rectangle;
-    identity 2 over shapes inside the (alpha+1) x gamma2 rectangle whose
-    first row is full.  In both, pi runs over horizontal strips inside lam
-    and the glued shape puts the reversed complement of the lower rows of
-    lam on top of pi.
+    Both identities sum over mu inside the alpha x gamma2 rectangle.
+    Identity 1 takes lam = mu; identity 2 puts a full first row of length
+    gamma2 on top of mu.  In both, pi runs over horizontal strips inside lam
+    and the glued shape puts the complement of mu in the alpha x
+    (gamma1+gamma2) rectangle, rotated 180 degrees, on top of pi.
     """
     if gamma1 < gamma2:
         raise ValueError("gamma1 must be at least gamma2")
-    if gamma1 < 0 or gamma2 < 0 or alpha < 0:
-        raise ValueError("parameters must be nonnegative")
-    g = gamma1 + gamma2
-    out: list[tuple[Partition, int]] = []
-    if which == 1:
-        lams = partitions_in_rectangle(alpha, gamma2)
-    elif which == 2:
-        if gamma2 == 0:
-            lams = iter([()])
-        else:
-            lams = ((gamma2,) + mu for mu in partitions_in_rectangle(alpha, gamma2))
-    else:
+    if which not in (1, 2):
         raise ValueError("identity selector must be 1 or 2")
-    for lam in lams:
+    out: list[tuple[Partition, int]] = []
+    for mu in partitions_in_rectangle(alpha, gamma2):
+        top = rotated_complement(mu, alpha, gamma1 + gamma2)
+        lam = mu if which == 1 else rectangle(1, gamma2) + mu
         lam_size = size(lam)
         for pi in horizontal_strips_within(lam):
             if budget is not None:
                 budget.charge()
-            if which == 1:
-                top = tuple(g - part_at(lam, alpha - 1 - t) for t in range(alpha))
-            else:
-                top = tuple(g - part_at(lam, alpha - t) for t in range(alpha))
-            shape = partition(top + pi)
-            out.append((shape, lam_size - size(pi)))
+            out.append((top + pi, lam_size - size(pi)))
     return out
+
+
+def _rhs_terms(
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None
+) -> list[tuple[MPoly, int]]:
+    """(Schur polynomial in n variables, strip size) for each glued shape;
+    shapes with more than n rows are left out, as their polynomial vanishes."""
+    terms = _glued_terms(which, gamma1, gamma2, alpha, budget)
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    return [(schur_tableau_sum(shape, n), strip) for shape, strip in terms if len(shape) <= n]
 
 
 def schurid1_rhs(
     gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None = None
 ) -> MPoly:
     """Right-hand side of the first identity as a polynomial in n+1 variables."""
-    return _glue_sum(1, gamma1, gamma2, alpha, n, budget)
+    return _glue_sum(_rhs_terms(1, gamma1, gamma2, alpha, n, budget), n)
 
 
 def schurid2_rhs(
     gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None = None
 ) -> MPoly:
     """Right-hand side of the second identity as a polynomial in n+1 variables."""
-    return _glue_sum(2, gamma1, gamma2, alpha, n, budget)
+    return _glue_sum(_rhs_terms(2, gamma1, gamma2, alpha, n, budget), n)
 
 
-def _glue_sum(
-    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None
-) -> MPoly:
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
+def _glue_sum(terms: list[tuple[MPoly, int]], n: int) -> MPoly:
+    """The sum of poly * x_{n+1}^strip over the terms."""
     acc: dict[tuple[int, ...], int] = {}
-    for shape, strip in _glued_terms(which, gamma1, gamma2, alpha, budget):
-        if len(shape) > n:
-            continue  # the Schur polynomial vanishes
-        for exps, coeff in schur_tableau_sum(shape, n).terms.items():
+    for poly, strip in terms:
+        for exps, coeff in poly.terms.items():
             e = exps + (strip,)
             s = acc.get(e, 0) + coeff
             if s:
@@ -182,27 +171,18 @@ def verify_schurid(
     values on an integer grid larger than the per-variable degree bound,
     which by the polynomial identity theorem is also a proof.
     """
-    start = time.perf_counter()
     identity = f"schurid{which}"
     params = {"gamma1": gamma1, "gamma2": gamma2, "alpha": alpha, "n": n}
-    if gamma1 < gamma2:
-        raise ValueError("gamma1 must be at least gamma2")
+    terms = _rhs_terms(which, gamma1, gamma2, alpha, n, budget)
     first, second = _lhs_factors(which, gamma1, gamma2, alpha, n)
 
     if method == FULL_EXPANSION:
         lhs = first.lift(n + 1) * second
-        rhs = _glue_sum(which, gamma1, gamma2, alpha, n, budget)
-        return _report(
-            identity, params, lhs.digest(), rhs.digest(), lhs == rhs, method, start
-        )
+        rhs = _glue_sum(terms, n)
+        return _report(identity, params, lhs.digest(), rhs.digest(), lhs == rhs, method)
 
     if method == EVALUATION_SWEEP:
         bound = alpha * gamma1 + (alpha + 1) * gamma2  # safe per-variable degree bound
-        terms = [
-            (schur_tableau_sum(shape, n), strip)
-            for shape, strip in _glued_terms(which, gamma1, gamma2, alpha, budget)
-            if len(shape) <= n
-        ]
         lhs_hash = hashlib.sha256()
         rhs_hash = hashlib.sha256()
         ok = True
@@ -218,13 +198,7 @@ def verify_schurid(
             lhs_hash.update(str(lval).encode() + b";")
             rhs_hash.update(str(rval).encode() + b";")
         return _report(
-            identity,
-            params,
-            lhs_hash.hexdigest()[:16],
-            rhs_hash.hexdigest()[:16],
-            ok,
-            method,
-            start,
+            identity, params, lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16], ok, method
         )
 
     raise ValueError(f"unknown method {method!r}")
@@ -235,7 +209,6 @@ def verify_square_reduction(
 ) -> VerificationReport:
     """Setting the extra variable to zero with equal widths must reduce the
     gluing sum to the square of a single rectangular Schur polynomial."""
-    start = time.perf_counter()
     params = {"gamma": gamma, "alpha": alpha, "n": n}
     reduced = schurid1_rhs(gamma, gamma, alpha, n, budget).restrict_last_zero()
     square = schur_tableau_sum(rectangle(alpha, gamma), n) ** 2
@@ -246,7 +219,6 @@ def verify_square_reduction(
         square.digest(),
         reduced == square,
         FULL_EXPANSION,
-        start,
     )
 
 
@@ -254,27 +226,24 @@ def verify_square_reduction(
 # enumeration vs. closed forms
 
 def verify_box(a: int, b: int, c: int, budget: WorkBudget | None = None) -> VerificationReport:
-    start = time.perf_counter()
     brute = count_pp(a, b, c, budget)
     closed = box_count(a, b, c)
     return _report(
-        "box", {"a": a, "b": b, "c": c}, brute, closed, brute == closed, ENUMERATION, start
+        "box", {"a": a, "b": b, "c": c}, brute, closed, brute == closed, ENUMERATION
     )
 
 
 def verify_scpp_count(a: int, b: int, c: int, budget: WorkBudget | None = None) -> VerificationReport:
-    start = time.perf_counter()
     brute = count_scpp(a, b, c, budget)
     closed = sc_count(a, b, c)
     return _report(
-        "scpp", {"a": a, "b": b, "c": c}, brute, closed, brute == closed, ENUMERATION, start
+        "scpp", {"a": a, "b": b, "c": c}, brute, closed, brute == closed, ENUMERATION
     )
 
 
 def verify_middle_line(
     a: int, b: int, c1: int, c2: int, budget: WorkBudget | None = None
 ) -> VerificationReport:
-    start = time.perf_counter()
     brute = count_scpp_middle_line(a, b, c1, c2, budget)
     closed = middle_line_product(a, b, c1, c2)
     return _report(
@@ -284,7 +253,6 @@ def verify_middle_line(
         closed,
         brute == closed,
         ENUMERATION,
-        start,
     )
 
 
@@ -293,7 +261,6 @@ def verify_signed_enumeration(
 ) -> VerificationReport:
     """Signed brute-force total against the closed product, in absolute value
     (the closed form fixes the magnitude only)."""
-    start = time.perf_counter()
     signed = count_scpp_signed(a, b, c, budget).signed_total
     if a % 2 == 0 and b % 2 == 0 and c % 2 == 0:
         closed = signed_enumeration_all_even(a, b, c)
@@ -308,7 +275,6 @@ def verify_signed_enumeration(
         closed,
         abs(signed) == closed,
         ENUMERATION,
-        start,
     )
 
 
@@ -316,7 +282,6 @@ def verify_weight_consistency(
     a: int, b: int, c: int, budget: WorkBudget | None = None
 ) -> VerificationReport:
     """Move-graph connectivity plus a sign flip across every single move."""
-    start = time.perf_counter()
     report = check_move_graph(a, b, c, budget)
     lhs = f"components={report.components};sign_flips_ok={report.sign_flips_consistent}"
     rhs = f"components={min(report.components, 1)};sign_flips_ok=True"
@@ -327,7 +292,6 @@ def verify_weight_consistency(
         rhs,
         lhs == rhs,
         ENUMERATION,
-        start,
     )
 
 
@@ -342,7 +306,6 @@ def verify_specialization_bridge(
     the self-complementary count, as the factor-pairing limit shows, so the
     comparison is exact including sign.
     """
-    start = time.perf_counter()
     if m < alpha:
         raise ValueError("argument count must be at least the number of rows")
     params = {"gamma": gamma, "alpha": alpha, "m": m}
@@ -353,7 +316,7 @@ def verify_specialization_bridge(
     sc = sign * sc_count(alpha, m - alpha, gamma)
     lhs = f"ones={ones};alternating={alt}"
     rhs = f"ones={box};alternating={sc}"
-    return _report("bridge", params, lhs, rhs, lhs == rhs, "evaluation", start)
+    return _report("bridge", params, lhs, rhs, lhs == rhs, "evaluation")
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,10 @@ def test_text_format(capsys):
 
 # exact stdout and exit code of one call per identity, count target, schur
 # action and error code, recorded before the verification table was introduced;
-# since then the sweep summary also counts failed tuples, and a count target
-# called without one of its parameters is a usage error instead of a crash
+# since then the sweep summary also counts failed tuples, a count target
+# called without one of its parameters is a usage error instead of a crash,
+# every subcommand rejects a --budget below 1, and --method is a usage error
+# for an identity with a single route
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -250,6 +252,14 @@ GOLDEN = [
     ('count middle-line --a 3 --b 3', 2, '{"error": {"code": "usage", "message": "--c1 is required for this target"}}\n'),
     ('verify schurid1 --gamma1 1 --gamma2 2 --alpha 1 --n 1', 2, '{"error": {"code": "invalid-parameter", "message": "gamma1 must be at least gamma2"}}\n'),
     ('schur evaluate --shape 1 --n 2 --at 1', 2, '{"error": {"code": "usage", "message": "evaluation point must have exactly n coordinates"}}\n'),
+    ('count box-brute --a 3 --b 3 --c 3 --budget 0', 2, '{"error": {"code": "invalid-parameter", "message": "budget cap must be positive"}}\n'),
+    ('count box --a 3 --b 3 --c 3 --budget -1', 2, '{"error": {"code": "invalid-parameter", "message": "budget cap must be positive"}}\n'),
+    ('schur evaluate --shape 1 --n 1 --budget 0', 2, '{"error": {"code": "invalid-parameter", "message": "budget cap must be positive"}}\n'),
+    ('pfaffian --case a-odd --a 3 --b 2 --c1 4 --c2 2 --budget -1', 2, '{"error": {"code": "invalid-parameter", "message": "budget cap must be positive"}}\n'),
+    ('verify box --a 1 --b 1 --c 1 --budget 0', 2, '{"error": {"code": "invalid-parameter", "message": "budget cap must be positive"}}\n'),
+    ('sweep box --set a=1 --set b=1 --set c=1 --budget 0', 2, '{"error": {"code": "invalid-parameter", "message": "budget cap must be positive"}}\n'),
+    ('verify box --a 1 --b 1 --c 1 --method evaluation-sweep', 2, '{"error": {"code": "usage", "message": "--method does not apply to identity box"}}\n'),
+    ('sweep bridge --set gamma=1 --set alpha=1 --set m=2 --method full-expansion', 2, '{"error": {"code": "usage", "message": "--method does not apply to identity bridge"}}\n'),
     ('sweep middle-line --set a=2..3 --set b=2..3 --set c1=2 --set c2=0..2:2', 0, '{"identity": "middle-line", "lhs": "2", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c1": 2, "c2": 0}, "rhs": "2", "status": "ok"}\n{"identity": "middle-line", "lhs": "4", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c1": 2, "c2": 2}, "rhs": "4", "status": "ok"}\n{"identity": "middle-line", "parameters": {"a": 2, "b": 3, "c1": 2, "c2": 0}, "reason": "a even with b odd is not a covered case", "status": "skipped"}\n{"identity": "middle-line", "parameters": {"a": 2, "b": 3, "c1": 2, "c2": 2}, "reason": "a even with b odd is not a covered case", "status": "skipped"}\n{"identity": "middle-line", "lhs": "2", "match": true, "method": "enumeration", "parameters": {"a": 3, "b": 2, "c1": 2, "c2": 0}, "rhs": "2", "status": "ok"}\n{"identity": "middle-line", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 3, "b": 2, "c1": 2, "c2": 2}, "rhs": "6", "status": "ok"}\n{"identity": "middle-line", "lhs": "3", "match": true, "method": "enumeration", "parameters": {"a": 3, "b": 3, "c1": 2, "c2": 0}, "rhs": "3", "status": "ok"}\n{"identity": "middle-line", "lhs": "9", "match": true, "method": "enumeration", "parameters": {"a": 3, "b": 3, "c1": 2, "c2": 2}, "rhs": "9", "status": "ok"}\n{"checked": 6, "failed": 0, "identity": "middle-line", "matched": 6, "mismatched": 0, "skipped": 2, "status": "summary"}\n'),
 ]
 

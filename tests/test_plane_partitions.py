@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -6,6 +6,7 @@ from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import rectangle
 from scpp.plane_partitions import (
     PlanePartition,
+    SignedCount,
     check_move_graph,
     count_pp,
     count_scpp,
@@ -165,6 +166,16 @@ def test_signed_total_magnitude_is_box_symmetric():
                     assert abs(count_scpp_signed(*perm).signed_total) == reference
 
 
+def test_signed_count_is_the_tally_of_weights():
+    # the half-level parity count against weight() on every assembled array
+    boxes = [t for t in product(range(5), repeat=3) if not all(side % 2 for side in t)]
+    assert len(boxes) == 117
+    for a, b, c in boxes:
+        weights = [weight(pp) for pp in enumerate_scpp(a, b, c)]
+        expected = SignedCount(weights.count(1), weights.count(-1))
+        assert count_scpp_signed(a, b, c) == expected, (a, b, c)
+
+
 @pytest.mark.parametrize(
     ("a", "b", "c", "expected"),
     [(2, 2, 2, 4), (1, 1, 1, 0), (2, 1, 1, 1), (3, 2, 3, 9), (0, 3, 3, 1)],
@@ -230,6 +241,21 @@ def test_count_scpp_middle_line_frozen(a, b, c1, c2, expected):
     assert count_scpp_middle_line(a, b, c1, c2) == expected
 
 
+def test_count_scpp_middle_line_is_the_tally_of_middle_line_constraint():
+    # the half-level count against middle_line_constraint() on every
+    # assembled array; odd/odd tuples only where the constraint is vacuous
+    tuples = [
+        (a, b, c1, c2)
+        for a, b, c1, c2 in product(range(6), range(5), range(0, 7, 2), range(0, 7, 2))
+        if c2 <= c1 and not (a % 2 == 0 and b % 2) and (a % 2 == 0 or b % 2 == 0 or c1 == c2)
+    ]
+    assert len(tuples) == 204
+    for a, b, c1, c2 in tuples:
+        arrays = enumerate_scpp(a, b, (c1 + c2) // 2)
+        expected = sum(1 for pp in arrays if middle_line_constraint(pp, c1, c2))
+        assert count_scpp_middle_line(a, b, c1, c2) == expected, (a, b, c1, c2)
+
+
 def test_count_scpp_middle_line_degenerate_is_unconstrained():
     # with equal even widths the box side is that width and nothing is pinned
     for a, b, s in [(2, 2, 4), (3, 2, 2), (3, 3, 2), (2, 4, 2), (2, 2, 6)]:
@@ -267,7 +293,7 @@ def test_pp_to_tableau_image_is_all_rectangular_ssyt():
     for a, b, c in [(2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 3)]:
         image = {pp_to_tableau(pp).rows for pp in enumerate_pp(a, b, c)}
         assert len(image) == count_pp(a, b, c)  # injective
-        target = {t.rows for t in enumerate_ssyt(rectangle(a, c), (), a + b)}
+        target = {t.rows for t in enumerate_ssyt(rectangle(a, c), a + b)}
         assert image == target
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,49 +21,51 @@ from scpp.schur import (
 
 
 def test_tableau_validation():
-    SemistandardTableau((2, 1), (), 2, ((1, 1), (2,)))
+    SemistandardTableau((2, 1), 2, ((1, 1), (2,)))
     with pytest.raises(ValueError):  # weak row violated
-        SemistandardTableau((2,), (), 2, ((2, 1),))
+        SemistandardTableau((2,), 2, ((2, 1),))
     with pytest.raises(ValueError):  # strict column violated
-        SemistandardTableau((1, 1), (), 2, ((1,), (1,)))
+        SemistandardTableau((1, 1), 2, ((1,), (1,)))
     with pytest.raises(ValueError):  # entry out of range
-        SemistandardTableau((1,), (), 2, ((3,),))
-    with pytest.raises(ValueError):  # inner not contained
-        SemistandardTableau((1,), (2,), 2, ())
+        SemistandardTableau((1,), 2, ((3,),))
 
 
 def test_tableau_content():
-    t = SemistandardTableau((2, 1), (), 3, ((1, 3), (2,)))
+    t = SemistandardTableau((2, 1), 3, ((1, 3), (2,)))
     assert t.content() == (1, 1, 1)
-    assert t.entry(0, 1) == 3
 
 
 @pytest.mark.parametrize(
-    ("outer", "inner", "max_entry", "expected"),
+    ("shape", "max_entry", "expected"),
     [
-        ((1,), (), 2, 2),
-        ((2, 2), (), 2, 1),  # exhaustive listing: only rows 11/22
-        ((1, 1, 1), (), 2, 0),  # a strict column of height 3 needs 3 values
-        ((1,), (1,), 3, 1),  # empty shape has exactly one (empty) filling
-        ((2,), (1,), 2, 2),
-        ((2, 2), (1,), 2, 2),  # exhaustive listing of the two fillings
+        ((1,), 2, 2),
+        ((2, 2), 2, 1),  # exhaustive listing: only rows 11/22
+        ((1, 1, 1), 2, 0),  # a strict column of height 3 needs 3 values
+        ((), 3, 1),  # the empty shape has exactly one (empty) filling
     ],
 )
-def test_enumerate_ssyt_counts(outer, inner, max_entry, expected):
-    assert sum(1 for _ in enumerate_ssyt(outer, inner, max_entry)) == expected
-
-
-def test_enumerate_ssyt_rejects_bad_inner():
-    with pytest.raises(ValueError):
-        list(enumerate_ssyt((1,), (2,), 2))
+def test_enumerate_ssyt_counts(shape, max_entry, expected):
+    assert sum(1 for _ in enumerate_ssyt(shape, max_entry)) == expected
 
 
 def test_enumerate_ssyt_yields_distinct_valid_tableaux():
-    seen = set()
-    for t in enumerate_ssyt((3, 2), (1,), 3):
-        assert t.outer == (3, 2) and t.inner == (1,)
-        seen.add(t.rows)
-    assert len(seen) == sum(1 for _ in enumerate_ssyt((3, 2), (1,), 3))
+    for shape, max_entry in [((3, 2), 3), ((2, 2, 1), 4), ((3, 1, 1), 3), ((2, 1), 1)]:
+        # every filling of the cells with values in [1, max_entry] that the
+        # tableau class accepts, listed without the generator's pruning
+        valid = set()
+        for values in product(range(1, max_entry + 1), repeat=sum(shape)):
+            it = iter(values)
+            rows = tuple(tuple(next(it) for _ in range(width)) for width in shape)
+            try:
+                SemistandardTableau(shape, max_entry, rows)
+            except ValueError:
+                continue
+            valid.add(rows)
+        tableaux = list(enumerate_ssyt(shape, max_entry))
+        assert all(t.shape == shape for t in tableaux)
+        listed = [t.rows for t in tableaux]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == valid, shape
 
 
 def test_schur_examples():
@@ -78,7 +81,7 @@ def test_schur_sum_matches_tableau_monomials():
     # recompute the generating function from the tableau stream itself
     for lam, n in [((2, 1), 3), ((2, 2), 2), ((3,), 2)]:
         acc = MPoly.zero(n)
-        for t in enumerate_ssyt(lam, (), n):
+        for t in enumerate_ssyt(lam, n):
             acc = acc + MPoly.monomial(n, t.content())
         assert acc == schur_tableau_sum(lam, n)
 

@@ -2,13 +2,11 @@
 """Check every identity of the verification table over its standard grid,
 then the bordered binomial Pfaffians over theirs, and print one line each.
 
-    PYTHONPATH=src python3 scripts/run_all_checks.py [--fast]
+    PYTHONPATH=src python3 scripts/run_all_checks.py
 
-``--fast`` keeps only the tuples whose numeric parameters are all <= 4.
 Exits 0 when every tuple matches and 1 otherwise.
 """
 
-import argparse
 import sys
 import time
 
@@ -30,19 +28,10 @@ def sweep(label, check, tuples):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true", help="keep parameters <= 4")
-    args = parser.parse_args()
-
-    def kept(grid):
-        return (
-            t for t in grid if not args.fast or all(v <= 4 for v in t if isinstance(v, int))
-        )
-
     failures = 0
     for name, row in IDENTITIES.items():
-        failures += sweep(name, row.run, kept(row.grid))
-    failures += sweep("pfaffian", lambda values: pfaffian_check(*values), kept(PFAFFIAN_GRID))
+        failures += sweep(name, row.run, row.grid)
+    failures += sweep("pfaffian", lambda values: pfaffian_check(*values), PFAFFIAN_GRID)
     print("all checks passed" if failures == 0 else f"{failures} total mismatches")
     return 0 if failures == 0 else 1
 

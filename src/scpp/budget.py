@@ -1,4 +1,4 @@
-"""Node budgets that keep brute-force enumerations at desk scale."""
+"""Work budgets that keep exhaustive counts and enumerations at desk scale."""
 
 from __future__ import annotations
 
@@ -10,10 +10,15 @@ class BudgetExceededError(RuntimeError):
 
 
 class WorkBudget:
-    """Mutable counter of enumeration nodes with a hard cap.
+    """Mutable counter of work units with a hard cap.
 
-    Pass one instance through a single verification run; do not share
-    across concurrent workers.
+    The exhaustive counts charge one unit per row state per transfer step,
+    the work that dominates them: a*C(b+c, c) for ``count_pp`` and
+    ((a+1)//2)*C(b+c, c) per run for the self-complementary counts (the
+    signed count makes two runs), charged before the rows are listed.  The
+    object enumerators charge one unit per node of their row tree, as they
+    walk it.  Pass one instance through a single verification run; do not
+    share across concurrent workers.
     """
 
     __slots__ = ("cap", "used")
@@ -25,7 +30,8 @@ class WorkBudget:
         self.used = 0
 
     def charge(self, amount: int = 1) -> None:
-        self.used += amount
+        """Add ``amount`` units, as one at a time: past the cap, stop at cap + 1."""
+        self.used = min(self.used + amount, self.cap + 1)
         if self.used > self.cap:
             raise BudgetExceededError(
                 f"work budget exceeded: {self.used} nodes > cap {self.cap}"

@@ -8,7 +8,8 @@ on a verification mismatch, 2 on errors.  An error prints one JSON line
 ``usage`` (a missing parameter, or ``--method`` given for an identity
 with a single route), ``bad-parity``, ``budget-exceeded`` or
 ``invalid-parameter`` (a parameter out of range, including a ``--budget``
-below 1, which every subcommand rejects before doing any work).
+below 1, which every subcommand rejects before doing any work, and a
+``sweep --workers`` below 1).
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
@@ -300,7 +301,7 @@ def _handle_sweep(args) -> tuple[list[dict], int]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--budget", type=int, default=None, help="node-count cap")
+    parser.add_argument("--budget", type=int, default=None, help="work-unit cap")
     parser.add_argument("--out", default=None, help="write output to a file")
 
 
@@ -375,6 +376,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # checked here because schur and pfaffian take --budget but charge nothing
         if args.budget is not None and args.budget <= 0:
             raise ValueError("budget cap must be positive")
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError("worker count must be positive")
         payload, code = handler(args)
     except BudgetExceededError as exc:
         _emit(_render({"error": {"code": "budget-exceeded", "message": str(exc)}}, "json"), None)

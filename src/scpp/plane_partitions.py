@@ -3,22 +3,35 @@
 A plane partition in an a x b x c box is an a x c matrix of integers in
 [0, b] with weakly decreasing rows and columns; entry (i, j) is the height
 of the cube stack there.  Self-complementary plane partitions (entries at
-180-degree-opposite positions sum to b) are enumerated through their
-determining half, carry a +-1 weight, and support the middle-line
+180-degree-opposite positions sum to b) are determined by their upper
+(a+1)//2 rows, carry a +-1 weight, and support the middle-line
 constraints whose counts the product formulas predict.
+
+Every count is a chain of weakly decreasing rows, each entrywise at most
+the one before, closed by a condition on its last row: none for the box,
+mirrored entries summing to at least b (a even) or to exactly b (the
+central row, a odd) for the self-complementary arrays, plus a pinned
+segment for the middle lines.  The counts sum over these chains with the
+transfer-matrix method (Stanley, EC1 4.7), whose states are the rows; they
+are exhaustive and use no closed form.  ``enumerate_pp`` and
+``enumerate_scpp`` build the arrays themselves, for object-level checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import combinations_with_replacement
+from math import comb
+from typing import Callable, Iterator
 
 from scpp.budget import WorkBudget
 from scpp.partitions import rectangle
 from scpp.products import ParityError, check_middle_line_params
 from scpp.schur import SemistandardTableau
 
-Grid = tuple[tuple[int, ...], ...]
+Row = tuple[int, ...]
+Grid = tuple[Row, ...]
+RowWeight = Callable[[Row], int]
 
 
 @dataclass(frozen=True)
@@ -74,30 +87,74 @@ def enumerate_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> It
 
 
 def count_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
-    """Brute-force count of plane partitions in the box (no closed form used)."""
-    return sum(1 for _ in _pp_grids(a, b, c, budget))
+    """Exhaustive count of plane partitions in the box (no closed form used)."""
+    _check_sides(a, b, c)
+    return sum(_row_chains(a, b, c, budget=budget)[1])
 
 
-def _decreasing_rows(bound: tuple[int, ...], c: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing rows of length c, bounded entrywise by ``bound``."""
+def _check_sides(a: int, b: int, c: int) -> None:
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("box sides must be nonnegative")
 
-    def rec(j: int, row: list[int]) -> Iterator[tuple[int, ...]]:
-        if j == c:
-            yield tuple(row)
-            return
-        hi = min(bound[j], row[-1]) if row else bound[j]
-        for v in range(hi, -1, -1):
-            row.append(v)
-            yield from rec(j + 1, row)
-            row.pop()
 
-    yield from rec(0, [])
+def _rows_above(counts: list[int], raised: list[list[int]]) -> list[int]:
+    """For each row w, the sum of ``counts`` over the rows r >= w entrywise.
+
+    Sums one column at a time, from the last to the first: after column j,
+    w holds the sum over the rows that agree with w before column j and are
+    at least w from there on, that is, its sum after column j+1 plus the sum
+    at w + e_j when that is a decreasing row.
+    """
+    sums = list(counts)
+    for column in reversed(raised):
+        for i, r in enumerate(column):
+            if r >= 0:  # r < i: the raised row comes first and is already summed
+                sums[i] += sums[r]
+    return sums
+
+
+def _row_chains(
+    k: int, b: int, c: int, signed: bool = False, budget: WorkBudget | None = None
+) -> tuple[list[Row], list[int]]:
+    """Chains of k weakly decreasing rows in [0, b]^c, each entrywise at most
+    the one before, counted by their last row: the rows and their counts.
+    ``signed`` weights each row by (-1)^(b*c - its sum), the parity of the
+    cubes it leaves out of the box.  Charges its k*C(b+c, c) units before
+    it lists the rows, so a cap stops it before they fill memory.
+    """
+    if k == 0:
+        return [(b,) * c], [1]  # the full row (b, ..., b) stands for the lid of the box
+    if budget is not None:
+        budget.charge(k * comb(b + c, c))
+    rows = list(combinations_with_replacement(range(b, -1, -1), c))  # decreasing lex order
+    index = {row: i for i, row in enumerate(rows)}
+    # per column j, the index of each row with entry j raised by one (-1: none)
+    raised = [[index.get(row[:j] + (row[j] + 1,) + row[j + 1:], -1) for row in rows] for j in range(c)]
+    counts = [1] + [0] * (len(rows) - 1)  # the lid
+    for _ in range(k):
+        counts = _rows_above(counts, raised)
+        if signed:
+            counts = [-n if (b * c - sum(row)) % 2 else n for n, row in zip(counts, rows)]
+    return rows, counts
+
+
+def _decreasing_rows(bound: Row, mirrored: int = 0, row: Row = ()) -> Iterator[Row]:
+    """The weakly decreasing rows w that begin with ``row``, are bounded
+    entrywise by ``bound`` and have w[j] + w[c-1-j] >= ``mirrored`` for
+    each two mirrored columns j != c-1-j, in decreasing lexicographic order."""
+    j, c = len(row), len(bound)
+    if j == c:
+        yield row
+        return
+    hi = min(bound[j], row[-1]) if row else bound[0]
+    lo = mirrored - row[c - 1 - j] if 2 * j >= c else 0  # once the mirror is placed
+    for v in range(hi, max(lo, 0) - 1, -1):
+        yield from _decreasing_rows(bound, mirrored, row + (v,))
 
 
 def _pp_grids(a: int, b: int, c: int, budget: WorkBudget | None = None) -> Iterator[Grid]:
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
-    acc: list[tuple[int, ...]] = []
+    _check_sides(a, b, c)
+    acc: list[Row] = []
 
     def rec(r: int) -> Iterator[Grid]:
         if budget is not None:
@@ -105,8 +162,7 @@ def _pp_grids(a: int, b: int, c: int, budget: WorkBudget | None = None) -> Itera
         if r == a:
             yield tuple(acc)
             return
-        bound = acc[-1] if acc else (b,) * c
-        for row in _decreasing_rows(bound, c):
+        for row in _decreasing_rows(acc[-1] if acc else (b,) * c):
             acc.append(row)
             yield from rec(r + 1)
             acc.pop()
@@ -208,136 +264,80 @@ class SignedCount:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of self-complementary arrays through the determining half
+# self-complementary arrays through the determining half
 
-def _constrained_row(
-    bound: tuple[int, ...],
-    c: int,
-    b: int,
-    mode: str,
-) -> Iterator[tuple[int, ...]]:
-    """Rows of length c, entrywise <= bound, weakly decreasing, with the
-    complementarity condition against themselves.
+def _closing_row(a: int, b: int, c: int) -> RowWeight:
+    """The condition on the last of the upper (a+1)//2 rows.
 
-    mode "wrap":  v[j] + v[c-1-j] >= b (boundary row of an even-height stack
-    of free rows).
-    mode "exact": v[j] + v[c-1-j] == b (the central row when the row count
-    is odd); the right half is forced by the left.
+    With a even it is the last upper row, and the row below it is its
+    reversed complement, so mirrored entries sum to at least b.  With a odd
+    it is the central row, which is its own reversed complement.
     """
-
-    def rec(j: int, row: list[int]) -> Iterator[tuple[int, ...]]:
-        if j == c:
-            yield tuple(row)
-            return
-        partner = c - 1 - j
-        hi = min(bound[j], row[-1]) if row else bound[j]
-        if j < partner:
-            lo = (b + 1) // 2 if mode == "exact" else 0
-            for v in range(hi, lo - 1, -1):
-                row.append(v)
-                yield from rec(j + 1, row)
-                row.pop()
-        elif j == partner:
-            if mode == "exact":
-                if b % 2:
-                    return
-                v = b // 2
-                if v <= hi:
-                    row.append(v)
-                    yield from rec(j + 1, row)
-                    row.pop()
-            else:
-                lo = (b + 1) // 2
-                for v in range(hi, lo - 1, -1):
-                    row.append(v)
-                    yield from rec(j + 1, row)
-                    row.pop()
-        else:
-            v = b - row[partner]
-            if mode == "wrap":
-                for w in range(hi, max(v, 0) - 1, -1):
-                    row.append(w)
-                    yield from rec(j + 1, row)
-                    row.pop()
-            else:
-                if 0 <= v <= hi:
-                    row.append(v)
-                    yield from rec(j + 1, row)
-                    row.pop()
-
-    yield from rec(0, [])
+    if a % 2:
+        return lambda w: all(w[j] + w[c - 1 - j] == b for j in range(c))
+    return lambda w: all(w[j] + w[c - 1 - j] >= b for j in range(c))
 
 
-def _scpp_halves(
-    a: int, b: int, c: int, budget: WorkBudget | None = None
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...] | None]]:
-    """Determining data of each self-complementary array, exactly once.
-
-    Yields (upper rows, middle row or None); the remaining rows are the
-    reversed complements of the upper rows.
-    """
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
-    if a == 0:
-        yield ((), None)
-        return
-    # the free upper rows, then the boundary row (a even) or central row (a odd)
-    mode = "exact" if a % 2 else "wrap"
-    for upper in _pp_grids((a - 1) // 2, b, c, budget):
-        bound = upper[-1] if upper else (b,) * c
-        for row in _constrained_row(bound, c, b, mode):
-            yield (upper, row) if a % 2 else (upper + (row,), None)
-
-
-def _assemble(
-    a: int, b: int, c: int, upper: tuple[tuple[int, ...], ...], mid: tuple[int, ...] | None
-) -> Grid:
-    lower = tuple(tuple(b - v for v in reversed(row)) for row in reversed(upper))
-    middle = (mid,) if mid is not None else ()
-    return upper + middle + lower
+def _closed_chains(
+    a: int, b: int, c: int, closes: RowWeight, signed: bool = False, budget: WorkBudget | None = None
+) -> int:
+    """Chains of the upper (a+1)//2 rows, each counted with the weight
+    ``closes`` gives its last row (a bool counts as 0 or 1)."""
+    rows, counts = _row_chains((a + 1) // 2, b, c, signed, budget)
+    return sum(n * closes(row) for n, row in zip(counts, rows) if n)
 
 
 def enumerate_scpp(
     a: int, b: int, c: int, budget: WorkBudget | None = None
 ) -> Iterator[PlanePartition]:
-    """Every self-complementary plane partition of the box, exactly once."""
-    for upper, mid in _scpp_halves(a, b, c, budget):
-        yield PlanePartition(a, c, b, _assemble(a, b, c, upper, mid))
+    """Every self-complementary plane partition of the box, exactly once.
+
+    Walks the free upper rows, then the closing row below each (the last
+    upper row for a even, the central row for a odd), whose mirrored
+    entries sum to at least b; the remaining rows are the reversed
+    complements of the upper rows.
+    """
+    _check_sides(a, b, c)
+    if a == 0:
+        yield PlanePartition(0, c, b, ())
+        return
+    closes = _closing_row(a, b, c)
+    for free in _pp_grids((a - 1) // 2, b, c, budget):
+        for row in _decreasing_rows(free[-1] if free else (b,) * c, b):
+            if budget is not None:
+                budget.charge()
+            if closes(row):
+                upper = free + (row,) if a % 2 == 0 else free
+                lower = tuple(tuple(b - v for v in reversed(r)) for r in reversed(upper))
+                yield PlanePartition(a, c, b, free + (row,) + lower)
 
 
 def count_scpp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
-    """Brute-force count of self-complementary plane partitions."""
-    return sum(1 for _ in _scpp_halves(a, b, c, budget))
-
-
-def _half_flip_count(
-    b: int, c: int, upper: tuple[tuple[int, ...], ...], mid: tuple[int, ...] | None
-) -> int:
-    total = 0
-    for row in upper:
-        for v in row:
-            total += b - v
-    if mid is not None:
-        for j in range(c // 2):
-            total += b - mid[j]
-    return total
+    """Exhaustive count of self-complementary plane partitions."""
+    _check_sides(a, b, c)
+    return _closed_chains(a, b, c, _closing_row(a, b, c), budget=budget)
 
 
 def count_scpp_signed(
     a: int, b: int, c: int, budget: WorkBudget | None = None
 ) -> SignedCount:
-    """Signed brute-force count, weighting each array by its +-1 weight."""
+    """Signed exhaustive count, weighting each array by its +-1 weight.
+
+    The weight's parity is the number of cubes missing from the upper rows,
+    counting only the left half of a central row (the positions that
+    precede their opposite); a plain and a signed run give the tally.
+    """
     if a % 2 and b % 2 and c % 2:
         return SignedCount(0, 0)
-    reference = half_full(a, b, c)
-    base = flipped_pair_count(reference) % 2
-    pos = neg = 0
-    for upper, mid in _scpp_halves(a, b, c, budget):
-        if (_half_flip_count(b, c, upper, mid) - base) % 2:
-            neg += 1
-        else:
-            pos += 1
-    return SignedCount(pos, neg)
+    base = flipped_pair_count(half_full(a, b, c)) % 2
+    closes = _closing_row(a, b, c)
+    total = _closed_chains(a, b, c, closes, budget=budget)
+    # the signed run weighs a whole central row; take its right half back out
+    right = c // 2 if a % 2 else c
+    weighted = lambda w: closes(w) * (-1) ** sum(b - v for v in w[right:])
+    signed = (-1) ** base * _closed_chains(a, b, c, weighted, True, budget)
+    positive = (total + signed) // 2
+    return SignedCount(positive, total - positive)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +347,10 @@ def middle_line_constraint(pp: PlanePartition, c1: int, c2: int) -> bool:
     """Whether a self-complementary array carries the fixed middle line
     encoded by (c1, c2).
 
-    The array must have (c1+c2)/2 columns.  For an even number of rows (and
-    even height bound) the condition is that the entry in the last upper row
-    at column c1/2 is at least half the height bound; for an odd row count
-    with even height bound the central row is pinned to exactly half the
-    height bound along columns c2/2+1 .. c1/2.  With both the row count and
-    the height bound odd the constrained objects carry no integer entries on
-    that column range (the central stacks are fractional), so no full
-    integer array satisfies the constraint unless it is vacuous (c1 == c2);
-    use :func:`count_scpp_middle_line` for that case.
+    The array must have (c1+c2)/2 columns; the conditions are those of
+    :func:`count_scpp_middle_line`.  With a and b odd the constrained arrays
+    are punctured, so no integer array carries a middle line unless it is
+    empty (c1 == c2).
     """
     a, c, b = pp.rows, pp.cols, pp.height_bound
     if c1 % 2 or c2 % 2:
@@ -386,84 +381,29 @@ def middle_line_constraint(pp: PlanePartition, c1: int, c2: int) -> bool:
 def count_scpp_middle_line(
     a: int, b: int, c1: int, c2: int, budget: WorkBudget | None = None
 ) -> int:
-    """Brute-force count of self-complementary arrays carrying the middle line.
+    """Exhaustive count of self-complementary arrays carrying the middle line.
 
-    Dispatches on the parity of (a, b); the odd/odd case counts punctured
-    arrays whose central segment has no integer entries.
+    The segment is columns c2/2+1 .. c1/2 of the box with (c1+c2)/2
+    columns.  With a and b even the last upper row has entry at least b/2
+    at column c1/2; with a odd and b even the central row is b/2 along the
+    segment.  With a and b odd the arrays are punctured: the segment of the
+    central row holds the half-integer height b/2.  They are counted as
+    central rows whose segment is (b-1)/2 and whose other columns pair with
+    their mirror to b, so the rows above stand at least (b-1)/2 over the
+    segment and their complements at most (b+1)/2.
     """
     check_middle_line_params(a, b, c1, c2)
     c = (c1 + c2) // 2
-    if a % 2 == 1 and b % 2 == 1:
-        return _count_punctured_middle_line(a, b, c1, c2, budget)
-    if a % 2 == 0 and b % 2 == 0:
-        if a == 0 or c1 == 0:
-            return count_scpp(a, b, c, budget)
-        col = c1 // 2 - 1
-        threshold = b // 2
-        return sum(
-            1
-            for upper, _ in _scpp_halves(a, b, c, budget)
-            if upper[a // 2 - 1][col] >= threshold
+    if a % 2 == 0:
+        closes = _closing_row(a, b, c)
+        carries = lambda w: closes(w) and (c1 == 0 or w[c1 // 2 - 1] >= b // 2)
+    else:
+        # b // 2 is b/2, or (b-1)/2 under the puncture
+        segment = range(c2 // 2, c1 // 2)
+        carries = lambda w: all(
+            w[j] == b // 2 if j in segment else w[j] + w[c - 1 - j] == b for j in range(c)
         )
-    # a odd, b even: central row pinned to b/2 along the segment
-    lo, hi = c2 // 2, c1 // 2
-    half = b // 2
-    return sum(
-        1
-        for _, mid in _scpp_halves(a, b, c, budget)
-        if all(mid[j] == half for j in range(lo, hi))
-    )
-
-
-def _count_punctured_middle_line(
-    a: int, b: int, c1: int, c2: int, budget: WorkBudget | None = None
-) -> int:
-    """Count middle-line objects for odd row count and odd height bound.
-
-    The central row's segment (columns c2/2+1 .. c1/2) holds no integer
-    entry; the integer cells around it must satisfy, with h = height bound:
-    entries directly above the segment at least (h-1)/2, entries directly
-    below at most (h+1)/2 (equivalent to the above condition by
-    complementarity), and the central-row entries left of the segment at
-    least (h+1)/2.  These inequalities were calibrated against the closed
-    product by exhaustive enumeration.
-    """
-    c = (c1 + c2) // 2
-    seg_lo, seg_hi = c2 // 2, c1 // 2
-    left_len = c2 // 2
-    above_min = (b - 1) // 2
-    left_min = (b + 1) // 2
-    free = (a - 1) // 2
-
-    def count_middles(above: tuple[int, ...] | None) -> int:
-        if above is not None and any(above[t] < above_min for t in range(seg_lo, seg_hi)):
-            return 0
-        count = 0
-
-        def rec(t: int, left: list[int]) -> None:
-            nonlocal count
-            if t == left_len:
-                for j in range(seg_hi, c):
-                    w = b - left[c - 1 - j]
-                    if above is not None and w > above[j]:
-                        return
-                count += 1
-                return
-            hi_v = left[-1] if left else b
-            if above is not None:
-                hi_v = min(hi_v, above[t])
-            for v in range(hi_v, left_min - 1, -1):
-                left.append(v)
-                rec(t + 1, left)
-                left.pop()
-
-        rec(0, [])
-        return count
-
-    if free == 0:
-        return count_middles(None)
-
-    return sum(count_middles(upper[-1]) for upper in _pp_grids(free, b, c, budget))
+    return _closed_chains(a, b, c, carries, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ from scpp.plane_partitions import (
     tableau_to_pp,
     weight,
 )
-from scpp.products import ParityError, box_count, sc_count
+from scpp.products import (
+    ParityError,
+    box_count,
+    middle_line_product,
+    sc_count,
+    signed_enumeration_all_even,
+    signed_enumeration_product,
+)
 from scpp.schur import enumerate_ssyt
 
 # 4x5 array with height bound 3 whose opposite entries sum to 3
@@ -68,10 +75,12 @@ def test_enumerate_pp_counts(a, b, c, expected):
 
 
 def test_count_pp_matches_box_product_up_to_3():
+    # the object-level enumerator too, since it shares no code with the count
     for a in range(4):
         for b in range(4):
             for c in range(4):
                 assert count_pp(a, b, c) == box_count(a, b, c)
+                assert len(list(enumerate_pp(a, b, c))) == box_count(a, b, c)
 
 
 def test_is_self_complementary():
@@ -188,10 +197,33 @@ def test_count_scpp(a, b, c, expected):
 
 
 def test_count_scpp_matches_product_small():
+    # the object-level enumerator too, since it shares no code with the count
     for a in range(5):
         for b in range(5):
             for c in range(5):
                 assert count_scpp(a, b, c) == sc_count(a, b, c)
+                assert len(list(enumerate_scpp(a, b, c))) == sc_count(a, b, c)
+
+
+def test_counts_match_products_on_larger_grids():
+    # beyond the acceptance grids, which stay as they are
+    for a, b, c in product(range(8), repeat=3):
+        assert count_pp(a, b, c) == box_count(a, b, c), (a, b, c)
+    for a, b, c in product(range(9), repeat=3):
+        assert count_scpp(a, b, c) == sc_count(a, b, c), (a, b, c)
+    for a, b, c in product(range(8), repeat=3):
+        parities = (a % 2, b % 2, c % 2)
+        if parities == (0, 0, 0):
+            closed = signed_enumeration_all_even(a, b, c)
+        elif parities in ((0, 1, 1), (1, 0, 0)):
+            closed = signed_enumeration_product(a, b, c)
+        else:
+            continue
+        assert abs(count_scpp_signed(a, b, c).signed_total) == closed, (a, b, c)
+    for a, b, c1, c2 in product(range(8), range(8), range(0, 9, 2), range(0, 9, 2)):
+        if c2 <= c1 and not (a % 2 == 0 and b % 2):
+            expected = middle_line_product(a, b, c1, c2)
+            assert count_scpp_middle_line(a, b, c1, c2) == expected, (a, b, c1, c2)
 
 
 def test_middle_line_constraint_even_even():
@@ -330,4 +362,26 @@ def test_budget_raises_cleanly():
         count_scpp(4, 4, 4, WorkBudget(3))
     budget = WorkBudget(10**6)
     assert count_pp(2, 2, 2, budget) == 20
-    assert budget.used > 0
+    assert budget.used == 2 * 6  # one unit per row state per transfer step
+    # three steps over the C(12, 6) = 924 rows of length 6 bounded by 6
+    assert count_scpp(6, 6, 6, WorkBudget(2772)) == sc_count(6, 6, 6)
+    with pytest.raises(BudgetExceededError):
+        count_scpp(6, 6, 6, WorkBudget(2771))
+
+
+def test_budget_stops_before_listing_a_large_box():
+    # C(80, 40) rows of length 40 bounded by 40: far too many to list
+    for run in (
+        lambda budget: count_pp(1, 40, 40, budget),
+        lambda budget: count_scpp(2, 40, 40, budget),
+        lambda budget: count_scpp_signed(2, 40, 40, budget),
+        lambda budget: count_scpp_middle_line(2, 40, 40, 40, budget),
+        lambda budget: list(enumerate_pp(2, 40, 40, budget)),
+        lambda budget: list(enumerate_scpp(2, 40, 40, budget)),
+        lambda budget: list(enumerate_scpp(3, 40, 40, budget)),
+    ):
+        budget = WorkBudget(10)
+        with pytest.raises(BudgetExceededError, match="11 nodes > cap 10"):
+            run(budget)
+        assert budget.used == 11
+    assert count_pp(0, 40, 40) == count_scpp(0, 40, 40) == 1

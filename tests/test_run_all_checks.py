@@ -8,10 +8,10 @@ from scpp.verify import IDENTITIES
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_fast_run_checks_every_table_row():
+def test_run_checks_every_table_row():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_all_checks.py"), "--fast"],
+        [sys.executable, str(ROOT / "scripts" / "run_all_checks.py")],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Check every identity of the verification table over its standard grid,
 then the bordered binomial Pfaffians over theirs, and print one line each.
+A Pfaffian tuple matches when its sign-adjusted Pfaffian equals the product
+and Pf(M)^2 = det(M), as in acceptance criterion 07.
 
     PYTHONPATH=src python3 scripts/run_all_checks.py
 
@@ -9,8 +11,9 @@ Exits 0 when every tuple matches and 1 otherwise.
 
 import sys
 import time
+from dataclasses import replace
 
-from scpp.pfaffian import pfaffian_check
+from scpp.pfaffian import corollary_matrix, exact_determinant, pfaffian_check
 from scpp.verify import IDENTITIES, PFAFFIAN_GRID
 
 
@@ -27,11 +30,19 @@ def sweep(label, check, tuples):
     return bad
 
 
+def pfaffian_and_determinant(values):
+    """``pfaffian_check``, matching only if also Pf(M)^2 = det(M); the
+    prefactor is a sign, so the checked value squares to Pf(M)^2."""
+    check = pfaffian_check(*values)
+    det = exact_determinant(corollary_matrix(*values)[0].entries)
+    return replace(check, match=check.match and check.pfaffian**2 == det)
+
+
 def main() -> int:
     failures = 0
     for name, row in IDENTITIES.items():
         failures += sweep(name, row.run, row.grid)
-    failures += sweep("pfaffian", lambda values: pfaffian_check(*values), PFAFFIAN_GRID)
+    failures += sweep("pfaffian", pfaffian_and_determinant, PFAFFIAN_GRID)
     print("all checks passed" if failures == 0 else f"{failures} total mismatches")
     return 0 if failures == 0 else 1
 

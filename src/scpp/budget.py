@@ -15,10 +15,11 @@ class WorkBudget:
     The exhaustive counts charge one unit per row state per transfer step,
     the work that dominates them: a*C(b+c, c) for ``count_pp`` and
     ((a+1)//2)*C(b+c, c) per run for the self-complementary counts (the
-    signed count makes two runs), charged before the rows are listed.  The
-    object enumerators charge one unit per node of their row tree, as they
-    walk it.  Pass one instance through a single verification run; do not
-    share across concurrent workers.
+    signed count makes two runs), charged before the rows are listed, to a
+    fresh budget if none is given.  The object enumerators charge one unit
+    per node of their row tree as they walk it, if given a budget.  Pass one
+    instance through a single verification run; do not share across
+    concurrent workers.
     """
 
     __slots__ = ("cap", "used")

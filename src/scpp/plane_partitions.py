@@ -120,12 +120,12 @@ def _row_chains(
     the one before, counted by their last row: the rows and their counts.
     ``signed`` weights each row by (-1)^(b*c - its sum), the parity of the
     cubes it leaves out of the box.  Charges its k*C(b+c, c) units before
-    it lists the rows, so a cap stops it before they fill memory.
+    it lists the rows, to ``budget`` or else to a fresh ``WorkBudget()``,
+    so a cap stops it before they fill memory.
     """
     if k == 0:
         return [(b,) * c], [1]  # the full row (b, ..., b) stands for the lid of the box
-    if budget is not None:
-        budget.charge(k * comb(b + c, c))
+    (WorkBudget() if budget is None else budget).charge(k * comb(b + c, c))
     rows = list(combinations_with_replacement(range(b, -1, -1), c))  # decreasing lex order
     index = {row: i for i, row in enumerate(rows)}
     # per column j, the index of each row with entry j raised by one (-1: none)
@@ -327,6 +327,7 @@ def count_scpp_signed(
     counting only the left half of a central row (the positions that
     precede their opposite); a plain and a signed run give the tally.
     """
+    _check_sides(a, b, c)
     if a % 2 and b % 2 and c % 2:
         return SignedCount(0, 0)
     base = flipped_pair_count(half_full(a, b, c)) % 2

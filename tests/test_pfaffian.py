@@ -2,6 +2,8 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -79,9 +81,103 @@ def test_pfaffian_squared_is_determinant():
             assert pfaffian(m) ** 2 == exact_determinant(m.entries)
 
 
-def test_pfaffian_frees_its_memo_on_return():
-    # with the cyclic collector off, a memo caught in a reference cycle would
-    # outlive the call: tens of KB for this matrix of dimension 14
+def _pf_by_expansion(rows):
+    """Test oracle: the Pfaffian by expansion along the first row,
+    Pf(M) = sum over j of (-1)^(j+1) m[0][j] Pf(M without rows/columns 0, j)."""
+    if not rows:
+        return 1
+    total = 0
+    for j in range(1, len(rows)):
+        if rows[0][j]:
+            keep = [k for k in range(1, len(rows)) if k != j]
+            minor = [[rows[r][k] for k in keep] for r in keep]
+            total += (-1) ** (j + 1) * rows[0][j] * _pf_by_expansion(minor)
+    return total
+
+
+def _det_by_permutations(rows):
+    """Test oracle: the determinant as a sum over all permutations."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+        total += (-1) ** inversions * prod(rows[i][p] for i, p in enumerate(perm))
+    return total
+
+
+def _zeroed(matrix, pairs):
+    """The skew matrix with entries (i, j) and (j, i) set to 0 for each pair."""
+    rows = [list(r) for r in matrix.entries]
+    for i, j in pairs:
+        rows[i][j] = rows[j][i] = 0
+    return _skew(rows)
+
+
+def test_pfaffian_matches_first_row_expansion():
+    rng = random.Random(20120501)
+    matrices = []
+    for dim in (0, 2, 4, 6, 8, 10):
+        for _ in range(4):
+            m = _random_skew(rng, dim)
+            matrices.append(m)
+            if dim >= 4:
+                # a zero at (0, 1) forces a swap; an all-zero row gives 0
+                matrices.append(_zeroed(m, [(0, 1)]))
+                matrices.append(_zeroed(m, [(0, 1), (0, 2)]))
+                row = rng.randrange(dim)
+                matrices.append(_zeroed(m, [(row, j) for j in range(dim)]))
+    for case, a, b, c1, c2 in (
+        ("even-even", 8, 2, 2, 0), ("even-even", 10, 4, 6, 2), ("a-odd", 9, 2, 4, 2),
+        ("a-odd", 7, 2, 6, 6), ("ab-odd", 9, 1, 4, 2), ("ab-odd", 9, 3, 8, 0),
+    ):
+        matrices.append(corollary_matrix(case, a, b, c1, c2)[0])  # banded
+    zeros = 0
+    for m in matrices:
+        expected = _pf_by_expansion(m.entries)
+        assert pfaffian(m) == expected, m
+        zeros += expected == 0
+    assert zeros >= 16  # at least the matrices with an all-zero row
+
+
+def test_determinant_matches_permutation_expansion():
+    rng = random.Random(1988)
+    for dim in range(7):
+        for _ in range(5):
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)]
+                for _ in range(dim)
+            ]
+            cases = [rows]
+            if dim >= 2:
+                lead = [list(r) for r in rows]
+                lead[0][0] = 0  # a zero leading pivot forces a row swap
+                cases.append(lead)
+                repeated = [list(r) for r in rows]
+                repeated[-1] = list(repeated[0])  # singular
+                cases.append(repeated)
+            for m in cases:
+                assert exact_determinant(m) == _det_by_permutations(m), m
+    assert exact_determinant([[0, 0], [0, 5]]) == 0
+    with pytest.raises(ValueError):
+        exact_determinant([[1, 2], [3]])
+
+
+@pytest.mark.parametrize(
+    ("case", "a", "b", "c1", "c2"),
+    [("even-even", 40, 40, 8, 4), ("a-odd", 41, 40, 8, 2), ("ab-odd", 41, 41, 8, 4)],
+)
+def test_pfaffian_reaches_dimension_40(case, a, b, c1, c2):
+    # far past any enumeration: the Pfaffian is the independent route here
+    check = pfaffian_check(case, a, b, c1, c2)
+    assert check.match, check
+    matrix = corollary_matrix(case, a, b, c1, c2)[0]
+    assert matrix.dim == a + a % 2  # bordered when a is odd
+    value = pfaffian(matrix)
+    assert value * value == exact_determinant(matrix.entries)
+
+
+def test_pfaffian_retains_nothing_on_return():
+    # with the cyclic collector off, state caught in a reference cycle would
+    # outlive the call
     matrix = corollary_matrix("even-even", 14, 14, 4, 2)[0]
     pfaffian(matrix)
     gc.disable()

@@ -385,3 +385,23 @@ def test_budget_stops_before_listing_a_large_box():
             run(budget)
         assert budget.used == 11
     assert count_pp(0, 40, 40) == count_scpp(0, 40, 40) == 1
+
+
+def test_unbudgeted_count_stops_at_the_default_cap():
+    # C(40, 20) ~ 1.4e11 rows: with no budget the count charges a fresh
+    # WorkBudget(), whose default cap stops it before a row is listed
+    for run in (
+        lambda: count_pp(1, 20, 20),
+        lambda: count_scpp(2, 20, 20),
+        lambda: count_scpp_signed(2, 20, 20),
+        lambda: count_scpp_middle_line(2, 20, 20, 20),
+    ):
+        with pytest.raises(BudgetExceededError, match="100000001 nodes > cap 100000000"):
+            run()
+
+
+def test_signed_count_rejects_negative_sides():
+    # the all-odd shortcut must not answer for a box with a negative side
+    for sides in ((-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, 2, 2)):
+        with pytest.raises(ValueError, match="box sides must be nonnegative"):
+            count_scpp_signed(*sides)

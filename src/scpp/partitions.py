@@ -101,14 +101,14 @@ def horizontal_strips_within(lam: Iterable[int]) -> Iterator[Partition]:
     """All pi inside lam such that lam/pi is a horizontal strip.
 
     The rows of pi vary independently in [lam_{i+1}, lam_i]; the result is
-    automatically a partition.
+    automatically a partition, and only its last row can be zero.
     """
     lam = partition(lam)
     ranges = [
         range(part_at(lam, i + 1), lam[i] + 1) for i in range(len(lam))
     ]
     for choice in _cartesian(*ranges):
-        yield partition(choice)
+        yield choice[:-1] if choice and not choice[-1] else choice
 
 
 def partitions_of(total: int, max_rows: int, max_part: int) -> Iterator[Partition]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -117,15 +118,14 @@ class MPoly:
             return MPoly._raw(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check_same_vars(other)
         acc: dict[Exponents, int] = {}
+        get = acc.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return MPoly._raw(self.nvars, acc)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+        # zero sums are dropped once, at the end
+        return MPoly._raw(self.nvars, {e: c for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 

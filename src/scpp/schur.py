@@ -1,11 +1,14 @@
 """Semistandard tableaux and Schur polynomials.
 
-Schur polynomials are computed primarily as generating functions of
+Schur polynomials are built by the branching rule (Stanley, EC2 7.10):
+s_lam(x_1..x_n) is the sum, over the mu with lam/mu a horizontal strip,
+of s_mu(x_1..x_{n-1}) * x_n^|lam/mu|, each s_mu taken from a bounded
+cache.  Two independent routes serve as its oracles: the walk over
 semistandard tableaux (rows weakly increasing, columns strictly
-increasing).  A determinant of complete homogeneous symmetric polynomials
-serves as an independent oracle, and the rectangular principal
-specialization is available as an exactly cancelled product in a formal
-variable q.
+increasing) in ``enumerate_ssyt`` and a determinant of complete
+homogeneous polynomials in ``schur_determinant_oracle``.  The rectangular
+principal specialization is available as an exactly cancelled product in
+a formal variable q.
 """
 
 from __future__ import annotations
@@ -16,8 +19,20 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
-from scpp.partitions import Partition, contains, part_at, partition, rectangle, size
+from scpp.partitions import (
+    Partition,
+    contains,
+    horizontal_strips_within,
+    part_at,
+    partition,
+    rectangle,
+    size,
+)
 from scpp.polynomials import MPoly, one_minus_power, upoly_divexact, upoly_mul
+
+# entries kept by each polynomial cache; a verification pass of the largest
+# standard shapes touches a few hundred (shape, variable count) pairs
+CACHE_SIZE = 384
 
 
 @dataclass(frozen=True)
@@ -106,9 +121,13 @@ def enumerate_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Semistandar
 
 
 def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
-    """Schur polynomial of shape lam in n variables, summed over tableaux.
+    """Schur polynomial of shape lam in n variables.
 
-    Zero when lam has more than n rows.
+    Zero when lam has more than n rows.  Built by the branching rule in
+    ``_schur_sum``; the tableau walk (``enumerate_ssyt``) and
+    ``schur_determinant_oracle`` are its oracles.  The name is kept from
+    when the sum ran over tableaux, since benchmark tracing looks the
+    Schur layer up by it.
     """
     if n < 0:
         raise ValueError("variable count must be nonnegative")
@@ -118,20 +137,25 @@ def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
     return _schur_sum(lam, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _schur_sum(lam: Partition, n: int) -> MPoly:
+    # the branching rule; its coefficients are positive, so no term cancels
+    if len(lam) > n:
+        return MPoly.zero(n)
+    if n == 0:
+        return MPoly.const(0, 1)
     acc: dict[tuple[int, ...], int] = {}
-    for rows in _ssyt_row_fillings(lam, n):
-        counts = [0] * n
-        for row in rows:
-            for v in row:
-                counts[v - 1] += 1
-        e = tuple(counts)
-        acc[e] = acc.get(e, 0) + 1
+    get = acc.get
+    lam_size = size(lam)
+    for mu in horizontal_strips_within(lam):
+        strip = (lam_size - size(mu),)
+        for e, c in _schur_sum(mu, n - 1).terms.items():
+            e += strip
+            acc[e] = get(e, 0) + c
     return MPoly._raw(n, acc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def complete_homogeneous(k: int, n: int) -> MPoly:
     """Sum of all degree-k monomials in n variables; h_0 = 1."""
     if k < 0:
@@ -167,7 +191,8 @@ def _poly_det(matrix: list[list[MPoly]], n: int) -> MPoly:
 def schur_determinant_oracle(lam: Iterable[int], n: int) -> MPoly:
     """Schur polynomial via the determinant of complete homogeneous polynomials.
 
-    Independent of the tableau enumeration; used to cross-check it.
+    Independent of the branching rule and of the tableau walk; used to
+    cross-check both.
     """
     if n < 0:
         raise ValueError("variable count must be nonnegative")
@@ -282,8 +307,8 @@ def alternating_point(m: int) -> tuple[int, ...]:
 def specialize_alternating(gamma: int, alpha: int, m: int) -> int:
     """Rectangular Schur polynomial evaluated at alternating signs.
 
-    Primary route: direct evaluation of the tableau sum at
-    (1, -1, ..., (-1)^(m-1)).
+    Primary route: the branching-rule polynomial of ``schur_tableau_sum``
+    evaluated at (1, -1, ..., (-1)^(m-1)).
     """
     if gamma < 0 or alpha < 0 or m < 0:
         raise ValueError("parameters must be nonnegative")

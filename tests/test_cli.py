@@ -217,7 +217,10 @@ def test_text_format(capsys):
 # 1, --method is a usage error for an identity with a single route, and a
 # --budget stops the counts and the weight check on a box too large to list;
 # a count without --budget stops at the default cap on such a box, and
-# scpp-signed rejects a negative side as scpp-brute does
+# scpp-signed rejects a negative side as scpp-brute does.  The three
+# evaluation-sweep lines for schurid2 at (2, 1, 2, 3), recorded before the
+# sweep evaluated each prefix once, pin its hashes and its budget: 6 glued
+# terms plus one unit for each of the 8^4 = 4,096 points
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -228,6 +231,9 @@ GOLDEN = [
     ('verify schurid1 --gamma1 2 --gamma2 1 --alpha 1 --n 2 --method evaluation-sweep', 0, '{"identity": "schurid1", "lhs": "e573d8e7f81f74c0", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 1, "gamma1": 2, "gamma2": 1, "n": 2}, "rhs": "e573d8e7f81f74c0"}\n'),
     ('verify schurid2 --gamma1 1 --gamma2 1 --alpha 1 --n 2', 0, '{"identity": "schurid2", "lhs": "19923d77ea944797", "match": true, "method": "full-expansion", "parameters": {"alpha": 1, "gamma1": 1, "gamma2": 1, "n": 2}, "rhs": "19923d77ea944797"}\n'),
     ('verify schurid2 --gamma1 1 --gamma2 1 --alpha 1 --n 2 --method evaluation-sweep', 0, '{"identity": "schurid2", "lhs": "672d8115202ebff5", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 1, "gamma1": 1, "gamma2": 1, "n": 2}, "rhs": "672d8115202ebff5"}\n'),
+    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep', 0, '{"identity": "schurid2", "lhs": "469ea84f7340846c", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 2, "gamma2": 1, "n": 3}, "rhs": "469ea84f7340846c"}\n'),
+    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4101', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 4102 nodes > cap 4101"}}\n'),
+    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4102', 0, '{"identity": "schurid2", "lhs": "469ea84f7340846c", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 2, "gamma2": 1, "n": 3}, "rhs": "469ea84f7340846c"}\n'),
     ('verify square-reduction --gamma 1 --alpha 1 --n 2', 0, '{"identity": "square-reduction", "lhs": "df748c6d1e674427", "match": true, "method": "full-expansion", "parameters": {"alpha": 1, "gamma": 1, "n": 2}, "rhs": "df748c6d1e674427"}\n'),
     ('verify weight --a 2 --b 2 --c 2', 0, '{"identity": "weight", "lhs": "components=1;sign_flips_ok=True", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "components=1;sign_flips_ok=True"}\n'),
     ('verify bridge --gamma 1 --alpha 2 --m 4', 0, '{"identity": "bridge", "lhs": "ones=6;alternating=-2", "match": true, "method": "evaluation", "parameters": {"alpha": 2, "gamma": 1, "m": 4}, "rhs": "ones=6;alternating=-2"}\n'),

@@ -7,7 +7,9 @@ import pytest
 from scpp.partitions import partitions_in_rectangle, partitions_of, rectangle
 from scpp.polynomials import MPoly
 from scpp.schur import (
+    CACHE_SIZE,
     SemistandardTableau,
+    _schur_sum,
     alternating_limit_value,
     alternating_point,
     complete_homogeneous,
@@ -78,12 +80,18 @@ def test_schur_examples():
 
 
 def test_schur_sum_matches_tableau_monomials():
-    # recompute the generating function from the tableau stream itself
-    for lam, n in [((2, 1), 3), ((2, 2), 2), ((3,), 2)]:
+    # the branching rule against the generating function of the tableau
+    # stream itself, for every shape in the 4x4 box and n <= 6
+    for lam, n in product(partitions_in_rectangle(4, 4), range(7)):
         acc = MPoly.zero(n)
         for t in enumerate_ssyt(lam, n):
             acc = acc + MPoly.monomial(n, t.content())
-        assert acc == schur_tableau_sum(lam, n)
+        assert acc == schur_tableau_sum(lam, n), (lam, n)
+
+
+def test_polynomial_caches_are_bounded():
+    for cached in (_schur_sum, complete_homogeneous):
+        assert cached.cache_info().maxsize == CACHE_SIZE
 
 
 @pytest.mark.parametrize("lam", [(), (1,), (2, 1), (2, 2), (3, 1, 1)])

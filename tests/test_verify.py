@@ -1,5 +1,6 @@
 import pytest
 
+from scpp import verify
 from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.polynomials import MPoly
 from scpp.schur import schur_tableau_sum
@@ -65,6 +66,15 @@ def test_methods_agree_where_both_run(which, gamma1, gamma2, alpha, n):
     sweep = verify_schurid(which, gamma1, gamma2, alpha, n, method="evaluation-sweep")
     assert full.match and sweep.match
     assert sweep.method == "evaluation-sweep"
+
+
+@pytest.mark.parametrize("method", verify.METHODS)
+def test_both_methods_catch_a_missing_glued_term(monkeypatch, method):
+    glued = verify._glued_terms
+    monkeypatch.setattr(verify, "_glued_terms", lambda *args: glued(*args)[:-1])
+    report = verify_schurid(2, 2, 1, 2, 3, method=method)
+    assert not report.match
+    assert report.lhs != report.rhs
 
 
 def test_verify_schurid_zero_when_fewer_variables_than_rows():

@@ -57,7 +57,7 @@ from scpp.schur import (
     schur_tableau_sum,
     specialize_alternating,
 )
-from scpp.verify import IDENTITIES, METHODS, Identity
+from scpp.verify import _BOX, _LINE, IDENTITIES, METHODS, Identity
 
 
 class UsageError(ValueError):
@@ -115,9 +115,6 @@ def _value_str(v) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
-
-_BOX = ("a", "b", "c")
-_LINE = ("a", "b", "c1", "c2")
 
 # count target -> (function, its parameters, whether it enumerates and so
 # takes the work budget)

@@ -52,17 +52,6 @@ def contains(lam: Iterable[int], mu: Iterable[int]) -> bool:
     return all(m <= l for l, m in zip(lam, mu))
 
 
-def is_horizontal_strip(lam: Iterable[int], pi: Iterable[int]) -> bool:
-    """True iff pi is contained in lam and lam/pi has at most one square per column.
-
-    Equivalent to the interleaving lam_i >= pi_i >= lam_{i+1} for all i.
-    """
-    lam, pi = partition(lam), partition(pi)
-    if not contains(lam, pi):
-        return False
-    return all(part_at(pi, i) >= part_at(lam, i + 1) for i in range(len(lam)))
-
-
 def rotated_complement(lam: Iterable[int], alpha: int, gamma: int) -> Partition:
     """Complement of lam inside the alpha x gamma rectangle, rotated 180 degrees.
 
@@ -72,16 +61,6 @@ def rotated_complement(lam: Iterable[int], alpha: int, gamma: int) -> Partition:
     if not contains(rectangle(alpha, gamma), lam):
         raise ValueError(f"{lam} does not fit in a {alpha}x{gamma} rectangle")
     return partition(gamma - part_at(lam, alpha - 1 - i) for i in range(alpha))
-
-
-def skew_cells(lam: Iterable[int], mu: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(row, col) pairs of the squares of lam/mu, 0-indexed, row-major."""
-    lam, mu = partition(lam), partition(mu)
-    if not contains(lam, mu):
-        raise ValueError(f"{mu} is not contained in {lam}")
-    for r, width in enumerate(lam):
-        for c in range(part_at(mu, r), width):
-            yield (r, c)
 
 
 def partitions_in_rectangle(alpha: int, gamma: int) -> Iterator[Partition]:
@@ -109,17 +88,3 @@ def horizontal_strips_within(lam: Iterable[int]) -> Iterator[Partition]:
     ]
     for choice in _cartesian(*ranges):
         yield choice[:-1] if choice and not choice[-1] else choice
-
-
-def partitions_of(total: int, max_rows: int, max_part: int) -> Iterator[Partition]:
-    """Partitions of ``total`` with at most ``max_rows`` parts, each <= ``max_part``."""
-    if total < 0:
-        return
-    if total == 0:
-        yield ()
-        return
-    if max_rows <= 0 or max_part <= 0:
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in partitions_of(total - first, max_rows - 1, first):
-            yield (first,) + rest

@@ -13,8 +13,10 @@ mirrored entries summing to at least b (a even) or to exactly b (the
 central row, a odd) for the self-complementary arrays, plus a pinned
 segment for the middle lines.  The counts sum over these chains with the
 transfer-matrix method (Stanley, EC1 4.7), whose states are the rows; they
-are exhaustive and use no closed form.  ``enumerate_pp`` and
-``enumerate_scpp`` build the arrays themselves, for object-level checks.
+are exhaustive and use no closed form.  ``enumerate_scpp`` builds the
+self-complementary arrays themselves, for the move graph.  The object-level
+oracles (every box array, the bijection with rectangular tableaux, the
+middle-line condition on one array) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from math import comb
 from typing import Callable, Iterator
 
 from scpp.budget import WorkBudget
-from scpp.partitions import rectangle
 from scpp.products import ParityError, check_middle_line_params
-from scpp.schur import SemistandardTableau
 
 Row = tuple[int, ...]
 Grid = tuple[Row, ...]
@@ -60,9 +60,6 @@ class PlanePartition:
             cols = len(grid[0]) if grid else 0
         return cls(len(grid), cols, height_bound, grid)
 
-    def volume(self) -> int:
-        return sum(sum(row) for row in self.entries)
-
 
 def _is_valid_grid(grid: Grid, a: int, c: int, b: int) -> bool:
     if len(grid) != a:
@@ -78,12 +75,6 @@ def _is_valid_grid(grid: Grid, a: int, c: int, b: int) -> bool:
             if i and grid[i - 1][j] < v:
                 return False
     return True
-
-
-def enumerate_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> Iterator[PlanePartition]:
-    """Every plane partition in the a x b x c box, exactly once."""
-    for grid in _pp_grids(a, b, c, budget):
-        yield PlanePartition(a, c, b, grid)
 
 
 def count_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
@@ -344,41 +335,6 @@ def count_scpp_signed(
 # ---------------------------------------------------------------------------
 # middle-line constraints
 
-def middle_line_constraint(pp: PlanePartition, c1: int, c2: int) -> bool:
-    """Whether a self-complementary array carries the fixed middle line
-    encoded by (c1, c2).
-
-    The array must have (c1+c2)/2 columns; the conditions are those of
-    :func:`count_scpp_middle_line`.  With a and b odd the constrained arrays
-    are punctured, so no integer array carries a middle line unless it is
-    empty (c1 == c2).
-    """
-    a, c, b = pp.rows, pp.cols, pp.height_bound
-    if c1 % 2 or c2 % 2:
-        raise ParityError("c1 and c2 must be even")
-    if c1 < c2:
-        raise ValueError("c1 must be at least c2")
-    if (c1 + c2) // 2 != c:
-        raise ValueError("array has the wrong number of columns for (c1, c2)")
-    if not is_self_complementary(pp):
-        raise ValueError("middle-line constraints apply to self-complementary arrays")
-    if a % 2 == 0 and b % 2 == 0:
-        if a == 0 or c1 == 0:
-            return True
-        return pp.entries[a // 2 - 1][c1 // 2 - 1] >= b // 2
-    if a % 2 == 1 and b % 2 == 0:
-        mid = pp.entries[(a - 1) // 2]
-        return all(mid[j] == b // 2 for j in range(c2 // 2, c1 // 2))
-    if a % 2 == 1 and b % 2 == 1:
-        if c1 == c2:
-            return True
-        raise ParityError(
-            "odd/odd middle lines are carried by punctured arrays; "
-            "use count_scpp_middle_line"
-        )
-    raise ParityError("a even with b odd is not a covered case")
-
-
 def count_scpp_middle_line(
     a: int, b: int, c1: int, c2: int, budget: WorkBudget | None = None
 ) -> int:
@@ -405,42 +361,6 @@ def count_scpp_middle_line(
             w[j] == b // 2 if j in segment else w[j] + w[c - 1 - j] == b for j in range(c)
         )
     return _closed_chains(a, b, c, carries, budget=budget)
-
-
-# ---------------------------------------------------------------------------
-# bijection with rectangular tableaux
-
-def pp_to_tableau(pp: PlanePartition) -> SemistandardTableau:
-    """Rotate the array 180 degrees and add i to row i.
-
-    Gives a semistandard filling of the a x c rectangle with entries in
-    [1, a+b]; for self-complementary arrays, entries at opposite positions
-    sum to a+b+1.
-    """
-    a, c, b = pp.rows, pp.cols, pp.height_bound
-    if a == 0 or c == 0:
-        return SemistandardTableau((), a + b, ())
-    rows = tuple(
-        tuple(pp.entries[a - 1 - i][c - 1 - j] + i + 1 for j in range(c))
-        for i in range(a)
-    )
-    return SemistandardTableau(rectangle(a, c), a + b, rows)
-
-
-def tableau_to_pp(t: SemistandardTableau) -> PlanePartition:
-    """Inverse of :func:`pp_to_tableau` for rectangular shapes."""
-    a = len(t.shape)
-    if any(w != t.shape[0] for w in t.shape):
-        raise ValueError("expected a rectangular shape")
-    c = t.shape[0] if a else 0
-    b = t.max_entry - a
-    if b < 0:
-        raise ValueError("max_entry smaller than the number of rows")
-    grid = tuple(
-        tuple(t.rows[a - 1 - i][c - 1 - j] - (a - i) for j in range(c))
-        for i in range(a)
-    )
-    return PlanePartition(a, c, b, grid)
 
 
 # ---------------------------------------------------------------------------

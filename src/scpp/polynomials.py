@@ -73,10 +73,6 @@ class MPoly:
         exps[index] = 1
         return cls._raw(nvars, {tuple(exps): 1})
 
-    @property
-    def nterms(self) -> int:
-        return len(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -104,12 +100,6 @@ class MPoly:
             else:
                 acc.pop(e, None)
         return MPoly._raw(self.nvars, acc)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
 
     def __mul__(self, other: "MPoly | int") -> "MPoly":
         if isinstance(other, int):
@@ -152,21 +142,6 @@ class MPoly:
             total += value
         return total
 
-    def to_q_coeffs(self, powers: Sequence[int]) -> list[int]:
-        """Coefficients of the univariate polynomial obtained by x_i := q^powers[i]."""
-        if len(powers) != self.nvars:
-            raise ValueError("powers vector has wrong length")
-        acc: dict[int, int] = {}
-        for exps, coeff in self.terms.items():
-            d = sum(p * e for p, e in zip(powers, exps))
-            acc[d] = acc.get(d, 0) + coeff
-        if not acc:
-            return []
-        out = [0] * (max(acc) + 1)
-        for d, c in acc.items():
-            out[d] = c
-        return upoly_trim(out)
-
     def lift(self, nvars: int) -> "MPoly":
         """Embed into a larger variable set; new variables get exponent 0."""
         if nvars < self.nvars:
@@ -203,7 +178,7 @@ class MPoly:
             )
             c = self.terms[exps]
             bits.append(f"{c}" if not mono else (mono if c == 1 else f"{c}*{mono}"))
-        tail = " + ..." if self.nterms > 8 else ""
+        tail = " + ..." if len(self.terms) > 8 else ""
         return f"MPoly({self.nvars}, {' + '.join(bits)}{tail})"
 
 

@@ -43,8 +43,8 @@ def sc_count(a: int, b: int, c: int) -> int:
     """Number of self-complementary plane partitions in an a x b x c box.
 
     The count is symmetric in the sides, so any parity pattern is first
-    relabeled onto one of the three product cases; an all-odd box has odd
-    volume and admits none.
+    relabeled onto one of the three product cases; an all-odd box holds an
+    odd number of cubes and admits none.
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("box sides must be nonnegative")

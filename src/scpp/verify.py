@@ -121,18 +121,11 @@ def _rhs_terms(
     return [(schur_tableau_sum(shape, n), strip) for shape, strip in terms if len(shape) <= n]
 
 
-def schurid1_rhs(
-    gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None = None
+def schurid_rhs(
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None = None
 ) -> MPoly:
-    """Right-hand side of the first identity as a polynomial in n+1 variables."""
-    return _glue_sum(_rhs_terms(1, gamma1, gamma2, alpha, n, budget), n)
-
-
-def schurid2_rhs(
-    gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None = None
-) -> MPoly:
-    """Right-hand side of the second identity as a polynomial in n+1 variables."""
-    return _glue_sum(_rhs_terms(2, gamma1, gamma2, alpha, n, budget), n)
+    """Right-hand side of identity 1 or 2 as a polynomial in n+1 variables."""
+    return _glue_sum(_rhs_terms(which, gamma1, gamma2, alpha, n, budget), n)
 
 
 def _glue_sum(terms: list[tuple[MPoly, int]], n: int) -> MPoly:
@@ -182,7 +175,7 @@ def verify_schurid(
     """
     identity = f"schurid{which}"
     params = {"gamma1": gamma1, "gamma2": gamma2, "alpha": alpha, "n": n}
-    rhs = _glue_sum(_rhs_terms(which, gamma1, gamma2, alpha, n, budget), n)
+    rhs = schurid_rhs(which, gamma1, gamma2, alpha, n, budget)
     first, second = _lhs_factors(which, gamma1, gamma2, alpha, n)
 
     if method == FULL_EXPANSION:
@@ -225,7 +218,7 @@ def verify_square_reduction(
     """Setting the extra variable to zero with equal widths must reduce the
     gluing sum to the square of a single rectangular Schur polynomial."""
     params = {"gamma": gamma, "alpha": alpha, "n": n}
-    reduced = schurid1_rhs(gamma, gamma, alpha, n, budget).restrict_last_zero()
+    reduced = schurid_rhs(1, gamma, gamma, alpha, n, budget).restrict_last_zero()
     square = schur_tableau_sum(rectangle(alpha, gamma), n) ** 2
     return _report(
         "square-reduction",
@@ -316,8 +309,9 @@ def verify_specialization_bridge(
     """Evaluations of the rectangular Schur polynomial at all-ones and
     alternating points must equal the box count and the signed
     self-complementary count of the matching box.  The polynomial comes
-    from the branching rule (``schur_tableau_sum``); the counts come from
-    the closed products, so the two sides share no route.
+    from the branching rule (``schur_tableau_sum``), which the oracles in
+    ``tests/oracles.py`` check; the counts come from the closed products, so
+    the two sides share no route.
 
     The all-ones value is the box count on the nose.  The alternating value
     carries a parity sign: it equals (-1)^(gamma*alpha*(alpha+3)/2) times
@@ -370,6 +364,7 @@ class Identity:
 
 
 _BOX = ("a", "b", "c")
+_LINE = ("a", "b", "c1", "c2")
 _SCHURID = ("gamma1", "gamma2", "alpha", "n")
 _SCHURID_GRID = Grid((range(4), range(4), range(4), range(6)), lambda g1, g2, alpha, n: g2 <= g1)
 
@@ -378,7 +373,7 @@ IDENTITIES: dict[str, Identity] = {
     # all-odd boxes stay in: both routes give 0 there
     "scpp": Identity(_BOX, verify_scpp_count, Grid((range(7),) * 3)),
     "middle-line": Identity(
-        ("a", "b", "c1", "c2"),
+        _LINE,
         verify_middle_line,
         Grid(
             (range(6), range(6), range(0, 7, 2), range(0, 7, 2)),

@@ -1,0 +1,352 @@
+"""Named test oracles: independent routes that only the tests call.
+
+Each one is compared in the tests against the production route in ``scpp``
+that it checks: the tableau walk and the Jacobi-Trudi determinant against
+the branching rule, the limit at q -> -1 against ``specialize_alternating``,
+the q-substitution against ``hook_content_rectangular``, the middle-line
+condition on one array against ``count_scpp_middle_line``, and so on.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator, Sequence
+
+from scpp.budget import WorkBudget
+from scpp.partitions import Partition, contains, part_at, partition, rectangle, size
+from scpp.plane_partitions import PlanePartition, _pp_grids, is_self_complementary
+from scpp.polynomials import MPoly, upoly_trim
+from scpp.products import ParityError
+
+
+def skew_cells(lam: Iterable[int], mu: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(row, col) pairs of the squares of lam/mu, 0-indexed, row-major."""
+    lam, mu = partition(lam), partition(mu)
+    if not contains(lam, mu):
+        raise ValueError(f"{mu} is not contained in {lam}")
+    for r, width in enumerate(lam):
+        for c in range(part_at(mu, r), width):
+            yield (r, c)
+
+
+def to_q_coeffs(poly: MPoly, powers: Sequence[int]) -> list[int]:
+    """Coefficients of the univariate polynomial obtained by x_i := q^powers[i]."""
+    if len(powers) != poly.nvars:
+        raise ValueError("powers vector has wrong length")
+    acc: dict[int, int] = {}
+    for exps, coeff in poly.terms.items():
+        d = sum(p * e for p, e in zip(powers, exps))
+        acc[d] = acc.get(d, 0) + coeff
+    if not acc:
+        return []
+    out = [0] * (max(acc) + 1)
+    for d, c in acc.items():
+        out[d] = c
+    return upoly_trim(out)
+
+
+@dataclass(frozen=True)
+class SemistandardTableau:
+    """A semistandard filling of a straight shape with entries in [1, max_entry].
+
+    ``rows[r]`` holds the entries of row r.
+    """
+
+    shape: Partition
+    max_entry: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        shape = partition(self.shape)
+        object.__setattr__(self, "shape", shape)
+        if self.max_entry < 0:
+            raise ValueError("max_entry must be nonnegative")
+        if len(self.rows) != len(shape):
+            raise ValueError("wrong number of rows")
+        for r, width in enumerate(shape):
+            row = self.rows[r]
+            if len(row) != width:
+                raise ValueError(f"row {r} has wrong length")
+            for c, v in enumerate(row):
+                if not 1 <= v <= self.max_entry:
+                    raise ValueError(f"entry {v} out of range [1, {self.max_entry}]")
+                if c and row[c - 1] > v:
+                    raise ValueError(f"row {r} is not weakly increasing")
+                if r and self.rows[r - 1][c] >= v:
+                    raise ValueError(f"column {c} is not strictly increasing")
+
+    def content(self) -> tuple[int, ...]:
+        """Multiplicity vector: entry i counts occurrences of the value i+1."""
+        counts = [0] * self.max_entry
+        for row in self.rows:
+            for v in row:
+                counts[v - 1] += 1
+        return tuple(counts)
+
+
+def _ssyt_row_fillings(shape: Partition, max_entry: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the row tuples of every SSYT of the given shape, exactly once.
+
+    Rows are generated top to bottom; each row is weakly increasing and
+    strictly exceeds the row above it column by column.  An entry leaves
+    room for the strictly increasing cells below it in its column, so every
+    partial filling extends to a tableau.
+    """
+    nrows = len(shape)
+    heights = [sum(1 for width in shape if width > c) for c in range(part_at(shape, 0))]
+    acc: list[tuple[int, ...]] = []
+
+    def build_row(r: int, row: list[int]) -> Iterator[tuple[int, ...]]:
+        c = len(row)
+        if c == shape[r]:
+            yield tuple(row)
+            return
+        floor = row[-1] if row else 1
+        if r and acc[r - 1][c] >= floor:
+            floor = acc[r - 1][c] + 1
+        for v in range(floor, max_entry - heights[c] + r + 2):
+            row.append(v)
+            yield from build_row(r, row)
+            row.pop()
+
+    def rec(r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if r == nrows:
+            yield tuple(acc)
+            return
+        for row in build_row(r, []):
+            acc.append(row)
+            yield from rec(r + 1)
+            acc.pop()
+
+    yield from rec(0)
+
+
+def enumerate_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[SemistandardTableau]:
+    """All semistandard tableaux of the given shape with entries <= max_entry."""
+    shape = partition(shape)
+    if max_entry < 0:
+        raise ValueError("max_entry must be nonnegative")
+    for rows in _ssyt_row_fillings(shape, max_entry):
+        yield SemistandardTableau(shape, max_entry, rows)
+
+
+def complete_homogeneous(k: int, n: int) -> MPoly:
+    """Sum of all degree-k monomials in n variables; h_0 = 1."""
+    if k < 0:
+        return MPoly.zero(n)
+    if k == 0:
+        return MPoly.const(n, 1)
+    acc: dict[tuple[int, ...], int] = {}
+    for combo in combinations_with_replacement(range(n), k):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        acc[tuple(e)] = 1
+    return MPoly(n, acc)
+
+
+def _poly_det(matrix: list[list[MPoly]], n: int) -> MPoly:
+    dim = len(matrix)
+    if dim == 0:
+        return MPoly.const(n, 1)
+    if dim == 1:
+        return matrix[0][0]
+    total = MPoly.zero(n)
+    for j in range(dim):
+        entry = matrix[0][j]
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = entry * _poly_det(minor, n)
+        total = total + (term if j % 2 == 0 else term * -1)
+    return total
+
+
+def schur_determinant_oracle(lam: Iterable[int], n: int) -> MPoly:
+    """Schur polynomial via the determinant of complete homogeneous polynomials.
+
+    Independent of the branching rule and of the tableau walk; used to
+    cross-check both.
+    """
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    lam = partition(lam)
+    rows = len(lam)
+    if rows == 0:
+        return MPoly.const(n, 1)
+    matrix = [
+        [complete_homogeneous(lam[i] - i + j, n) for j in range(rows)]
+        for i in range(rows)
+    ]
+    return _poly_det(matrix, n)
+
+
+def lr_coefficient(mu: Iterable[int], nu: Iterable[int], rho: Iterable[int]) -> int:
+    """Multiplicity of the shape rho in the product of Schur functions mu and nu.
+
+    Counted by semistandard fillings of rho/mu with content nu whose reading
+    word (rows right to left, top to bottom) always has at least as many
+    occurrences of i as of i+1 at every prefix.
+    """
+    mu, nu, rho = partition(mu), partition(nu), partition(rho)
+    if not contains(rho, mu):
+        return 0
+    if size(rho) != size(mu) + size(nu):
+        return 0
+    nvals = len(nu)
+    if nvals == 0:
+        return 1 if rho == mu else 0
+
+    # cells in reading order: each row right to left
+    cells: list[tuple[int, int]] = []
+    for r, width in enumerate(rho):
+        lo = part_at(mu, r)
+        for c in range(width - 1, lo - 1, -1):
+            cells.append((r, c))
+
+    grid: dict[tuple[int, int], int] = {}
+    quota = list(nu)
+    counts = [0] * (nvals + 1)
+    total = 0
+
+    def fill(idx: int) -> None:
+        nonlocal total
+        if idx == len(cells):
+            total += 1
+            return
+        r, c = cells[idx]
+        hi = nvals
+        right = grid.get((r, c + 1))
+        if right is not None:
+            hi = min(hi, right)
+        lo_val = 1
+        above = grid.get((r - 1, c))
+        if above is not None:
+            lo_val = above + 1
+        for v in range(lo_val, hi + 1):
+            if quota[v - 1] == 0:
+                continue
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue  # reading-word condition would fail
+            grid[(r, c)] = v
+            quota[v - 1] -= 1
+            counts[v] += 1
+            fill(idx + 1)
+            counts[v] -= 1
+            quota[v - 1] += 1
+            del grid[(r, c)]
+
+    fill(0)
+    return total
+
+
+def alternating_limit_value(gamma: int, alpha: int, m: int) -> int:
+    """Oracle for ``specialize_alternating`` via the product formula at q -> -1.
+
+    Factors 1 - q^e with odd e evaluate to 2 at q = -1; even-exponent
+    factors vanish and are paired between numerator and denominator, each
+    pair contributing the ratio of exponents.  A surplus of vanishing
+    numerator factors makes the whole product zero.
+    """
+    if gamma < 0 or alpha < 0 or m < 0:
+        raise ValueError("parameters must be nonnegative")
+    if gamma == 0 or alpha == 0:
+        return 1
+    if m < alpha:
+        return 0
+    num_exps = [i + m - alpha + k for i in range(1, alpha + 1) for k in range(gamma)]
+    den_exps = [i + k for i in range(1, alpha + 1) for k in range(gamma)]
+    num_even = [e for e in num_exps if e % 2 == 0]
+    den_even = [e for e in den_exps if e % 2 == 0]
+    if len(num_even) > len(den_even):
+        return 0
+    if len(num_even) < len(den_even):
+        raise ArithmeticError("specialization diverges; not a polynomial")
+    frac = Fraction(1)
+    for e in num_even:
+        frac *= e
+    for e in den_even:
+        frac /= e
+    if frac.denominator != 1:
+        raise ArithmeticError("expected an integer limit")
+    ratio = frac.numerator
+    # sign: flip all variables to reach the alternating-start point, plus the
+    # monomial prefactor of the product formula evaluated at q = -1
+    exponent = gamma * alpha + gamma * alpha * (alpha + 1) // 2
+    return -ratio if exponent % 2 else ratio
+
+
+def enumerate_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> Iterator[PlanePartition]:
+    """Every plane partition in the a x b x c box, exactly once."""
+    for grid in _pp_grids(a, b, c, budget):
+        yield PlanePartition(a, c, b, grid)
+
+
+def pp_to_tableau(pp: PlanePartition) -> SemistandardTableau:
+    """Rotate the array 180 degrees and add i to row i.
+
+    Gives a semistandard filling of the a x c rectangle with entries in
+    [1, a+b]; for self-complementary arrays, entries at opposite positions
+    sum to a+b+1.
+    """
+    a, c, b = pp.rows, pp.cols, pp.height_bound
+    if a == 0 or c == 0:
+        return SemistandardTableau((), a + b, ())
+    rows = tuple(
+        tuple(pp.entries[a - 1 - i][c - 1 - j] + i + 1 for j in range(c))
+        for i in range(a)
+    )
+    return SemistandardTableau(rectangle(a, c), a + b, rows)
+
+
+def tableau_to_pp(t: SemistandardTableau) -> PlanePartition:
+    """Inverse of :func:`pp_to_tableau` for rectangular shapes."""
+    a = len(t.shape)
+    if any(w != t.shape[0] for w in t.shape):
+        raise ValueError("expected a rectangular shape")
+    c = t.shape[0] if a else 0
+    b = t.max_entry - a
+    if b < 0:
+        raise ValueError("max_entry smaller than the number of rows")
+    grid = tuple(
+        tuple(t.rows[a - 1 - i][c - 1 - j] - (a - i) for j in range(c))
+        for i in range(a)
+    )
+    return PlanePartition(a, c, b, grid)
+
+
+def middle_line_constraint(pp: PlanePartition, c1: int, c2: int) -> bool:
+    """Whether a self-complementary array carries the fixed middle line
+    encoded by (c1, c2).
+
+    The array must have (c1+c2)/2 columns; the conditions are those of
+    ``count_scpp_middle_line``.  With a and b odd the constrained arrays
+    are punctured, so no integer array carries a middle line unless it is
+    empty (c1 == c2).
+    """
+    a, c, b = pp.rows, pp.cols, pp.height_bound
+    if c1 % 2 or c2 % 2:
+        raise ParityError("c1 and c2 must be even")
+    if c1 < c2:
+        raise ValueError("c1 must be at least c2")
+    if (c1 + c2) // 2 != c:
+        raise ValueError("array has the wrong number of columns for (c1, c2)")
+    if not is_self_complementary(pp):
+        raise ValueError("middle-line constraints apply to self-complementary arrays")
+    if a % 2 == 0 and b % 2 == 0:
+        if a == 0 or c1 == 0:
+            return True
+        return pp.entries[a // 2 - 1][c1 // 2 - 1] >= b // 2
+    if a % 2 == 1 and b % 2 == 0:
+        mid = pp.entries[(a - 1) // 2]
+        return all(mid[j] == b // 2 for j in range(c2 // 2, c1 // 2))
+    if a % 2 == 1 and b % 2 == 1:
+        if c1 == c2:
+            return True
+        raise ParityError(
+            "odd/odd middle lines are carried by punctured arrays; "
+            "use count_scpp_middle_line"
+        )
+    raise ParityError("a even with b odd is not a covered case")

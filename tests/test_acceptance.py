@@ -6,6 +6,7 @@ Each test prints one criterion line; run with ``pytest tests/test_acceptance.py 
 
 import time
 
+from oracles import schur_determinant_oracle
 from scpp.partitions import partitions_in_rectangle, rectangle
 from scpp.pfaffian import corollary_matrix, exact_determinant, pfaffian, pfaffian_check
 from scpp.plane_partitions import (
@@ -21,11 +22,11 @@ from scpp.products import (
     sc_count,
     signed_enumeration_product,
 )
-from scpp.schur import schur_determinant_oracle, schur_tableau_sum
+from scpp.schur import schur_tableau_sum
 from scpp.verify import (
     IDENTITIES,
     PFAFFIAN_GRID,
-    schurid1_rhs,
+    schurid_rhs,
     verify_schurid,
     verify_specialization_bridge,
 )
@@ -71,7 +72,7 @@ def test_criterion_03_schur_product_identities():
 def test_criterion_04_square_reduction():
     start = time.perf_counter()
     for gamma, alpha, n in _grid("square-reduction", 36):
-        reduced = schurid1_rhs(gamma, gamma, alpha, n).restrict_last_zero()
+        reduced = schurid_rhs(1, gamma, gamma, alpha, n).restrict_last_zero()
         square = schur_tableau_sum(rectangle(alpha, gamma), n) ** 2
         assert reduced == square, (gamma, alpha, n)
     _pass(4, "extra variable at zero reduces the gluing sum to the Schur square", start)
@@ -129,4 +130,4 @@ def test_criterion_10_schur_oracle_equivalence():
     for lam in partitions_in_rectangle(4, 4):
         for n in range(5):
             assert schur_tableau_sum(lam, n) == schur_determinant_oracle(lam, n), (lam, n)
-    _pass(10, "branching-rule Schur polynomials equal the determinant oracle on the 4x4 grid", start)
+    _pass(10, "branching-rule Schur polynomials equal the tests/oracles.py determinant on the 4x4 grid", start)

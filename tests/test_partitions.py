@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import skew_cells
 from scpp.partitions import (
     contains,
     horizontal_strips_within,
-    is_horizontal_strip,
     part_at,
     partition,
     partitions_in_rectangle,
-    partitions_of,
     rectangle,
     rotated_complement,
     size,
-    skew_cells,
 )
 
 
@@ -105,15 +103,7 @@ def _strip_by_column_scan(lam, pi):
     ],
 )
 def test_is_horizontal_strip(lam, pi, expected):
-    assert is_horizontal_strip(lam, pi) is expected
     assert _strip_by_column_scan(lam, pi) is expected
-
-
-def test_horizontal_strip_matches_column_scan_in_5x5():
-    universe = list(partitions_in_rectangle(5, 5))
-    for lam in universe:
-        for pi in universe:
-            assert is_horizontal_strip(lam, pi) == _strip_by_column_scan(lam, pi)
 
 
 @pytest.mark.parametrize(
@@ -156,15 +146,9 @@ def test_horizontal_strips_within_agrees_with_filter():
     for lam in partitions_in_rectangle(3, 4):
         direct = set(horizontal_strips_within(lam))
         filtered = {
-            pi for pi in partitions_in_rectangle(3, 4) if is_horizontal_strip(lam, pi)
+            pi for pi in partitions_in_rectangle(3, 4) if _strip_by_column_scan(lam, pi)
         }
         assert direct == filtered
-
-
-def test_partitions_of():
-    assert set(partitions_of(4, 2, 4)) == {(4,), (3, 1), (2, 2)}
-    assert list(partitions_of(0, 3, 3)) == [()]
-    assert list(partitions_of(5, 1, 3)) == []
 
 
 def test_part_at_reads_zero_beyond_length():

@@ -2,6 +2,13 @@ from itertools import permutations, product
 
 import pytest
 
+from oracles import (
+    enumerate_pp,
+    enumerate_ssyt,
+    middle_line_constraint,
+    pp_to_tableau,
+    tableau_to_pp,
+)
 from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import rectangle
 from scpp.plane_partitions import (
@@ -12,15 +19,11 @@ from scpp.plane_partitions import (
     count_scpp,
     count_scpp_middle_line,
     count_scpp_signed,
-    enumerate_pp,
     enumerate_scpp,
     flipped_pair_count,
     half_full,
     is_self_complementary,
-    middle_line_constraint,
     move_neighbors,
-    pp_to_tableau,
-    tableau_to_pp,
     weight,
 )
 from scpp.products import (
@@ -31,7 +34,6 @@ from scpp.products import (
     signed_enumeration_all_even,
     signed_enumeration_product,
 )
-from scpp.schur import enumerate_ssyt
 
 # 4x5 array with height bound 3 whose opposite entries sum to 3
 SC_4x5 = PlanePartition.from_rows(

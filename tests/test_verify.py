@@ -5,8 +5,7 @@ from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.polynomials import MPoly
 from scpp.schur import schur_tableau_sum
 from scpp.verify import (
-    schurid1_rhs,
-    schurid2_rhs,
+    schurid_rhs,
     verify_box,
     verify_middle_line,
     verify_schurid,
@@ -20,26 +19,26 @@ from scpp.verify import (
 
 def test_rhs_identity1_trivial_cases():
     # empty rectangle: single term equal to the plain Schur polynomial
-    assert schurid1_rhs(2, 0, 2, 3) == schur_tableau_sum((2, 2), 3).lift(4)
+    assert schurid_rhs(1, 2, 0, 2, 3) == schur_tableau_sum((2, 2), 3).lift(4)
     # no rows at all: the constant 1
-    assert schurid1_rhs(3, 2, 0, 2) == MPoly.const(3, 1)
+    assert schurid_rhs(1, 3, 2, 0, 2) == MPoly.const(3, 1)
 
 
 def test_rhs_identity1_small_product():
     lhs = schur_tableau_sum((1,), 2).lift(3) * schur_tableau_sum((1,), 3)
-    assert schurid1_rhs(1, 1, 1, 2) == lhs
+    assert schurid_rhs(1, 1, 1, 1, 2) == lhs
 
 
 def test_rhs_identity2_trivial_cases():
-    assert schurid2_rhs(2, 0, 1, 2) == schur_tableau_sum((2,), 2).lift(3)
+    assert schurid_rhs(2, 2, 0, 1, 2) == schur_tableau_sum((2,), 2).lift(3)
     # one forced row: reproduces the single Schur factor in n+1 variables
     lhs = schur_tableau_sum((1,), 2)
-    assert schurid2_rhs(1, 1, 0, 1) == lhs
+    assert schurid_rhs(2, 1, 1, 0, 1) == lhs
 
 
 def test_rhs_rejects_decreasing_widths():
     with pytest.raises(ValueError):
-        schurid1_rhs(1, 2, 1, 2)
+        schurid_rhs(1, 1, 2, 1, 2)
     with pytest.raises(ValueError):
         verify_schurid(1, 2, 3, 1, 2)
 

@@ -14,7 +14,11 @@ central row, a odd) for the self-complementary arrays, plus a pinned
 segment for the middle lines.  The counts sum over these chains with the
 transfer-matrix method (Stanley, EC1 4.7), whose states are the rows; they
 are exhaustive and use no closed form.  ``enumerate_scpp`` builds the
-self-complementary arrays themselves, for the move graph.  The object-level
+self-complementary arrays themselves, for the move graph, which joins two
+arrays when one cube moves to its 180-degree-opposite position;
+``check_move_graph`` finds each edge once, by checks at the two cells it
+changes, and checks that the weight, computed for each array from its own
+entries, flips across every edge.  The object-level
 oracles (every box array, the bijection with rectangular tableaux, the
 middle-line condition on one array) live in ``tests/oracles.py``.
 """
@@ -22,7 +26,7 @@ middle-line condition on one array) live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 from typing import Callable, Iterator
 
@@ -52,13 +56,6 @@ class PlanePartition:
             raise ValueError("wrong number of rows")
         if not _is_valid_grid(entries, self.rows, self.cols, self.height_bound):
             raise ValueError(f"not a valid plane partition array: {entries}")
-
-    @classmethod
-    def from_rows(cls, rows, height_bound: int, cols: int | None = None) -> "PlanePartition":
-        grid = tuple(tuple(int(v) for v in row) for row in rows)
-        if cols is None:
-            cols = len(grid[0]) if grid else 0
-        return cls(len(grid), cols, height_bound, grid)
 
 
 def _is_valid_grid(grid: Grid, a: int, c: int, b: int) -> bool:
@@ -163,10 +160,9 @@ def _pp_grids(a: int, b: int, c: int, budget: WorkBudget | None = None) -> Itera
 
 def is_self_complementary(pp: PlanePartition) -> bool:
     """True iff every entry and its 180-degree-opposite entry sum to the height bound."""
-    a, c, b = pp.rows, pp.cols, pp.height_bound
-    g = pp.entries
+    g, b = pp.entries, pp.height_bound
     return all(
-        g[i][j] + g[a - 1 - i][c - 1 - j] == b for i in range(a) for j in range(c)
+        v + w == b for row, mirror in zip(g, reversed(g)) for v, w in zip(row, reversed(mirror))
     )
 
 
@@ -196,46 +192,29 @@ def flipped_pair_count(pp: PlanePartition) -> int:
     For a self-complementary array each pair {(i,j,k), opposite} holds
     exactly one cube; grouping pairs by column shows the count equals the
     sum of (height bound - entry) over the positions that lexicographically
-    precede their own opposite.
+    precede their own opposite: the upper a//2 rows, and the left c//2
+    entries of a central row.
     """
     a, c, b = pp.rows, pp.cols, pp.height_bound
-    total = 0
-    for i in range(a):
-        for j in range(c):
-            if (i, j) < (a - 1 - i, c - 1 - j):
-                total += b - pp.entries[i][j]
+    total = sum(b * c - sum(row) for row in pp.entries[: a // 2])
+    if a % 2:
+        total += sum(b - v for v in pp.entries[a // 2][: c // 2])
     return total
 
 
-def weight(pp: PlanePartition) -> int:
+def weight(pp: PlanePartition, reference: int | None = None) -> int:
     """The +-1 weight of a self-complementary plane partition.
 
     Normalized so the half-full reference array has weight +1; each single
-    move of a cube to its opposite position flips the sign.
+    move of a cube to its opposite position flips the sign.  ``reference``
+    is ``flipped_pair_count`` of the box's ``half_full`` array, for callers
+    that weigh many arrays of one box; it is computed when not given.
     """
     if not is_self_complementary(pp):
         raise ValueError("weight is defined only for self-complementary arrays")
-    reference = half_full(pp.rows, pp.height_bound, pp.cols)
-    diff = flipped_pair_count(pp) - flipped_pair_count(reference)
-    return -1 if diff % 2 else 1
-
-
-def move_neighbors(pp: PlanePartition) -> Iterator[PlanePartition]:
-    """Arrays reachable by removing one cube and adding the opposite one."""
-    a, c, b = pp.rows, pp.cols, pp.height_bound
-    for i in range(a):
-        for j in range(c):
-            oi, oj = a - 1 - i, c - 1 - j
-            if (i, j) == (oi, oj):
-                continue
-            if pp.entries[i][j] == 0:
-                continue
-            grid = [list(row) for row in pp.entries]
-            grid[i][j] -= 1
-            grid[oi][oj] += 1
-            new = tuple(tuple(row) for row in grid)
-            if _is_valid_grid(new, a, c, b):
-                yield PlanePartition(a, c, b, new)
+    if reference is None:
+        reference = flipped_pair_count(half_full(pp.rows, pp.height_bound, pp.cols))
+    return -1 if (flipped_pair_count(pp) - reference) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -379,15 +358,49 @@ class MoveGraphReport:
 def check_move_graph(a: int, b: int, c: int, budget: WorkBudget | None = None) -> MoveGraphReport:
     """Build the graph of single cube moves on all self-complementary arrays.
 
-    Confirms that the closed-form weight flips sign across every edge and
-    reports how many connected components the graph has (0 or 1 expected).
+    A move takes the top cube off one stack and puts it on the stack at the
+    180-degree-opposite position, which keeps the array self-complementary.
+    With the a*c cells read row by row, cell p is opposite a*c-1-p, and the
+    moves tried take a cube from a cell p that precedes its opposite, so
+    each edge is found once, from its end with the cube at p.  The new
+    array differs from the old at p (lowered) and its opposite q (raised).
+    It is self-complementary, so the conditions at p mirror those at q,
+    and the move is valid iff the raised entry stays at most its left
+    neighbour and at most the entry above it, both read in the new array
+    (either may be p).  That also keeps it at most b: q follows its
+    opposite, so it is not the corner cell and has one of the two.  The
+    new array is then looked up among the listed ones; a miss means the
+    enumerator is incomplete and raises ``KeyError``.
+
+    Each array's weight comes from its own entries, by ``weight`` against
+    the reference count of the box, never from a neighbour's, so the check
+    that every edge joins weights +1 and -1 can fail.  Also reports how
+    many connected components the graph has (0 or 1 expected).
+
+    Before it lists any array it charges its dominant work, to ``budget``
+    or else to a fresh ``WorkBudget()``: the units of ``count_scpp``, then
+    (a*c)//2 moves for each array counted.  ``enumerate_scpp`` then charges
+    its nodes to the same budget.
     """
-    arrays = list(enumerate_scpp(a, b, c, budget))
-    index = {pp.entries: k for k, pp in enumerate(arrays)}
-    n = len(arrays)
-    if n == 0:
+    budget = WorkBudget() if budget is None else budget
+    cells = a * c
+    counted = count_scpp(a, b, c, budget)
+    budget.charge(counted * (cells // 2))
+    if counted == 0:
         return MoveGraphReport(0, 0, 0, True)
-    weights = [weight(pp) for pp in arrays]
+    reference = flipped_pair_count(half_full(a, b, c))
+    weights, flats = [], []
+    for pp in enumerate_scpp(a, b, c, budget):
+        weights.append(weight(pp, reference))
+        flats.append(tuple(chain.from_iterable(pp.entries)))
+    n = len(flats)
+    index = {f: k for k, f in enumerate(flats)}
+    # per move: the cell p that loses its top cube, its opposite q, and the
+    # left neighbour and the cell above q (negative: none)
+    moves = []
+    for p in range(cells // 2):
+        q = cells - 1 - p
+        moves.append((p, q, q - 1 if q % c else -1, q - c))
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -396,19 +409,21 @@ def check_move_graph(a: int, b: int, c: int, budget: WorkBudget | None = None) -
             x = parent[x]
         return x
 
-    edges = set()
+    edges = 0
     flips_ok = True
-    for k, pp in enumerate(arrays):
-        for nb in move_neighbors(pp):
-            m = index[nb.entries]
-            edge = (min(k, m), max(k, m))
-            if edge in edges:
+    for k, f in enumerate(flats):
+        for p, q, left, above in moves:
+            raised = f[q] + 1
+            if left >= 0 and raised > f[left] - (left == p):
                 continue
-            edges.add(edge)
-            if weights[k] * weights[m] != -1:
+            if above >= 0 and raised > f[above] - (above == p):
+                continue
+            m = index[f[:p] + (f[p] - 1,) + f[p + 1 : q] + (raised,) + f[q + 1 :]]
+            edges += 1
+            if weights[k] == weights[m]:
                 flips_ok = False
             ra, rb = find(k), find(m)
             if ra != rb:
                 parent[ra] = rb
     components = len({find(k) for k in range(n)})
-    return MoveGraphReport(n, len(edges), components, flips_ok)
+    return MoveGraphReport(n, edges, components, flips_ok)

@@ -4,7 +4,9 @@ Each one is compared in the tests against the production route in ``scpp``
 that it checks: the tableau walk and the Jacobi-Trudi determinant against
 the branching rule, the limit at q -> -1 against ``specialize_alternating``,
 the q-substitution against ``hook_content_rectangular``, the middle-line
-condition on one array against ``count_scpp_middle_line``, and so on.
+condition on one array against ``count_scpp_middle_line``, the move graph
+built from whole validated neighbour arrays against ``check_move_graph``,
+and so on.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from typing import Iterable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
 from scpp.partitions import Partition, contains, part_at, partition, rectangle, size
-from scpp.plane_partitions import PlanePartition, _pp_grids, is_self_complementary
+from scpp.plane_partitions import (
+    MoveGraphReport,
+    PlanePartition,
+    _is_valid_grid,
+    _pp_grids,
+    enumerate_scpp,
+    is_self_complementary,
+    weight,
+)
 from scpp.polynomials import MPoly, upoly_trim
 from scpp.products import ParityError
 
@@ -278,6 +288,14 @@ def alternating_limit_value(gamma: int, alpha: int, m: int) -> int:
     return -ratio if exponent % 2 else ratio
 
 
+def pp_from_rows(rows, height_bound: int, cols: int | None = None) -> PlanePartition:
+    """The array with the given rows; ``cols`` defaults to the first row's length."""
+    grid = tuple(tuple(int(v) for v in row) for row in rows)
+    if cols is None:
+        cols = len(grid[0]) if grid else 0
+    return PlanePartition(len(grid), cols, height_bound, grid)
+
+
 def enumerate_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> Iterator[PlanePartition]:
     """Every plane partition in the a x b x c box, exactly once."""
     for grid in _pp_grids(a, b, c, budget):
@@ -350,3 +368,58 @@ def middle_line_constraint(pp: PlanePartition, c1: int, c2: int) -> bool:
             "use count_scpp_middle_line"
         )
     raise ParityError("a even with b odd is not a covered case")
+
+
+def move_neighbors(pp: PlanePartition) -> Iterator[PlanePartition]:
+    """Arrays reachable by removing one cube and adding the opposite one.
+
+    Tries the move from every cell, copies the whole grid and validates
+    it; each edge of the move graph is found from both of its ends.
+    """
+    a, c, b = pp.rows, pp.cols, pp.height_bound
+    for i in range(a):
+        for j in range(c):
+            oi, oj = a - 1 - i, c - 1 - j
+            if (i, j) == (oi, oj):
+                continue
+            if pp.entries[i][j] == 0:
+                continue
+            grid = [list(row) for row in pp.entries]
+            grid[i][j] -= 1
+            grid[oi][oj] += 1
+            new = tuple(tuple(row) for row in grid)
+            if _is_valid_grid(new, a, c, b):
+                yield PlanePartition(a, c, b, new)
+
+
+def move_graph_oracle(a: int, b: int, c: int) -> MoveGraphReport:
+    """Oracle for ``check_move_graph``: the neighbours of every array by
+    ``move_neighbors``, the edges deduplicated in a set, and ``weight``
+    of each array with its own reference array."""
+    arrays = list(enumerate_scpp(a, b, c))
+    index = {pp.entries: k for k, pp in enumerate(arrays)}
+    n = len(arrays)
+    if n == 0:
+        return MoveGraphReport(0, 0, 0, True)
+    weights = [weight(pp) for pp in arrays]
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = set()
+    flips_ok = True
+    for k, pp in enumerate(arrays):
+        for nb in move_neighbors(pp):
+            m = index[nb.entries]
+            edges.add((min(k, m), max(k, m)))
+            if weights[k] * weights[m] != -1:
+                flips_ok = False
+            ra, rb = find(k), find(m)
+            if ra != rb:
+                parent[ra] = rb
+    components = len({find(k) for k in range(n)})
+    return MoveGraphReport(n, len(edges), components, flips_ok)

@@ -216,11 +216,11 @@ def test_text_format(capsys):
 # every subcommand rejects a --budget below 1, sweep rejects --workers below
 # 1, --method is a usage error for an identity with a single route, and a
 # --budget stops the counts and the weight check on a box too large to list;
-# a count without --budget stops at the default cap on such a box, and
-# scpp-signed rejects a negative side as scpp-brute does.  The three
-# evaluation-sweep lines for schurid2 at (2, 1, 2, 3), recorded before the
-# sweep evaluated each prefix once, pin its hashes and its budget: 6 glued
-# terms plus one unit for each of the 8^4 = 4,096 points
+# a count or a weight check without --budget stops at the default cap on
+# such a box, and scpp-signed rejects a negative side as scpp-brute does.
+# The three evaluation-sweep lines for schurid2 at (2, 1, 2, 3), recorded
+# before the sweep evaluated each prefix once, pin its hashes and its
+# budget: 6 glued terms plus one unit for each of the 8^4 = 4,096 points
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -272,6 +272,7 @@ GOLDEN = [
     ('count middle-line-brute --a 2 --b 40 --c1 40 --c2 40 --budget 10', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 11 nodes > cap 10"}}\n'),
     ('verify weight --a 3 --b 40 --c 40 --budget 10', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 11 nodes > cap 10"}}\n'),
     ('count box-brute --a 1 --b 20 --c 20', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 100000001 nodes > cap 100000000"}}\n'),
+    ('verify weight --a 2 --b 20 --c 20', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 100000001 nodes > cap 100000000"}}\n'),
     ('count scpp-signed --a -1 --b 1 --c 1', 2, '{"error": {"code": "invalid-parameter", "message": "box sides must be nonnegative"}}\n'),
     ('sweep box --set a=1 --set b=1 --set c=1 --workers 0', 2, '{"error": {"code": "invalid-parameter", "message": "worker count must be positive"}}\n'),
     ('verify box --a 1 --b 1 --c 1 --method evaluation-sweep', 2, '{"error": {"code": "usage", "message": "--method does not apply to identity box"}}\n'),

@@ -6,13 +6,16 @@ from oracles import (
     enumerate_pp,
     enumerate_ssyt,
     middle_line_constraint,
+    move_graph_oracle,
+    move_neighbors,
+    pp_from_rows,
     pp_to_tableau,
     tableau_to_pp,
 )
+from scpp import plane_partitions
 from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import rectangle
 from scpp.plane_partitions import (
-    PlanePartition,
     SignedCount,
     check_move_graph,
     count_pp,
@@ -23,7 +26,6 @@ from scpp.plane_partitions import (
     flipped_pair_count,
     half_full,
     is_self_complementary,
-    move_neighbors,
     weight,
 )
 from scpp.products import (
@@ -36,7 +38,7 @@ from scpp.products import (
 )
 
 # 4x5 array with height bound 3 whose opposite entries sum to 3
-SC_4x5 = PlanePartition.from_rows(
+SC_4x5 = pp_from_rows(
     [
         (3, 3, 2, 2, 2),
         (3, 2, 2, 1, 0),
@@ -48,7 +50,7 @@ SC_4x5 = PlanePartition.from_rows(
 
 # 2x8 array with height bound 4; the middle line for (c1, c2) = (10, 6)
 # pins entry (0, 4) to be at least 2
-SC_2x8 = PlanePartition.from_rows(
+SC_2x8 = pp_from_rows(
     [(4, 3, 3, 3, 3, 3, 2, 1), (3, 2, 1, 1, 1, 1, 1, 0)],
     height_bound=4,
 )
@@ -56,13 +58,13 @@ SC_2x8 = PlanePartition.from_rows(
 
 def test_validation_rejects_bad_grids():
     with pytest.raises(ValueError):
-        PlanePartition.from_rows([(1, 2)], 2)  # row increases
+        pp_from_rows([(1, 2)], 2)  # row increases
     with pytest.raises(ValueError):
-        PlanePartition.from_rows([(1,), (2,)], 2)  # column increases
+        pp_from_rows([(1,), (2,)], 2)  # column increases
     with pytest.raises(ValueError):
-        PlanePartition.from_rows([(3,)], 2)  # above height bound
+        pp_from_rows([(3,)], 2)  # above height bound
     with pytest.raises(ValueError):
-        PlanePartition.from_rows([(1, 0), (1,)], 2)  # ragged
+        pp_from_rows([(1, 0), (1,)], 2)  # ragged
 
 
 @pytest.mark.parametrize(
@@ -88,9 +90,9 @@ def test_count_pp_matches_box_product_up_to_3():
 def test_is_self_complementary():
     assert is_self_complementary(SC_4x5)
     assert is_self_complementary(SC_2x8)
-    zero = PlanePartition.from_rows([(0, 0), (0, 0)], 2)
+    zero = pp_from_rows([(0, 0), (0, 0)], 2)
     assert not is_self_complementary(zero)
-    flat = PlanePartition.from_rows([(1, 1), (1, 1)], 2)
+    flat = pp_from_rows([(1, 1), (1, 1)], 2)
     assert is_self_complementary(flat)
 
 
@@ -139,7 +141,7 @@ def test_flipped_pair_count_matches_cube_oracle():
 
 
 def test_weight_requires_self_complementary():
-    zero = PlanePartition.from_rows([(0, 0), (0, 0)], 2)
+    zero = pp_from_rows([(0, 0), (0, 0)], 2)
     with pytest.raises(ValueError):
         weight(zero)
 
@@ -230,7 +232,7 @@ def test_counts_match_products_on_larger_grids():
 
 def test_middle_line_constraint_even_even():
     assert middle_line_constraint(SC_2x8, 10, 6)  # entry (0,4) = 3 >= 2
-    low = PlanePartition.from_rows(
+    low = pp_from_rows(
         [(4, 4, 4, 4, 1, 1, 1, 0), (4, 3, 3, 3, 0, 0, 0, 0)],
         height_bound=4,
     )
@@ -250,7 +252,7 @@ def test_middle_line_constraint_rejects_bad_input():
         middle_line_constraint(SC_2x8, 6, 10)  # c1 < c2
     with pytest.raises(ValueError):
         middle_line_constraint(SC_2x8, 12, 6)  # wrong column count
-    zero = PlanePartition.from_rows([(0, 0), (0, 0)], 2)
+    zero = pp_from_rows([(0, 0), (0, 0)], 2)
     with pytest.raises(ValueError):
         middle_line_constraint(zero, 2, 2)  # not self-complementary
     odd = next(iter(enumerate_scpp(3, 3, 4)))
@@ -313,7 +315,7 @@ def test_pp_to_tableau_frozen_example():
 
 
 def test_pp_to_tableau_trivial():
-    pp = PlanePartition.from_rows([(0,)], 1)
+    pp = pp_from_rows([(0,)], 1)
     assert pp_to_tableau(pp).rows == ((1,),)
 
 
@@ -357,6 +359,46 @@ def test_move_graph_reports():
     assert empty.sign_flips_consistent
 
 
+# sides up to 5 with a*b*c <= 80, zero sides included: a = 1 and c = 1 hold
+# moves between adjacent cells, odd a and odd c moves within a central row
+MOVE_GRAPH_BOXES = [t for t in product(range(6), repeat=3) if t[0] * t[1] * t[2] <= 80]
+
+
+def test_move_graph_matches_the_oracle():
+    assert len(MOVE_GRAPH_BOXES) == 212
+    for a, b, c in MOVE_GRAPH_BOXES:
+        assert check_move_graph(a, b, c) == move_graph_oracle(a, b, c), (a, b, c)
+
+
+def test_move_graph_flip_check_can_fail(monkeypatch):
+    # one array's weight is corrupted; the kernel weighs every array apart,
+    # so an edge at that array joins equal weights
+    a, b, c = 2, 3, 4
+    target = next(pp.entries for pp in enumerate_scpp(a, b, c) if pp != half_full(a, b, c))
+    honest = flipped_pair_count
+    monkeypatch.setattr(
+        plane_partitions,
+        "flipped_pair_count",
+        lambda pp: honest(pp) + (pp.entries == target),
+    )
+    report = check_move_graph(a, b, c)
+    assert (report.vertices, report.components) == (18, 1)
+    assert not report.sign_flips_consistent
+
+
+def test_move_graph_charges_its_moves_before_listing(monkeypatch):
+    # count_scpp(2, 3, 4) charges C(7, 3) = 35 units and counts 18 arrays,
+    # each with 2*4 // 2 = 4 moves to try
+    def listing(*args):
+        raise AssertionError("listed arrays past the cap")
+
+    monkeypatch.setattr(plane_partitions, "enumerate_scpp", listing)
+    budget = WorkBudget(35 + 18 * 4 - 1)
+    with pytest.raises(BudgetExceededError):
+        check_move_graph(2, 3, 4, budget)
+    assert budget.used == budget.cap + 1
+
+
 def test_budget_raises_cleanly():
     with pytest.raises(BudgetExceededError):
         count_pp(3, 3, 3, WorkBudget(10))
@@ -381,6 +423,7 @@ def test_budget_stops_before_listing_a_large_box():
         lambda budget: list(enumerate_pp(2, 40, 40, budget)),
         lambda budget: list(enumerate_scpp(2, 40, 40, budget)),
         lambda budget: list(enumerate_scpp(3, 40, 40, budget)),
+        lambda budget: check_move_graph(3, 40, 40, budget),
     ):
         budget = WorkBudget(10)
         with pytest.raises(BudgetExceededError, match="11 nodes > cap 10"):
@@ -397,6 +440,7 @@ def test_unbudgeted_count_stops_at_the_default_cap():
         lambda: count_scpp(2, 20, 20),
         lambda: count_scpp_signed(2, 20, 20),
         lambda: count_scpp_middle_line(2, 20, 20, 20),
+        lambda: check_move_graph(2, 20, 20),
     ):
         with pytest.raises(BudgetExceededError, match="100000001 nodes > cap 100000000"):
             run()

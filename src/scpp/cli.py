@@ -20,11 +20,20 @@ last three carry a ``reason``.  A tuple that fails does not stop the
 others.  The closing summary line counts ``checked``, ``matched``,
 ``mismatched``, ``skipped`` and ``failed`` (budget-exceeded or error).  A
 sweep exits 2 if any tuple failed, else 1 if any mismatched, else 0.
+
+``--budget`` caps the work units that enumeration and expansion charge:
+the brute-force ``count`` targets, and ``verify`` and ``sweep`` of every
+identity but ``bridge``.  The closed-form ``count`` targets, ``schur``,
+``pfaffian`` and the ``bridge`` identity accept the flag and reject a
+value below 1, but charge nothing, so no value stops them.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
+import io
 import json
 import sys
 from collections import Counter
@@ -67,36 +76,27 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 # serialization
 
+def _cell(v) -> str:
+    if isinstance(v, dict):
+        return ";".join(f"{a}={b}" for a, b in sorted(v.items()))
+    return str(v)
+
+
 def _render(payload: dict | list[dict], fmt: str) -> str:
     if fmt == "json":
         if isinstance(payload, list):
             return "\n".join(json.dumps(p, sort_keys=True) for p in payload)
         return json.dumps(payload, sort_keys=True)
-    if fmt == "csv":
-        rows = payload if isinstance(payload, list) else [payload]
-        keys = sorted({k for row in rows for k in row})
-        lines = [",".join(keys)]
-        for row in rows:
-            cells = []
-            for k in keys:
-                v = row.get(k, "")
-                if isinstance(v, dict):
-                    v = ";".join(f"{a}={b}" for a, b in sorted(v.items()))
-                cells.append(str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines)
-    # text
     rows = payload if isinstance(payload, list) else [payload]
-    lines = []
-    for row in rows:
-        bits = []
-        for k in sorted(row):
-            v = row[k]
-            if isinstance(v, dict):
-                v = ";".join(f"{a}={b}" for a, b in sorted(v.items()))
-            bits.append(f"{k}={v}")
-        lines.append("  ".join(bits))
-    return "\n".join(lines)
+    if fmt == "csv":
+        keys = sorted({k for row in rows for k in row})
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([_cell(row.get(k, "")) for k in keys] for row in rows)
+        return buf.getvalue().removesuffix("\n")
+    # text
+    return "\n".join("  ".join(f"{k}={_cell(row[k])}" for k in sorted(row)) for row in rows)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -298,11 +298,17 @@ def _handle_sweep(args) -> tuple[list[dict], int]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--budget", type=int, default=None, help="work-unit cap")
+    parser.add_argument(
+        "--budget", type=int, default=None,
+        help="work-unit cap on enumeration and expansion; closed-form counts, "
+        "schur, pfaffian and the bridge identity charge nothing",
+    )
     parser.add_argument("--out", default=None, help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="scpp",
         description="Exact counting and identity verification for box-bounded plane partitions.",
@@ -370,7 +376,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": _handle_sweep,
     }[args.command]
     try:
-        # checked here because schur and pfaffian take --budget but charge nothing
+        # checked here because the closed-form counts, schur, pfaffian and the
+        # bridge identity take --budget but charge nothing
         if args.budget is not None and args.budget <= 0:
             raise ValueError("budget cap must be positive")
         if getattr(args, "workers", 1) < 1:

@@ -1,29 +1,29 @@
 """Exact Pfaffians and the bordered binomial matrices they evaluate.
 
-Both kernels take O(n^3) steps of exact integer arithmetic: the Pfaffian by
-fraction-free skew elimination over index pairs (Parlett-Reid, as in
-Wimmer, ACM TOMS 2012), and the determinant for the Pf(M)^2 = det(M)
-cross-check by Bareiss elimination, a second and separate elimination.
+Both kernels take integer entries and return an ``int``, in O(n^3) steps
+of exact integer arithmetic: the Pfaffian by fraction-free skew
+elimination over index pairs (Parlett-Reid, as in Wimmer, ACM TOMS 2012),
+and the determinant for the Pf(M)^2 = det(M) cross-check by Bareiss
+elimination, a second and separate elimination.  Each rejects a
+non-integer entry before it eliminates, since its exact divisions are
+floor divisions, which would silently round a rational entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Sequence
 
 from scpp.products import ParityError, check_line_lengths, middle_line_product
-
-Scalar = int | Fraction
 
 
 @dataclass(frozen=True)
 class SkewSymmetricMatrix:
     """Even-dimensional exact matrix with entry(i,j) = -entry(j,i)."""
 
-    entries: tuple[tuple[Scalar, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         entries = tuple(tuple(row) for row in self.entries)
@@ -43,25 +43,27 @@ class SkewSymmetricMatrix:
         return len(self.entries)
 
 
-def _cleared(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
-    """The rows times the lcm s of their denominators, as integers, and s."""
-    scale = lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+def _integer_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows as lists, to eliminate in place; every entry must be an int."""
+    m = [list(row) for row in rows]
+    if not all(isinstance(v, int) for row in m for v in row):
+        raise ValueError("matrix entries must be integers")
+    return m
 
 
-def pfaffian(matrix: SkewSymmetricMatrix) -> Scalar:
+def pfaffian(matrix: SkewSymmetricMatrix) -> int:
     """Pfaffian by fraction-free skew elimination; satisfies Pf(M)^2 = det(M).
 
-    Eliminates the index pairs (0, 1), (2, 3), ... of s*M, for s the lcm of
-    the denominators.  Each step moves a nonzero entry of the first row into
-    the second column, swapping two indices (which flips the sign), and
-    replaces the trailing block by (p*m[i][j] - m[i][1]*m[0][j] +
-    m[i][0]*m[1][j]) // q, for p the new pivot m[0][1] and q the one before.
-    The entries are then Pfaffians of principal minors of s*M, so the
-    division is exact (the Pfaffian form of Sylvester's identity), and the
-    last pivot is Pf(s*M) = s^(n/2) * Pf(M) up to the swaps' sign.
+    Eliminates the index pairs (0, 1), (2, 3), ... of M.  Each step moves a
+    nonzero entry of the first row into the second column, swapping two
+    indices (which flips the sign), and replaces the trailing block by
+    (p*m[i][j] - m[i][1]*m[0][j] + m[i][0]*m[1][j]) // q, for p the new
+    pivot m[0][1] and q the one before.  The entries are then Pfaffians of
+    principal minors of M, so the division is exact (the Pfaffian form of
+    Sylvester's identity), and the last pivot is Pf(M) up to the swaps'
+    sign.
     """
-    m, scale = _cleared(matrix.entries)
+    m = _integer_rows(matrix.entries)
     sign, prev = 1, 1
     while m:
         j = next((j for j, v in enumerate(m[0]) if v), None)
@@ -76,34 +78,33 @@ def pfaffian(matrix: SkewSymmetricMatrix) -> Scalar:
         m = [[(p * x - row[1] * y + row[0] * z) // prev for x, y, z in zip(row[2:], first, second)]
              for row in m[2:]]
         prev = p
-    return sign * prev if scale == 1 else Fraction(sign * prev, scale ** (matrix.dim // 2))
+    return sign * prev
 
 
-def exact_determinant(rows: Sequence[Sequence[Scalar]]) -> Fraction:
+def exact_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Determinant by fraction-free (Bareiss) elimination with row swaps.
 
-    Eliminates column by column in s*M, for s the lcm of the denominators,
-    replacing the trailing block by (p*m[i][j] - m[i][0]*m[0][j]) // q, for
-    p the pivot and q the one before; the entries are then minors of s*M,
-    so the division is exact, and det(M) = (last pivot) / s^n up to the
-    swaps' sign.
+    Eliminates column by column, replacing the trailing block by
+    (p*m[i][j] - m[i][0]*m[0][j]) // q, for p the pivot and q the one
+    before; the entries are then minors of M, so the division is exact, and
+    det(M) is the last pivot up to the swaps' sign.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    m, scale = _cleared(rows)
+    m = _integer_rows(rows)
     sign, prev = 1, 1
     while m:
         r = next((r for r, row in enumerate(m) if row[0]), None)
         if r is None:
-            return Fraction(0)
+            return 0
         if r:
             m[0], m[r] = m[r], m[0]
             sign = -sign
         (p, *top), rest = m[0], m[1:]
         m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
         prev = p
-    return Fraction(sign * prev, scale**n)
+    return sign * prev
 
 
 def binomial_safe(n: int, k: int) -> int:

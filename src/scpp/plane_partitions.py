@@ -31,7 +31,7 @@ from math import comb
 from typing import Callable, Iterator
 
 from scpp.budget import WorkBudget
-from scpp.products import ParityError, check_middle_line_params
+from scpp.products import ParityError, check_box_sides, check_middle_line_params
 
 Row = tuple[int, ...]
 Grid = tuple[Row, ...]
@@ -76,13 +76,8 @@ def _is_valid_grid(grid: Grid, a: int, c: int, b: int) -> bool:
 
 def count_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
     """Exhaustive count of plane partitions in the box (no closed form used)."""
-    _check_sides(a, b, c)
+    check_box_sides(a, b, c)
     return sum(_row_chains(a, b, c, budget=budget)[1])
-
-
-def _check_sides(a: int, b: int, c: int) -> None:
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
 
 
 def _rows_above(counts: list[int], raised: list[list[int]]) -> list[int]:
@@ -141,7 +136,7 @@ def _decreasing_rows(bound: Row, mirrored: int = 0, row: Row = ()) -> Iterator[R
 
 
 def _pp_grids(a: int, b: int, c: int, budget: WorkBudget | None = None) -> Iterator[Grid]:
-    _check_sides(a, b, c)
+    check_box_sides(a, b, c)
     acc: list[Row] = []
 
     def rec(r: int) -> Iterator[Grid]:
@@ -267,7 +262,7 @@ def enumerate_scpp(
     entries sum to at least b; the remaining rows are the reversed
     complements of the upper rows.
     """
-    _check_sides(a, b, c)
+    check_box_sides(a, b, c)
     if a == 0:
         yield PlanePartition(0, c, b, ())
         return
@@ -284,7 +279,7 @@ def enumerate_scpp(
 
 def count_scpp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
     """Exhaustive count of self-complementary plane partitions."""
-    _check_sides(a, b, c)
+    check_box_sides(a, b, c)
     return _closed_chains(a, b, c, _closing_row(a, b, c), budget=budget)
 
 
@@ -297,7 +292,7 @@ def count_scpp_signed(
     counting only the left half of a central row (the positions that
     precede their opposite); a plain and a signed run give the tally.
     """
-    _check_sides(a, b, c)
+    check_box_sides(a, b, c)
     if a % 2 and b % 2 and c % 2:
         return SignedCount(0, 0)
     base = flipped_pair_count(half_full(a, b, c)) % 2

@@ -2,9 +2,13 @@
 
 ``MPoly`` is a sparse polynomial in a fixed number of variables with
 big-integer coefficients, stored as a map from exponent tuples to nonzero
-coefficients.  Univariate polynomials (used for the principal
-specialization in a formal variable q) are plain ascending coefficient
-lists with exact integer division helpers.
+coefficients.  It has one constructor, which trusts its caller, and only
+the operations that production code uses: product, power, exact
+evaluation, lifting to more variables, setting the last variable to zero
+and a digest.  Sums are a test oracle (``tests/oracles.py``).  Univariate
+polynomials (used for the principal specialization in a formal variable
+q) are plain ascending coefficient lists with exact integer division
+helpers.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
 Exponents = tuple[int, ...]
 
@@ -20,64 +24,28 @@ Exponents = tuple[int, ...]
 class MPoly:
     """Sparse multivariate polynomial over the integers.
 
-    Instances are treated as immutable: no method mutates ``terms`` after
-    construction, so values can be cached and shared freely.
+    ``MPoly(nvars, terms)`` stores the term map as given, without copying or
+    checking it: every exponent tuple has length ``nvars`` and no
+    coefficient is zero.  Instances are treated as immutable: no method
+    mutates ``terms`` after construction, so values can be cached and
+    shared freely.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
-        if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
-        clean: dict[Exponents, int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                e = tuple(int(x) for x in exps)
-                if len(e) != nvars:
-                    raise ValueError(f"exponent vector {e} has wrong length, expected {nvars}")
-                if any(x < 0 for x in e):
-                    raise ValueError(f"negative exponent in {e}")
-                clean[e] = int(coeff)
+    def __init__(self, nvars: int, terms: dict[Exponents, int]):
         self.nvars = nvars
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict[Exponents, int]) -> "MPoly":
-        # internal constructor for terms already known to be clean
-        obj = object.__new__(cls)
-        obj.nvars = nvars
-        obj.terms = terms
-        return obj
+        self.terms = terms
 
     @classmethod
     def zero(cls, nvars: int) -> "MPoly":
-        return cls._raw(nvars, {})
+        return cls(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, value: int) -> "MPoly":
         if value == 0:
             return cls.zero(nvars)
-        return cls._raw(nvars, {(0,) * nvars: int(value)})
-
-    @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], coeff: int = 1) -> "MPoly":
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "MPoly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls._raw(nvars, {tuple(exps): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return cls(nvars, {(0,) * nvars: int(value)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):
@@ -86,27 +54,9 @@ class MPoly:
 
     __hash__ = None  # mutable dict inside; equality is by value
 
-    def _check_same_vars(self, other: "MPoly") -> None:
+    def __mul__(self, other: "MPoly") -> "MPoly":
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        self._check_same_vars(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        return MPoly._raw(self.nvars, acc)
-
-    def __mul__(self, other: "MPoly | int") -> "MPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return MPoly.zero(self.nvars)
-            return MPoly._raw(self.nvars, {e: c * other for e, c in self.terms.items()})
-        self._check_same_vars(other)
         acc: dict[Exponents, int] = {}
         get = acc.get
         right = other.terms.items()
@@ -115,8 +65,9 @@ class MPoly:
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
         # zero sums are dropped once, at the end
-        return MPoly._raw(self.nvars, {e: c for e, c in acc.items() if c})
+        return MPoly(self.nvars, {e: c for e, c in acc.items() if c})
 
+    # no caller needs it, but bench/tracing.py wraps the name
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
@@ -147,13 +98,13 @@ class MPoly:
         if nvars < self.nvars:
             raise ValueError("cannot lift to fewer variables")
         pad = (0,) * (nvars - self.nvars)
-        return MPoly._raw(nvars, {e + pad: c for e, c in self.terms.items()})
+        return MPoly(nvars, {e + pad: c for e, c in self.terms.items()})
 
     def restrict_last_zero(self) -> "MPoly":
         """Set the last variable to zero and drop its slot."""
         if self.nvars == 0:
             raise ValueError("no variable to restrict")
-        return MPoly._raw(
+        return MPoly(
             self.nvars - 1,
             {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0},
         )

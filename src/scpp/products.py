@@ -24,13 +24,18 @@ def rising_factorial(a: int, n: int) -> int:
     return out
 
 
+def check_box_sides(a: int, b: int, c: int) -> None:
+    """The check shared by every count over an a x b x c box."""
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("box sides must be nonnegative")
+
+
 def box_count(a: int, b: int, c: int) -> int:
     """Number of plane partitions inside an a x b x c box.
 
     Symmetric in the three sides.
     """
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
+    check_box_sides(a, b, c)
     value = Fraction(1)
     for i in range(1, a + 1):
         value *= Fraction(rising_factorial(c + i, b), rising_factorial(i, b))
@@ -46,8 +51,7 @@ def sc_count(a: int, b: int, c: int) -> int:
     relabeled onto one of the three product cases; an all-odd box holds an
     odd number of cubes and admits none.
     """
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
+    check_box_sides(a, b, c)
     odds = [x for x in (a, b, c) if x % 2]
     evens = [x for x in (a, b, c) if x % 2 == 0]
     if len(odds) == 0:
@@ -108,8 +112,7 @@ def middle_line_product(a: int, b: int, c1: int, c2: int) -> int:
 def signed_enumeration_product(a: int, b: int, c: int) -> int:
     """Magnitude of the signed count of self-complementary plane partitions
     in an a x b x c box, for the two parity cases with an odd side."""
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
+    check_box_sides(a, b, c)
     if a % 2 == 0 and b % 2 == 1 and c % 2 == 1:
         return sc_count(a // 2, (b + 1) // 2, (c - 1) // 2) * sc_count(
             a // 2, (b - 1) // 2, (c + 1) // 2

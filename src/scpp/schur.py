@@ -54,7 +54,7 @@ def _schur_sum(lam: Partition, n: int) -> MPoly:
         for e, c in _schur_sum(mu, n - 1).terms.items():
             e += strip
             acc[e] = get(e, 0) + c
-    return MPoly._raw(n, acc)
+    return MPoly(n, acc)
 
 
 def hook_content_rectangular(gamma: int, alpha: int, n: int) -> list[int]:

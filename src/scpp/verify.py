@@ -139,7 +139,7 @@ def _glue_sum(terms: list[tuple[MPoly, int]], n: int) -> MPoly:
                 acc[e] = s
             else:
                 del acc[e]
-    return MPoly._raw(n + 1, acc)
+    return MPoly(n + 1, acc)
 
 
 def _by_last_exponent(poly: MPoly) -> list[tuple[int, MPoly]]:
@@ -148,7 +148,7 @@ def _by_last_exponent(poly: MPoly) -> list[tuple[int, MPoly]]:
     parts: dict[int, dict[tuple[int, ...], int]] = {}
     for exps, coeff in poly.terms.items():
         parts.setdefault(exps[-1], {})[exps[:-1]] = coeff
-    return [(k, MPoly._raw(poly.nvars - 1, part)) for k, part in parts.items()]
+    return [(k, MPoly(poly.nvars - 1, part)) for k, part in parts.items()]
 
 
 def _lhs_factors(which: int, gamma1: int, gamma2: int, alpha: int, n: int) -> tuple[MPoly, MPoly]:

@@ -157,6 +157,20 @@ def complete_homogeneous(k: int, n: int) -> MPoly:
     return MPoly(n, acc)
 
 
+def poly_add(p: MPoly, q: MPoly) -> MPoly:
+    """The sum of two polynomials in the same variables."""
+    if p.nvars != q.nvars:
+        raise ValueError(f"variable count mismatch: {p.nvars} vs {q.nvars}")
+    acc = dict(p.terms)
+    for e, c in q.terms.items():
+        s = acc.get(e, 0) + c
+        if s:
+            acc[e] = s
+        else:
+            acc.pop(e, None)
+    return MPoly(p.nvars, acc)
+
+
 def _poly_det(matrix: list[list[MPoly]], n: int) -> MPoly:
     dim = len(matrix)
     if dim == 0:
@@ -164,13 +178,14 @@ def _poly_det(matrix: list[list[MPoly]], n: int) -> MPoly:
     if dim == 1:
         return matrix[0][0]
     total = MPoly.zero(n)
+    minus_one = MPoly.const(n, -1)
     for j in range(dim):
         entry = matrix[0][j]
-        if entry.is_zero():
+        if not entry.terms:
             continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         term = entry * _poly_det(minor, n)
-        total = total + (term if j % 2 == 0 else term * -1)
+        total = poly_add(total, term if j % 2 == 0 else term * minus_one)
     return total
 
 

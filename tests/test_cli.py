@@ -1,5 +1,7 @@
 import argparse
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -201,6 +203,29 @@ def test_csv_format(capsys):
     assert row.startswith("box,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "schur hook-content --gamma 2 --alpha 1 --n 3",
+        "schur evaluate --shape 2,1 --n 2",
+        "sweep box --set a=1 --set b=1..2 --set c=1",
+    ],
+)
+def test_csv_rows_have_as_many_cells_as_the_header(capsys, argv):
+    code, out = run_cli(capsys, *argv.split(), "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows
+    assert all(len(row) == len(header) for row in rows), (header, rows)
+
+
+def test_main_builds_the_parser_once(capsys):
+    build_parser.cache_clear()
+    run_cli(capsys, "count", "box", "--a", "1", "--b", "1", "--c", "1")
+    run_cli(capsys, "count", "box", "--a", "2", "--b", "2", "--c", "2")
+    assert build_parser.cache_info().misses == 1
+
+
 def test_text_format(capsys):
     code, out = run_cli(
         capsys, "verify", "box", "--a", "2", "--b", "2", "--c", "2", "--format", "text"
@@ -220,7 +245,9 @@ def test_text_format(capsys):
 # such a box, and scpp-signed rejects a negative side as scpp-brute does.
 # The three evaluation-sweep lines for schurid2 at (2, 1, 2, 3), recorded
 # before the sweep evaluated each prefix once, pin its hashes and its
-# budget: 6 glued terms plus one unit for each of the 8^4 = 4,096 points
+# budget: 6 glued terms plus one unit for each of the 8^4 = 4,096 points.
+# The csv hook-content line was recorded when csv cells began to be quoted
+# as needed, so a list-valued field stays one cell.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -251,6 +278,7 @@ GOLDEN = [
     ('schur evaluate --shape 2,1 --n 2', 0, '{"nvars": 2, "terms": [[[1, 2], "1"], [[2, 1], "1"]]}\n'),
     ('schur evaluate --shape 2,2 --n 3 --at 1,1/2,-1', 0, '{"value": "5/4"}\n'),
     ('schur hook-content --gamma 2 --alpha 1 --n 3', 0, '{"coefficients": ["0", "0", "1", "1", "2", "1", "1"]}\n'),
+    ('schur hook-content --gamma 2 --alpha 1 --n 3 --format csv', 0, 'coefficients\n"[\'0\', \'0\', \'1\', \'1\', \'2\', \'1\', \'1\']"\n'),
     ('schur alternating --gamma 2 --alpha 2 --m 5', 0, '{"value": "6"}\n'),
     ('pfaffian --case a-odd --a 3 --b 2 --c1 4 --c2 2', 0, '{"match": true, "pfaffian": "9", "product": "9"}\n'),
     ('verify box --a 2 --b 2', 2, '{"error": {"code": "usage", "message": "--c is required for identity box"}}\n'),

@@ -4,7 +4,9 @@ Every top-level function, class and constant of a ``src/scpp`` module is
 read somewhere in ``src/`` or ``scripts/`` outside its own definition; code
 that only the tests call belongs in ``tests/oracles.py``.  A name counts
 as read from another file only where that file imports it and then reads
-it.
+it.  The same holds one level down: every method, property and
+classmethod of a class in ``src/scpp``, dunders aside, is read as an
+attribute (``x.name``) in ``src/`` or ``scripts/`` outside its own body.
 """
 
 import ast
@@ -24,6 +26,14 @@ TREES.update(
 # (module, name) pairs that nothing in the repo needs to read
 ENTRY_POINTS = {("cli", "main"), ("__init__", "__version__")}
 
+# (module, "Class.member") pairs that only the benchmark reads
+BENCH_READS = {
+    # bench/tracing.py reads it through getattr for pp.objects
+    ("plane_partitions", "SignedCount.total"),
+    # bench/tracing.py reads it for pf.dim_max; the integer kernels need no dimension
+    ("pfaffian", "SkewSymmetricMatrix.dim"),
+}
+
 
 def _definitions(tree):
     for node in tree.body:
@@ -38,7 +48,8 @@ def _definitions(tree):
 
 
 def _reads(tree, skip=None) -> Counter:
-    """How often each bare name is read in ``tree``, outside the node ``skip``."""
+    """How often each bare name, and each attribute as ``.attr``, is read in
+    ``tree``, outside the node ``skip``."""
     reads = Counter()
     stack = [tree]
     while stack:
@@ -47,6 +58,8 @@ def _reads(tree, skip=None) -> Counter:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads["." + node.attr] += 1
         stack.extend(ast.iter_child_nodes(node))
     return reads
 
@@ -72,6 +85,30 @@ def test_every_top_level_name_is_used_outside_the_tests():
                 continue
             if not _reads(TREES[path], skip=node)[name]:
                 unused.append(f"{module}.{name}")
+    assert unused == []
+
+
+def _members(tree):
+    """("Class.member", node) for each non-dunder method of a top-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    everywhere = sum((_reads(tree) for tree in TREES.values()), Counter())
+    unused = []
+    for path in SRC:
+        for member, node in _members(TREES[path]):
+            key = "." + node.name
+            if (path.stem, member) in BENCH_READS:
+                continue
+            if everywhere[key] == _reads(node)[key]:
+                unused.append(f"{path.stem}.{member}")
     assert unused == []
 
 

@@ -63,11 +63,11 @@ def test_pfaffian_three_term_expansion():
     assert pfaffian(m) == a12 * a34 - a13 * a24 + a14 * a23 == 28
 
 
-def _random_skew(rng, dim, denominators=True):
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
+def _random_skew(rng, dim):
+    rows = [[0] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            v = Fraction(rng.randint(-9, 9), rng.randint(1, 4) if denominators else 1)
+            v = rng.randint(-9, 9)
             rows[i][j] = v
             rows[j][i] = -v
     return _skew(rows)
@@ -143,7 +143,7 @@ def test_determinant_matches_permutation_expansion():
     for dim in range(7):
         for _ in range(5):
             rows = [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)]
+                [rng.randint(-9, 9) for _ in range(dim)]
                 for _ in range(dim)
             ]
             cases = [rows]
@@ -194,10 +194,10 @@ def test_pfaffian_retains_nothing_on_return():
 
 def test_determinant_of_odd_skew_matrix_vanishes():
     rng = random.Random(5)
-    rows = [[Fraction(0)] * 3 for _ in range(3)]
-    rows[0][1], rows[1][0] = Fraction(2), Fraction(-2)
-    rows[0][2], rows[2][0] = Fraction(1), Fraction(-1)
-    rows[1][2], rows[2][1] = Fraction(4), Fraction(-4)
+    rows = [[0] * 3 for _ in range(3)]
+    rows[0][1], rows[1][0] = 2, -2
+    rows[0][2], rows[2][0] = 1, -1
+    rows[1][2], rows[2][1] = 4, -4
     assert exact_determinant(rows) == 0
 
 
@@ -208,7 +208,7 @@ def test_pfaffian_block_diagonal_multiplies():
         m1 = _random_skew(rng, d1)
         m2 = _random_skew(rng, d2)
         dim = d1 + d2
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        rows = [[0] * dim for _ in range(dim)]
         for i in range(d1):
             for j in range(d1):
                 rows[i][j] = m1.entries[i][j]
@@ -224,13 +224,25 @@ def test_pfaffian_row_column_scaling():
         for _ in range(4):
             m = _random_skew(rng, dim)
             i = rng.randrange(dim)
-            s = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            s = rng.randint(-5, 5)
             rows = [list(r) for r in m.entries]
             for j in range(dim):
                 rows[i][j] *= s
                 if j != i:
                     rows[j][i] *= s
             assert pfaffian(_skew(rows)) == s * pfaffian(m)
+
+
+def test_kernels_reject_non_integer_entries():
+    # floor division would round these silently: the determinant of
+    # [[1/2, 1], [1, 1]] is -1/2, but unchecked Bareiss returns -1
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="integers"):
+        exact_determinant([[half, 1], [1, 1]])
+    with pytest.raises(ValueError, match="integers"):
+        exact_determinant([[Fraction(2)]])
+    with pytest.raises(ValueError, match="integers"):
+        pfaffian(_skew([[0, half], [-half, 0]]))
 
 
 def test_corollary_matrix_diagonal_zero_and_antisymmetry():

@@ -12,17 +12,12 @@ class BudgetExceededError(RuntimeError):
 class WorkBudget:
     """Mutable counter of work units with a hard cap.
 
-    The exhaustive counts charge one unit per row state per transfer step,
-    the work that dominates them: a*C(b+c, c) for ``count_pp`` and
-    ((a+1)//2)*C(b+c, c) per run for the self-complementary counts (the
-    signed count makes two runs), charged before the rows are listed, to a
-    fresh budget if none is given.  The move graph charges the same way
-    before it lists any array: the units of the self-complementary count,
-    then (a*c)//2 moves for each array that count finds.  The object
-    enumerators charge one unit per node of their row tree as they walk it,
-    if given a budget; the move graph passes them its own.  Pass one
-    instance through a single verification run; do not share across
-    concurrent workers.
+    Every route that charges work charges one budget: the one it is given,
+    or a fresh ``WorkBudget()`` made where the route is entered.  Work whose
+    size is known before it starts is charged once, before it starts; work
+    found only by walking is charged as it is walked.  Each route's
+    docstring says what it charges.  Pass one instance through a single
+    verification run; do not share across concurrent workers.
     """
 
     __slots__ = ("cap", "used")

@@ -9,7 +9,8 @@ on a verification mismatch, 2 on errors.  An error prints one JSON line
 with a single route), ``bad-parity``, ``budget-exceeded`` or
 ``invalid-parameter`` (a parameter out of range, including a ``--budget``
 below 1, which every subcommand rejects before doing any work, and a
-``sweep --workers`` below 1).
+``sweep --workers`` below 1; also a ``--config`` or ``--out`` file that
+cannot be read or written).
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
@@ -23,9 +24,11 @@ sweep exits 2 if any tuple failed, else 1 if any mismatched, else 0.
 
 ``--budget`` caps the work units that enumeration and expansion charge:
 the brute-force ``count`` targets, and ``verify`` and ``sweep`` of every
-identity but ``bridge``.  The closed-form ``count`` targets, ``schur``,
-``pfaffian`` and the ``bridge`` identity accept the flag and reject a
-value below 1, but charge nothing, so no value stops them.
+identity but ``bridge`` (a sweep caps each tuple on its own).  Leaving it
+out means the default cap, ``DEFAULT_NODE_CAP`` units.  The closed-form
+``count`` targets, ``schur``, ``pfaffian`` and the ``bridge`` identity
+accept the flag and reject a value below 1, but charge nothing, so no
+value stops them.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Sequence
 
-from scpp.budget import BudgetExceededError, WorkBudget
+from scpp.budget import DEFAULT_NODE_CAP, BudgetExceededError, WorkBudget
 from scpp.partitions import partition
 from scpp.pfaffian import CASES, pfaffian_check
 from scpp.plane_partitions import (
@@ -79,6 +82,8 @@ class UsageError(ValueError):
 def _cell(v) -> str:
     if isinstance(v, dict):
         return ";".join(f"{a}={b}" for a, b in sorted(v.items()))
+    if isinstance(v, list):
+        return json.dumps(v)  # as the json format prints it
     return str(v)
 
 
@@ -138,14 +143,10 @@ def _values(args, names: Sequence[str], what: str) -> list[int]:
     return [getattr(args, name) for name in names]
 
 
-def _budget(args) -> WorkBudget | None:
-    return WorkBudget(args.budget) if args.budget is not None else None
-
-
-def _handle_count(args) -> tuple[dict, int]:
+def _handle_count(args, budget: WorkBudget) -> tuple[dict, int]:
     count, names, enumerates = COUNT_TARGETS[args.target]
     values = _values(args, names, "this target")
-    value = count(*values, _budget(args)) if enumerates else count(*values)
+    value = count(*values, budget) if enumerates else count(*values)
     if isinstance(value, SignedCount):
         return {
             "negative": str(value.negative),
@@ -155,7 +156,7 @@ def _handle_count(args) -> tuple[dict, int]:
     return {"value": str(value)}, 0
 
 
-def _handle_schur(args) -> tuple[dict, int]:
+def _handle_schur(args, budget: WorkBudget) -> tuple[dict, int]:
     action = args.action
     if action == "evaluate":
         shape = partition(int(x) for x in args.shape.split(",") if x != "")
@@ -176,7 +177,7 @@ def _handle_schur(args) -> tuple[dict, int]:
     return {"value": str(specialize_alternating(args.gamma, args.alpha, args.m))}, 0
 
 
-def _handle_pfaffian(args) -> tuple[dict, int]:
+def _handle_pfaffian(args, budget: WorkBudget) -> tuple[dict, int]:
     check = pfaffian_check(args.case, args.a, args.b, args.c1, args.c2)
     payload = {
         "match": check.match,
@@ -195,10 +196,10 @@ def _identity(args) -> Identity:
     return row
 
 
-def _handle_verify(args) -> tuple[dict, int]:
+def _handle_verify(args, budget: WorkBudget) -> tuple[dict, int]:
     row = _identity(args)
     values = _values(args, row.params, f"identity {args.identity}")
-    report = row.run(values, _budget(args), args.method)
+    report = row.run(values, budget, args.method)
     return asdict(report), 0 if report.match else 1
 
 
@@ -241,10 +242,9 @@ def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[
 
 def _sweep_tuple(task) -> dict:
     """Check one tuple of a sweep; a tuple that fails is recorded, not raised."""
-    identity, params, budget_cap, method = task
-    budget = WorkBudget(budget_cap) if budget_cap is not None else None
+    identity, params, cap, method = task
     try:
-        report = IDENTITIES[identity].run(tuple(params.values()), budget, method)
+        report = IDENTITIES[identity].run(tuple(params.values()), WorkBudget(cap), method)
     except BudgetExceededError as exc:
         status, reason = "budget-exceeded", str(exc)
     except ArithmeticError as exc:
@@ -256,7 +256,7 @@ def _sweep_tuple(task) -> dict:
     return {"identity": identity, "parameters": params, "status": status, "reason": reason}
 
 
-def _handle_sweep(args) -> tuple[list[dict], int]:
+def _handle_sweep(args, budget: WorkBudget) -> tuple[list[dict], int]:
     names = _identity(args).params
     grid = _parse_grid(args.set or [], args.config)
     missing = [n for n in names if n not in grid]
@@ -268,7 +268,7 @@ def _handle_sweep(args) -> tuple[list[dict], int]:
 
     tuples = sorted(_cartesian(*(grid[n] for n in names)))
     tasks = [
-        (args.identity, dict(zip(names, values)), args.budget, args.method)
+        (args.identity, dict(zip(names, values)), budget.cap, args.method)
         for values in tuples
     ]
     if args.workers > 1:
@@ -299,9 +299,9 @@ def _handle_sweep(args) -> tuple[list[dict], int]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument(
-        "--budget", type=int, default=None,
-        help="work-unit cap on enumeration and expansion; closed-form counts, "
-        "schur, pfaffian and the bridge identity charge nothing",
+        "--budget", type=int, default=DEFAULT_NODE_CAP,
+        help="work-unit cap on enumeration and expansion (default %(default)s); "
+        "closed-form counts, schur, pfaffian and the bridge identity charge nothing",
     )
     parser.add_argument("--out", default=None, help="write output to a file")
 
@@ -365,6 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the error code of each exception main reports, tried in this order:
+# ParityError and UsageError subclass ValueError
+_ERROR_CODES = {
+    BudgetExceededError: "budget-exceeded", ParityError: "bad-parity", UsageError: "usage",
+    **dict.fromkeys((ValueError, ArithmeticError, OSError), "invalid-parameter"),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -376,26 +384,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": _handle_sweep,
     }[args.command]
     try:
-        # checked here because the closed-form counts, schur, pfaffian and the
-        # bridge identity take --budget but charge nothing
-        if args.budget is not None and args.budget <= 0:
-            raise ValueError("budget cap must be positive")
+        budget = WorkBudget(args.budget)
         if getattr(args, "workers", 1) < 1:
             raise ValueError("worker count must be positive")
-        payload, code = handler(args)
-    except BudgetExceededError as exc:
-        _emit(_render({"error": {"code": "budget-exceeded", "message": str(exc)}}, "json"), None)
+        payload, code = handler(args, budget)
+        _emit(_render(payload, args.format), args.out)
+    except tuple(_ERROR_CODES) as exc:
+        error = next(name for kind, name in _ERROR_CODES.items() if isinstance(exc, kind))
+        _emit(_render({"error": {"code": error, "message": str(exc)}}, "json"), None)
         return 2
-    except ParityError as exc:
-        _emit(_render({"error": {"code": "bad-parity", "message": str(exc)}}, "json"), None)
-        return 2
-    except UsageError as exc:
-        _emit(_render({"error": {"code": "usage", "message": str(exc)}}, "json"), None)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
-        _emit(_render({"error": {"code": "invalid-parameter", "message": str(exc)}}, "json"), None)
-        return 2
-    _emit(_render(payload, args.format), args.out)
     return code
 
 

@@ -13,7 +13,9 @@ mirrored entries summing to at least b (a even) or to exactly b (the
 central row, a odd) for the self-complementary arrays, plus a pinned
 segment for the middle lines.  The counts sum over these chains with the
 transfer-matrix method (Stanley, EC1 4.7), whose states are the rows; they
-are exhaustive and use no closed form.  ``enumerate_scpp`` builds the
+are exhaustive and use no closed form.  Each count charges its row states
+once per transfer step, up front (see ``_row_chains``); the signed count
+makes two runs on one budget.  ``enumerate_scpp`` builds the
 self-complementary arrays themselves, for the move graph, which joins two
 arrays when one cube moves to its 180-degree-opposite position;
 ``check_move_graph`` finds each edge once, by checks at the two cells it
@@ -77,7 +79,7 @@ def _is_valid_grid(grid: Grid, a: int, c: int, b: int) -> bool:
 def count_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
     """Exhaustive count of plane partitions in the box (no closed form used)."""
     check_box_sides(a, b, c)
-    return sum(_row_chains(a, b, c, budget=budget)[1])
+    return sum(_row_chains(a, b, c, budget or WorkBudget())[1])
 
 
 def _rows_above(counts: list[int], raised: list[list[int]]) -> list[int]:
@@ -97,18 +99,18 @@ def _rows_above(counts: list[int], raised: list[list[int]]) -> list[int]:
 
 
 def _row_chains(
-    k: int, b: int, c: int, signed: bool = False, budget: WorkBudget | None = None
+    k: int, b: int, c: int, budget: WorkBudget, signed: bool = False
 ) -> tuple[list[Row], list[int]]:
     """Chains of k weakly decreasing rows in [0, b]^c, each entrywise at most
     the one before, counted by their last row: the rows and their counts.
     ``signed`` weights each row by (-1)^(b*c - its sum), the parity of the
-    cubes it leaves out of the box.  Charges its k*C(b+c, c) units before
-    it lists the rows, to ``budget`` or else to a fresh ``WorkBudget()``,
-    so a cap stops it before they fill memory.
+    cubes it leaves out of the box.  Charges its k*C(b+c, c) units to
+    ``budget`` before it lists the rows, so a cap stops it before they fill
+    memory.
     """
     if k == 0:
         return [(b,) * c], [1]  # the full row (b, ..., b) stands for the lid of the box
-    (WorkBudget() if budget is None else budget).charge(k * comb(b + c, c))
+    budget.charge(k * comb(b + c, c))
     rows = list(combinations_with_replacement(range(b, -1, -1), c))  # decreasing lex order
     index = {row: i for i, row in enumerate(rows)}
     # per column j, the index of each row with entry j raised by one (-1: none)
@@ -135,13 +137,13 @@ def _decreasing_rows(bound: Row, mirrored: int = 0, row: Row = ()) -> Iterator[R
         yield from _decreasing_rows(bound, mirrored, row + (v,))
 
 
-def _pp_grids(a: int, b: int, c: int, budget: WorkBudget | None = None) -> Iterator[Grid]:
+def _pp_grids(a: int, b: int, c: int, budget: WorkBudget) -> Iterator[Grid]:
+    """The arrays of the box; charges one unit per node of the row tree."""
     check_box_sides(a, b, c)
     acc: list[Row] = []
 
     def rec(r: int) -> Iterator[Grid]:
-        if budget is not None:
-            budget.charge()
+        budget.charge()
         if r == a:
             yield tuple(acc)
             return
@@ -244,11 +246,11 @@ def _closing_row(a: int, b: int, c: int) -> RowWeight:
 
 
 def _closed_chains(
-    a: int, b: int, c: int, closes: RowWeight, signed: bool = False, budget: WorkBudget | None = None
+    a: int, b: int, c: int, closes: RowWeight, budget: WorkBudget, signed: bool = False
 ) -> int:
     """Chains of the upper (a+1)//2 rows, each counted with the weight
     ``closes`` gives its last row (a bool counts as 0 or 1)."""
-    rows, counts = _row_chains((a + 1) // 2, b, c, signed, budget)
+    rows, counts = _row_chains((a + 1) // 2, b, c, budget, signed)
     return sum(n * closes(row) for n, row in zip(counts, rows) if n)
 
 
@@ -260,8 +262,9 @@ def enumerate_scpp(
     Walks the free upper rows, then the closing row below each (the last
     upper row for a even, the central row for a odd), whose mirrored
     entries sum to at least b; the remaining rows are the reversed
-    complements of the upper rows.
+    complements of the upper rows.  Charges one unit per node it walks.
     """
+    budget = budget or WorkBudget()
     check_box_sides(a, b, c)
     if a == 0:
         yield PlanePartition(0, c, b, ())
@@ -269,8 +272,7 @@ def enumerate_scpp(
     closes = _closing_row(a, b, c)
     for free in _pp_grids((a - 1) // 2, b, c, budget):
         for row in _decreasing_rows(free[-1] if free else (b,) * c, b):
-            if budget is not None:
-                budget.charge()
+            budget.charge()
             if closes(row):
                 upper = free + (row,) if a % 2 == 0 else free
                 lower = tuple(tuple(b - v for v in reversed(r)) for r in reversed(upper))
@@ -280,7 +282,7 @@ def enumerate_scpp(
 def count_scpp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
     """Exhaustive count of self-complementary plane partitions."""
     check_box_sides(a, b, c)
-    return _closed_chains(a, b, c, _closing_row(a, b, c), budget=budget)
+    return _closed_chains(a, b, c, _closing_row(a, b, c), budget or WorkBudget())
 
 
 def count_scpp_signed(
@@ -292,16 +294,17 @@ def count_scpp_signed(
     counting only the left half of a central row (the positions that
     precede their opposite); a plain and a signed run give the tally.
     """
+    budget = budget or WorkBudget()
     check_box_sides(a, b, c)
     if a % 2 and b % 2 and c % 2:
         return SignedCount(0, 0)
     base = flipped_pair_count(half_full(a, b, c)) % 2
     closes = _closing_row(a, b, c)
-    total = _closed_chains(a, b, c, closes, budget=budget)
+    total = _closed_chains(a, b, c, closes, budget)
     # the signed run weighs a whole central row; take its right half back out
     right = c // 2 if a % 2 else c
     weighted = lambda w: closes(w) * (-1) ** sum(b - v for v in w[right:])
-    signed = (-1) ** base * _closed_chains(a, b, c, weighted, True, budget)
+    signed = (-1) ** base * _closed_chains(a, b, c, weighted, budget, True)
     positive = (total + signed) // 2
     return SignedCount(positive, total - positive)
 
@@ -334,7 +337,7 @@ def count_scpp_middle_line(
         carries = lambda w: all(
             w[j] == b // 2 if j in segment else w[j] + w[c - 1 - j] == b for j in range(c)
         )
-    return _closed_chains(a, b, c, carries, budget=budget)
+    return _closed_chains(a, b, c, carries, budget or WorkBudget())
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +375,11 @@ def check_move_graph(a: int, b: int, c: int, budget: WorkBudget | None = None) -
     that every edge joins weights +1 and -1 can fail.  Also reports how
     many connected components the graph has (0 or 1 expected).
 
-    Before it lists any array it charges its dominant work, to ``budget``
-    or else to a fresh ``WorkBudget()``: the units of ``count_scpp``, then
-    (a*c)//2 moves for each array counted.  ``enumerate_scpp`` then charges
-    its nodes to the same budget.
+    Before it lists any array it charges its dominant work: the units of
+    ``count_scpp``, then (a*c)//2 moves for each array counted.
+    ``enumerate_scpp`` then charges its nodes to the same budget.
     """
-    budget = WorkBudget() if budget is None else budget
+    budget = budget or WorkBudget()
     cells = a * c
     counted = count_scpp(a, b, c, budget)
     budget.charge(counted * (cells // 2))

@@ -84,7 +84,7 @@ def _report(identity, parameters, lhs, rhs, match, method) -> VerificationReport
 # the two rectangular Schur product identities
 
 def _glued_terms(
-    which: int, gamma1: int, gamma2: int, alpha: int, budget: WorkBudget | None
+    which: int, gamma1: int, gamma2: int, alpha: int, budget: WorkBudget
 ) -> list[tuple[Partition, int]]:
     """(shape, strip size) pairs for the gluing sum of identity 1 or 2.
 
@@ -92,7 +92,9 @@ def _glued_terms(
     Identity 1 takes lam = mu; identity 2 puts a full first row of length
     gamma2 on top of mu.  In both, pi runs over horizontal strips inside lam
     and the glued shape puts the complement of mu in the alpha x
-    (gamma1+gamma2) rectangle, rotated 180 degrees, on top of pi.
+    (gamma1+gamma2) rectangle, rotated 180 degrees, on top of pi.  The
+    listing is cheap; it charges one unit per term, once, for the Schur
+    polynomials built from them.
     """
     if gamma1 < gamma2:
         raise ValueError("gamma1 must be at least gamma2")
@@ -104,35 +106,35 @@ def _glued_terms(
         lam = mu if which == 1 else rectangle(1, gamma2) + mu
         lam_size = size(lam)
         for pi in horizontal_strips_within(lam):
-            if budget is not None:
-                budget.charge()
             out.append((top + pi, lam_size - size(pi)))
+    budget.charge(len(out))
     return out
 
 
 def _rhs_terms(
-    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None
-) -> list[tuple[MPoly, int]]:
-    """(Schur polynomial in n variables, strip size) for each glued shape;
-    shapes with more than n rows are left out, as their polynomial vanishes."""
-    terms = _glued_terms(which, gamma1, gamma2, alpha, budget)
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
+) -> list[tuple[Partition, int]]:
+    """The glued (shape, strip size) pairs, after checking n; shapes with
+    more than n rows are left out, as their polynomial in n variables vanishes."""
     if n < 0:
         raise ValueError("variable count must be nonnegative")
-    return [(schur_tableau_sum(shape, n), strip) for shape, strip in terms if len(shape) <= n]
+    terms = _glued_terms(which, gamma1, gamma2, alpha, budget)
+    return [(shape, strip) for shape, strip in terms if len(shape) <= n]
 
 
 def schurid_rhs(
     which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None = None
 ) -> MPoly:
-    """Right-hand side of identity 1 or 2 as a polynomial in n+1 variables."""
-    return _glue_sum(_rhs_terms(which, gamma1, gamma2, alpha, n, budget), n)
+    """Right-hand side of identity 1 or 2 as a polynomial in n+1 variables;
+    charges its glued terms."""
+    return _glue_sum(_rhs_terms(which, gamma1, gamma2, alpha, n, budget or WorkBudget()), n)
 
 
-def _glue_sum(terms: list[tuple[MPoly, int]], n: int) -> MPoly:
-    """The sum of poly * x_{n+1}^strip over the terms."""
+def _glue_sum(terms: list[tuple[Partition, int]], n: int) -> MPoly:
+    """The sum of s_shape(x_1, ..., x_n) * x_{n+1}^strip over the terms."""
     acc: dict[tuple[int, ...], int] = {}
-    for poly, strip in terms:
-        for exps, coeff in poly.terms.items():
+    for shape, strip in terms:
+        for exps, coeff in schur_tableau_sum(shape, n).terms.items():
             e = exps + (strip,)
             s = acc.get(e, 0) + coeff
             if s:
@@ -171,45 +173,48 @@ def verify_schurid(
 
     full-expansion compares exact term maps; evaluation-sweep compares
     values on an integer grid larger than the per-variable degree bound,
-    which by the polynomial identity theorem is also a proof.
+    which by the polynomial identity theorem is also a proof.  Charges the
+    glued terms, and for the sweep one unit per grid point, all before it
+    builds any polynomial.
     """
+    budget = budget or WorkBudget()
     identity = f"schurid{which}"
     params = {"gamma1": gamma1, "gamma2": gamma2, "alpha": alpha, "n": n}
-    rhs = schurid_rhs(which, gamma1, gamma2, alpha, n, budget)
+    terms = _rhs_terms(which, gamma1, gamma2, alpha, n, budget)
+    bound = alpha * gamma1 + (alpha + 1) * gamma2  # safe per-variable degree bound
+    if method == EVALUATION_SWEEP:
+        budget.charge((bound + 1) ** (n + 1))
+    elif method != FULL_EXPANSION:
+        raise ValueError(f"unknown method {method!r}")
+    rhs = _glue_sum(terms, n)
     first, second = _lhs_factors(which, gamma1, gamma2, alpha, n)
 
     if method == FULL_EXPANSION:
         lhs = first.lift(n + 1) * second
         return _report(identity, params, lhs.digest(), rhs.digest(), lhs == rhs, method)
 
-    if method == EVALUATION_SWEEP:
-        bound = alpha * gamma1 + (alpha + 1) * gamma2  # safe per-variable degree bound
-        coords = range(bound + 1)
-        second_parts = _by_last_exponent(second)
-        rhs_parts = _by_last_exponent(rhs)
-        lhs_hash = hashlib.sha256()
-        rhs_hash = hashlib.sha256()
-        ok = True
-        # the points in lexicographic order, the last coordinate t innermost;
-        # for a fixed prefix both sides are polynomials in t
-        for prefix in _cartesian(coords, repeat=n):
-            scale = first.evaluate(prefix)
-            lhs_in_t = [(k, scale * part.evaluate(prefix)) for k, part in second_parts]
-            rhs_in_t = [(k, part.evaluate(prefix)) for k, part in rhs_parts]
-            for t in coords:
-                if budget is not None:
-                    budget.charge()
-                lval = sum(c * t**k for k, c in lhs_in_t)
-                rval = sum(c * t**k for k, c in rhs_in_t)
-                if lval != rval:
-                    ok = False
-                lhs_hash.update(str(lval).encode() + b";")
-                rhs_hash.update(str(rval).encode() + b";")
-        return _report(
-            identity, params, lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16], ok, method
-        )
-
-    raise ValueError(f"unknown method {method!r}")
+    coords = range(bound + 1)
+    second_parts = _by_last_exponent(second)
+    rhs_parts = _by_last_exponent(rhs)
+    lhs_hash = hashlib.sha256()
+    rhs_hash = hashlib.sha256()
+    ok = True
+    # the points in lexicographic order, the last coordinate t innermost;
+    # for a fixed prefix both sides are polynomials in t
+    for prefix in _cartesian(coords, repeat=n):
+        scale = first.evaluate(prefix)
+        lhs_in_t = [(k, scale * part.evaluate(prefix)) for k, part in second_parts]
+        rhs_in_t = [(k, part.evaluate(prefix)) for k, part in rhs_parts]
+        for t in coords:
+            lval = sum(c * t**k for k, c in lhs_in_t)
+            rval = sum(c * t**k for k, c in rhs_in_t)
+            if lval != rval:
+                ok = False
+            lhs_hash.update(str(lval).encode() + b";")
+            rhs_hash.update(str(rval).encode() + b";")
+    return _report(
+        identity, params, lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16], ok, method
+    )
 
 
 def verify_square_reduction(

@@ -313,7 +313,7 @@ def pp_from_rows(rows, height_bound: int, cols: int | None = None) -> PlaneParti
 
 def enumerate_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> Iterator[PlanePartition]:
     """Every plane partition in the a x b x c box, exactly once."""
-    for grid in _pp_grids(a, b, c, budget):
+    for grid in _pp_grids(a, b, c, budget or WorkBudget()):
         yield PlanePartition(a, c, b, grid)
 
 

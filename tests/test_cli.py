@@ -217,6 +217,13 @@ def test_csv_rows_have_as_many_cells_as_the_header(capsys, argv):
     header, *rows = csv.reader(io.StringIO(out))
     assert rows
     assert all(len(row) == len(header) for row in rows), (header, rows)
+    # a list-valued cell is the JSON text of the list the json format prints
+    _, as_json = run_cli(capsys, *argv.split())
+    records = [json.loads(line) for line in as_json.splitlines()]
+    for record, row in zip(records, rows, strict=True):
+        for key, cell in zip(header, row):
+            if isinstance(record.get(key), list):
+                assert json.loads(cell) == record[key]
 
 
 def test_main_builds_the_parser_once(capsys):
@@ -224,6 +231,21 @@ def test_main_builds_the_parser_once(capsys):
     run_cli(capsys, "count", "box", "--a", "1", "--b", "1", "--c", "1")
     run_cli(capsys, "count", "box", "--a", "2", "--b", "2", "--c", "2")
     assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep box --set a=1 --set b=1 --set c=1 --config {tmp}/missing.cfg",
+        "count box --a 1 --b 1 --c 1 --out {tmp}/missing/x.json",
+    ],
+)
+def test_file_errors_are_invalid_parameters(tmp_path, capsys, argv):
+    code, out = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "invalid-parameter"
+    assert str(tmp_path / "missing") in error["message"]
 
 
 def test_text_format(capsys):
@@ -246,8 +268,12 @@ def test_text_format(capsys):
 # The three evaluation-sweep lines for schurid2 at (2, 1, 2, 3), recorded
 # before the sweep evaluated each prefix once, pin its hashes and its
 # budget: 6 glued terms plus one unit for each of the 8^4 = 4,096 points.
-# The csv hook-content line was recorded when csv cells began to be quoted
-# as needed, so a list-valued field stays one cell.
+# The csv hook-content line was re-recorded when a list-valued csv or text
+# cell began to carry the JSON text of the list, and the text evaluate line
+# was recorded then.  The last three lines were recorded when every charging
+# route began to charge the default cap without --budget and verify began to
+# check n before charging: a schurid sweep over 22^6 points stops before it
+# builds a polynomial, and n = -1 is an invalid parameter whatever the cap.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -278,7 +304,8 @@ GOLDEN = [
     ('schur evaluate --shape 2,1 --n 2', 0, '{"nvars": 2, "terms": [[[1, 2], "1"], [[2, 1], "1"]]}\n'),
     ('schur evaluate --shape 2,2 --n 3 --at 1,1/2,-1', 0, '{"value": "5/4"}\n'),
     ('schur hook-content --gamma 2 --alpha 1 --n 3', 0, '{"coefficients": ["0", "0", "1", "1", "2", "1", "1"]}\n'),
-    ('schur hook-content --gamma 2 --alpha 1 --n 3 --format csv', 0, 'coefficients\n"[\'0\', \'0\', \'1\', \'1\', \'2\', \'1\', \'1\']"\n'),
+    ('schur hook-content --gamma 2 --alpha 1 --n 3 --format csv', 0, 'coefficients\n"[""0"", ""0"", ""1"", ""1"", ""2"", ""1"", ""1""]"\n'),
+    ('schur evaluate --shape 1 --n 2 --format text', 0, 'nvars=2  terms=[[[0, 1], "1"], [[1, 0], "1"]]\n'),
     ('schur alternating --gamma 2 --alpha 2 --m 5', 0, '{"value": "6"}\n'),
     ('pfaffian --case a-odd --a 3 --b 2 --c1 4 --c2 2', 0, '{"match": true, "pfaffian": "9", "product": "9"}\n'),
     ('verify box --a 2 --b 2', 2, '{"error": {"code": "usage", "message": "--c is required for identity box"}}\n'),
@@ -306,6 +333,9 @@ GOLDEN = [
     ('verify box --a 1 --b 1 --c 1 --method evaluation-sweep', 2, '{"error": {"code": "usage", "message": "--method does not apply to identity box"}}\n'),
     ('sweep bridge --set gamma=1 --set alpha=1 --set m=2 --method full-expansion', 2, '{"error": {"code": "usage", "message": "--method does not apply to identity bridge"}}\n'),
     ('sweep middle-line --set a=2..3 --set b=2..3 --set c1=2 --set c2=0..2:2', 0, '{"identity": "middle-line", "lhs": "2", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c1": 2, "c2": 0}, "rhs": "2", "status": "ok"}\n{"identity": "middle-line", "lhs": "4", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c1": 2, "c2": 2}, "rhs": "4", "status": "ok"}\n{"identity": "middle-line", "parameters": {"a": 2, "b": 3, "c1": 2, "c2": 0}, "reason": "a even with b odd is not a covered case", "status": "skipped"}\n{"identity": "middle-line", "parameters": {"a": 2, "b": 3, "c1": 2, "c2": 2}, "reason": "a even with b odd is not a covered case", "status": "skipped"}\n{"identity": "middle-line", "lhs": "2", "match": true, "method": "enumeration", "parameters": {"a": 3, "b": 2, "c1": 2, "c2": 0}, "rhs": "2", "status": "ok"}\n{"identity": "middle-line", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 3, "b": 2, "c1": 2, "c2": 2}, "rhs": "6", "status": "ok"}\n{"identity": "middle-line", "lhs": "3", "match": true, "method": "enumeration", "parameters": {"a": 3, "b": 3, "c1": 2, "c2": 0}, "rhs": "3", "status": "ok"}\n{"identity": "middle-line", "lhs": "9", "match": true, "method": "enumeration", "parameters": {"a": 3, "b": 3, "c1": 2, "c2": 2}, "rhs": "9", "status": "ok"}\n{"checked": 6, "failed": 0, "identity": "middle-line", "matched": 6, "mismatched": 0, "skipped": 2, "status": "summary"}\n'),
+    ('verify schurid1 --gamma1 3 --gamma2 3 --alpha 3 --n 5 --method evaluation-sweep', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 100000001 nodes > cap 100000000"}}\n'),
+    ('verify schurid1 --gamma1 1 --gamma2 1 --alpha 1 --n -1 --budget 1', 2, '{"error": {"code": "invalid-parameter", "message": "variable count must be nonnegative"}}\n'),
+    ('verify square-reduction --gamma 1 --alpha 1 --n -1 --budget 1', 2, '{"error": {"code": "invalid-parameter", "message": "variable count must be nonnegative"}}\n'),
 ]
 
 
@@ -362,6 +392,22 @@ def test_sweep_isolates_budget_failures(capsys, workers):
         "identity": "box", "status": "summary", "checked": 1, "matched": 1,
         "mismatched": 0, "skipped": 0, "failed": 2,
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep schurid1 --set gamma1=1 --set gamma2=1 --set alpha=1 --set n=-1",
+        "sweep square-reduction --set gamma=1 --set alpha=1 --set n=-1",
+    ],
+)
+def test_sweep_skips_a_negative_variable_count(capsys, argv):
+    # n is checked before any work is charged, so even a cap of 1 skips it
+    code, out = run_cli(capsys, *argv.split(), "--budget", "1")
+    line, summary = [json.loads(l) for l in out.splitlines()]
+    assert code == 0
+    assert (line["status"], line["reason"]) == ("skipped", "variable count must be nonnegative")
+    assert (summary["skipped"], summary["failed"]) == (1, 0)
 
 
 def _divide_by_zero(a, b, c, budget=None):

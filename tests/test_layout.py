@@ -7,6 +7,7 @@ as read from another file only where that file imports it and then reads
 it.  The same holds one level down: every method, property and
 classmethod of a class in ``src/scpp``, dunders aside, is read as an
 attribute (``x.name``) in ``src/`` or ``scripts/`` outside its own body.
+No ``src/scpp`` code compares a budget with ``None``.
 """
 
 import ast
@@ -110,6 +111,29 @@ def test_every_class_member_is_read_outside_the_tests():
             if everywhere[key] == _reads(node)[key]:
                 unused.append(f"{path.stem}.{member}")
     assert unused == []
+
+
+def _is_budget(node) -> bool:
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return "budget" in name
+
+
+def test_no_budget_is_compared_with_none():
+    # a missing budget means a fresh WorkBudget() at the route's entry, never
+    # a branch that skips charging
+    sites = []
+    for path in SRC:
+        for node in ast.walk(TREES[path]):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                pair = (left, right)
+                if isinstance(op, (ast.Is, ast.IsNot)) and any(
+                    isinstance(x, ast.Constant) and x.value is None for x in pair
+                ) and any(_is_budget(x) for x in pair):
+                    sites.append(f"{path.stem}:{node.lineno}")
+    assert sites == []
 
 
 def test_no_src_module_imports_from_the_tests():

@@ -446,6 +446,13 @@ def test_unbudgeted_count_stops_at_the_default_cap():
             run()
 
 
+def test_unbudgeted_enumeration_charges_a_fresh_budget(monkeypatch):
+    # the walk charges a fresh budget, here with a small cap
+    monkeypatch.setattr(plane_partitions, "WorkBudget", lambda: WorkBudget(10))
+    with pytest.raises(BudgetExceededError, match="11 nodes > cap 10"):
+        list(enumerate_scpp(2, 4, 4))
+
+
 def test_signed_count_rejects_negative_sides():
     # the all-odd shortcut must not answer for a box with a negative side
     for sides in ((-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, 2, 2)):

@@ -149,6 +149,32 @@ def test_budget_threads_through_verifiers():
         verify_schurid(1, 1, 1, 1, 2, method="evaluation-sweep", budget=WorkBudget(4))
 
 
+def test_uncapped_sweep_stops_at_the_default_cap_before_building(monkeypatch):
+    # 22^6 ~ 1.1e8 grid points, charged to a fresh WorkBudget() before any
+    # Schur polynomial is built
+    def building(*args):
+        raise AssertionError("built a Schur polynomial past the cap")
+
+    monkeypatch.setattr(verify, "schur_tableau_sum", building)
+    with pytest.raises(BudgetExceededError, match="100000001 nodes > cap 100000000"):
+        verify_schurid(1, 3, 3, 3, 5, method="evaluation-sweep")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda budget: verify_schurid(1, 1, 1, 1, -1, budget=budget),
+        lambda budget: verify_schurid(1, 1, 1, 1, -1, method="evaluation-sweep", budget=budget),
+        lambda budget: verify_square_reduction(1, 1, -1, budget),
+    ],
+)
+def test_variable_count_is_checked_before_any_charge(run):
+    budget = WorkBudget(1)
+    with pytest.raises(ValueError, match="variable count must be nonnegative"):
+        run(budget)
+    assert budget.used == 0
+
+
 def test_reports_are_deterministic():
     first = verify_schurid(1, 2, 1, 1, 2)
     second = verify_schurid(1, 2, 1, 1, 2)

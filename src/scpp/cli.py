@@ -9,8 +9,9 @@ on a verification mismatch, 2 on errors.  An error prints one JSON line
 with a single route), ``bad-parity``, ``budget-exceeded`` or
 ``invalid-parameter`` (a parameter out of range, including a ``--budget``
 below 1, which every subcommand rejects before doing any work, and a
-``sweep --workers`` below 1; also a ``--config`` or ``--out`` file that
-cannot be read or written).
+``sweep --workers`` below 1 and a ``schur evaluate --at`` coordinate with
+a zero denominator; also a ``--config`` or ``--out`` file that cannot be
+read or written).
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
@@ -156,17 +157,24 @@ def _handle_count(args, budget: WorkBudget) -> tuple[dict, int]:
     return {"value": str(value)}, 0
 
 
+def _coordinate(index: int, text: str) -> Fraction:
+    """Coordinate ``index`` (from 1) of ``--at``, as an exact rational."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--at coordinate {index} ({text}) has a zero denominator") from None
+
+
 def _handle_schur(args, budget: WorkBudget) -> tuple[dict, int]:
     action = args.action
     if action == "evaluate":
         shape = partition(int(x) for x in args.shape.split(",") if x != "")
         poly = schur_tableau_sum(shape, args.n)
         if args.at is None:
-            terms = [
-                [list(e), str(c)] for e, c in sorted(poly.terms.items())
-            ]
+            terms = [[list(e), str(c)] for e, c in poly.sorted_terms()]
             return {"nvars": args.n, "terms": terms}, 0
-        point = [Fraction(x) for x in args.at.split(",")] if args.at else []
+        coords = args.at.split(",") if args.at else []
+        point = [_coordinate(i, x) for i, x in enumerate(coords, 1)]
         if len(point) != args.n:
             raise UsageError("evaluation point must have exactly n coordinates")
         return {"value": _value_str(poly.evaluate(point))}, 0

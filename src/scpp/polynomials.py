@@ -1,11 +1,30 @@
 """Exact polynomial arithmetic.
 
 ``MPoly`` is a sparse polynomial in a fixed number of variables with
-big-integer coefficients, stored as a map from exponent tuples to nonzero
-coefficients.  It has one constructor, which trusts its caller, and only
-the operations that production code uses: product, power, exact
-evaluation, lifting to more variables, setting the last variable to zero
-and a digest.  Sums are a test oracle (``tests/oracles.py``).  Univariate
+big-integer coefficients, stored as a map from packed monomial keys to
+nonzero coefficients.  The key of x_1^e_1 ... x_n^e_n packs the exponents
+big-endian into fixed fields of ``FIELD_BITS`` bits: it is the sum of
+e_i * 2^(FIELD_BITS * (n - i)), so x_1 is the most significant field and
+x_n the least (Kronecker substitution).  A product of monomials is a sum
+of keys, and appending a variable is a shift.  Since each field holds its
+exponent whole and the fields are big-endian, comparing two keys compares
+their exponent tuples lexicographically: sorting the keys gives the
+order in which the digest lists the terms.
+
+The top bit of each field is headroom.  ``schur_tableau_sum`` refuses a
+shape part of 2^31 (``EXPONENT_LIMIT``) or more, so the exponents it
+stores are below 2^31, and ``MPoly.__mul__`` refuses an operand with any
+top bit set.  Two exponents below 2^31 add up to less than 2^32, so a
+product never carries from one field into the next; its own exponents
+may reach 2^32 - 2, which its fields still hold exactly, but it cannot be
+multiplied again.
+
+``MPoly`` has one constructor, which trusts its caller, and only the
+operations that production code uses: product, power, exact evaluation,
+lifting to more variables, setting the last variable to zero and a
+digest.  ``substitute_first`` sets the first variable of a term map to a
+value; evaluation and the evaluation sweep of ``scpp.verify`` are built
+on it.  Sums are a test oracle (``tests/oracles.py``).  Univariate
 polynomials (used for the principal specialization in a formal variable
 q) are plain ascending coefficient lists with exact integer division
 helpers.
@@ -14,26 +33,65 @@ helpers.
 from __future__ import annotations
 
 import hashlib
+import struct
 from fractions import Fraction
-from operator import add
 from typing import Sequence
 
 Exponents = tuple[int, ...]
+Value = int | Fraction
+
+# bits per exponent field; ``MPoly.sorted_terms`` decodes a field with the
+# 32-bit struct format "I"
+FIELD_BITS = 32
+FIELD_MASK = (1 << FIELD_BITS) - 1
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+
+
+def _guard_mask(nvars: int) -> int:
+    """The top bit of each of the nvars fields."""
+    return (1 << FIELD_BITS * nvars) // FIELD_MASK * EXPONENT_LIMIT
+
+
+def substitute_first(terms: dict[int, Value], nvars: int, value: Value) -> dict[int, Value]:
+    """The term map left when x_1 := value in a term map in x_1..x_nvars.
+
+    The result is keyed by the packed monomials in x_2..x_nvars; its
+    coefficients are exact (``Fraction`` when value is) and may be zero.
+    Each power of value is computed once, and terms whose power is zero
+    are skipped.
+    """
+    shift = FIELD_BITS * (nvars - 1)
+    low = (1 << shift) - 1
+    powers: dict[int, Value] = {}
+    out: dict[int, Value] = {}
+    get = out.get
+    for key, coeff in terms.items():
+        e = key >> shift
+        power = powers.get(e)
+        if power is None:
+            power = powers[e] = value**e
+        if power:
+            rest = key & low
+            out[rest] = get(rest, 0) + coeff * power
+    return out
 
 
 class MPoly:
     """Sparse multivariate polynomial over the integers.
 
     ``MPoly(nvars, terms)`` stores the term map as given, without copying or
-    checking it: every exponent tuple has length ``nvars`` and no
-    coefficient is zero.  Instances are treated as immutable: no method
-    mutates ``terms`` after construction, so values can be cached and
-    shared freely.
+    checking it: every key packs ``nvars`` exponents into 32-bit fields,
+    x_1 in the most significant, as the module docstring describes, and no
+    coefficient is zero.  Sorted keys are sorted exponent tuples, which is
+    the digest's order.  Exponents below 2^31 may enter a product; an
+    operand with a larger one is refused.  Instances are treated as
+    immutable: no method mutates ``terms`` after construction, so values
+    can be cached and shared freely.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Exponents, int]):
+    def __init__(self, nvars: int, terms: dict[int, int]):
         self.nvars = nvars
         self.terms = terms
 
@@ -45,7 +103,7 @@ class MPoly:
     def const(cls, nvars: int, value: int) -> "MPoly":
         if value == 0:
             return cls.zero(nvars)
-        return cls(nvars, {(0,) * nvars: int(value)})
+        return cls(nvars, {0: int(value)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):
@@ -57,15 +115,18 @@ class MPoly:
     def __mul__(self, other: "MPoly") -> "MPoly":
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
-        acc: dict[Exponents, int] = {}
+        guard = _guard_mask(self.nvars)
+        if any(k & guard for k in self.terms) or any(k & guard for k in other.terms):
+            raise ValueError(f"a product operand has an exponent of at least 2**{FIELD_BITS - 1}")
+        acc: dict[int, int] = {}
         get = acc.get
         right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
         # zero sums are dropped once, at the end
-        return MPoly(self.nvars, {e: c for e, c in acc.items() if c})
+        return MPoly(self.nvars, {k: c for k, c in acc.items() if c})
 
     # no caller needs it, but bench/tracing.py wraps the name
     __rmul__ = __mul__
@@ -78,27 +139,24 @@ class MPoly:
             result = result * self
         return result
 
-    def evaluate(self, point: Sequence[int | Fraction]) -> int | Fraction:
-        """Exact substitution of the variables by the given values."""
+    def evaluate(self, point: Sequence[Value]) -> Value:
+        """Exact substitution of the variables by the given values, one
+        variable at a time."""
         if len(point) != self.nvars:
             raise ValueError(
                 f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
             )
-        total: int | Fraction = 0
-        for exps, coeff in self.terms.items():
-            value: int | Fraction = coeff
-            for base, e in zip(point, exps):
-                if e:
-                    value *= base**e
-            total += value
-        return total
+        terms: dict[int, Value] = self.terms
+        for nvars, value in zip(range(self.nvars, 0, -1), point):
+            terms = substitute_first(terms, nvars, value)
+        return terms.get(0, 0)
 
     def lift(self, nvars: int) -> "MPoly":
         """Embed into a larger variable set; new variables get exponent 0."""
         if nvars < self.nvars:
             raise ValueError("cannot lift to fewer variables")
-        pad = (0,) * (nvars - self.nvars)
-        return MPoly(nvars, {e + pad: c for e, c in self.terms.items()})
+        shift = FIELD_BITS * (nvars - self.nvars)
+        return MPoly(nvars, {k << shift: c for k, c in self.terms.items()})
 
     def restrict_last_zero(self) -> "MPoly":
         """Set the last variable to zero and drop its slot."""
@@ -106,14 +164,23 @@ class MPoly:
             raise ValueError("no variable to restrict")
         return MPoly(
             self.nvars - 1,
-            {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0},
+            {k >> FIELD_BITS: c for k, c in self.terms.items() if not k & FIELD_MASK},
         )
 
+    def sorted_terms(self) -> list[tuple[Exponents, int]]:
+        """(exponent tuple, coefficient) pairs in lexicographic order, which
+        is the order of the keys."""
+        terms = self.terms
+        width = 4 * self.nvars  # bytes
+        decode = struct.Struct(f">{self.nvars}I").unpack  # one 32-bit field each
+        return [(decode(key.to_bytes(width, "big")), terms[key]) for key in sorted(terms)]
+
     def digest(self) -> str:
-        """Deterministic short hash of the canonical term list."""
+        """Deterministic short hash of the canonical term list: "e1,...,en:c"
+        for each term in lexicographic order."""
+        line = ",".join(["%d"] * self.nvars) + ":%d"
         parts = [str(self.nvars)]
-        for exps in sorted(self.terms):
-            parts.append(",".join(map(str, exps)) + ":" + str(self.terms[exps]))
+        parts += [line % (*e, c) for e, c in self.sorted_terms()]
         blob = ";".join(parts).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -121,13 +188,12 @@ class MPoly:
         if not self.terms:
             return f"MPoly({self.nvars}, 0)"
         bits = []
-        for exps in sorted(self.terms, reverse=True)[:8]:
+        for exps, c in self.sorted_terms()[:-9:-1]:
             mono = "*".join(
                 f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
                 for i, e in enumerate(exps)
                 if e
             )
-            c = self.terms[exps]
             bits.append(f"{c}" if not mono else (mono if c == 1 else f"{c}*{mono}"))
         tail = " + ..." if len(self.terms) > 8 else ""
         return f"MPoly({self.nvars}, {' + '.join(bits)}{tail})"

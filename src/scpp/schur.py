@@ -15,7 +15,14 @@ from functools import lru_cache
 from typing import Iterable
 
 from scpp.partitions import Partition, horizontal_strips_within, partition, rectangle, size
-from scpp.polynomials import MPoly, one_minus_power, upoly_divexact, upoly_mul
+from scpp.polynomials import (
+    EXPONENT_LIMIT,
+    FIELD_BITS,
+    MPoly,
+    one_minus_power,
+    upoly_divexact,
+    upoly_mul,
+)
 
 # entries kept by the Schur polynomial cache; one verify_schurid(1, 4, 3, 3, 5)
 # touches 787 (shape, variable count) pairs
@@ -29,11 +36,15 @@ def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
     ``_schur_sum``; the tableau walk and the determinant oracle in
     ``tests/oracles.py`` check it.  The name is kept from
     when the sum ran over tableaux, since benchmark tracing looks the
-    Schur layer up by it.
+    Schur layer up by it.  A part of at least 2^31 is refused: no exponent
+    of s_lam exceeds its first part, and packed keys hold exponents below
+    2^31.
     """
     if n < 0:
         raise ValueError("variable count must be nonnegative")
     lam = partition(lam)
+    if lam and lam[0] >= EXPONENT_LIMIT:
+        raise ValueError(f"shape part {lam[0]} is not below 2**{FIELD_BITS - 1}")
     if len(lam) > n:
         return MPoly.zero(n)
     return _schur_sum(lam, n)
@@ -46,14 +57,15 @@ def _schur_sum(lam: Partition, n: int) -> MPoly:
         return MPoly.zero(n)
     if n == 0:
         return MPoly.const(0, 1)
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     lam_size = size(lam)
     for mu in horizontal_strips_within(lam):
-        strip = (lam_size - size(mu),)
-        for e, c in _schur_sum(mu, n - 1).terms.items():
-            e += strip
-            acc[e] = get(e, 0) + c
+        strip = lam_size - size(mu)
+        # x_n^strip is the new lowest field
+        for k, c in _schur_sum(mu, n - 1).terms.items():
+            k = (k << FIELD_BITS) + strip
+            acc[k] = get(k, 0) + c
     return MPoly(n, acc)
 
 

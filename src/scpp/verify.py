@@ -41,7 +41,7 @@ from scpp.plane_partitions import (
     count_scpp_middle_line,
     count_scpp_signed,
 )
-from scpp.polynomials import MPoly
+from scpp.polynomials import FIELD_BITS, MPoly, substitute_first
 from scpp.products import (
     box_count,
     middle_line_product,
@@ -132,25 +132,16 @@ def schurid_rhs(
 
 def _glue_sum(terms: list[tuple[Partition, int]], n: int) -> MPoly:
     """The sum of s_shape(x_1, ..., x_n) * x_{n+1}^strip over the terms."""
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     for shape, strip in terms:
-        for exps, coeff in schur_tableau_sum(shape, n).terms.items():
-            e = exps + (strip,)
-            s = acc.get(e, 0) + coeff
+        for key, coeff in schur_tableau_sum(shape, n).terms.items():
+            key = (key << FIELD_BITS) + strip
+            s = acc.get(key, 0) + coeff
             if s:
-                acc[e] = s
+                acc[key] = s
             else:
-                del acc[e]
+                del acc[key]
     return MPoly(n + 1, acc)
-
-
-def _by_last_exponent(poly: MPoly) -> list[tuple[int, MPoly]]:
-    """(k, coefficient of x_last^k as a polynomial in the other variables)
-    for each power k of the last variable that occurs in poly."""
-    parts: dict[int, dict[tuple[int, ...], int]] = {}
-    for exps, coeff in poly.terms.items():
-        parts.setdefault(exps[-1], {})[exps[:-1]] = coeff
-    return [(k, MPoly(poly.nvars - 1, part)) for k, part in parts.items()]
 
 
 def _lhs_factors(which: int, gamma1: int, gamma2: int, alpha: int, n: int) -> tuple[MPoly, MPoly]:
@@ -173,9 +164,12 @@ def verify_schurid(
 
     full-expansion compares exact term maps; evaluation-sweep compares
     values on an integer grid larger than the per-variable degree bound,
-    which by the polynomial identity theorem is also a proof.  Charges the
-    glued terms, and for the sweep one unit per grid point, all before it
-    builds any polynomial.
+    which by the polynomial identity theorem is also a proof.  The sweep
+    specializes by prefix: it sets x_1 to each grid value, then x_2 in
+    each of the polynomials left, and so on (``_swept_values``), and hashes
+    and compares the two sides point by point in lexicographic order.
+    Charges the glued terms, and for the sweep one unit per grid point, all
+    before it builds any polynomial.
     """
     budget = budget or WorkBudget()
     identity = f"schurid{which}"
@@ -193,28 +187,51 @@ def verify_schurid(
         lhs = first.lift(n + 1) * second
         return _report(identity, params, lhs.digest(), rhs.digest(), lhs == rhs, method)
 
-    coords = range(bound + 1)
-    second_parts = _by_last_exponent(second)
-    rhs_parts = _by_last_exponent(rhs)
     lhs_hash = hashlib.sha256()
     rhs_hash = hashlib.sha256()
     ok = True
-    # the points in lexicographic order, the last coordinate t innermost;
-    # for a fixed prefix both sides are polynomials in t
-    for prefix in _cartesian(coords, repeat=n):
-        scale = first.evaluate(prefix)
-        lhs_in_t = [(k, scale * part.evaluate(prefix)) for k, part in second_parts]
-        rhs_in_t = [(k, part.evaluate(prefix)) for k, part in rhs_parts]
-        for t in coords:
-            lval = sum(c * t**k for k, c in lhs_in_t)
-            rval = sum(c * t**k for k, c in rhs_in_t)
-            if lval != rval:
-                ok = False
-            lhs_hash.update(str(lval).encode() + b";")
-            rhs_hash.update(str(rval).encode() + b";")
+    for lval, rval in _swept_values(first, second, rhs, bound):
+        if lval != rval:
+            ok = False
+        lhs_hash.update(str(lval).encode() + b";")
+        rhs_hash.update(str(rval).encode() + b";")
     return _report(
         identity, params, lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16], ok, method
     )
+
+
+def _swept_values(
+    first: MPoly, second: MPoly, rhs: MPoly, bound: int
+) -> Iterator[tuple[int, int]]:
+    """(first * second, rhs) at every point of {0..bound}^(n+1), n =
+    ``first.nvars``, in lexicographic order with x_{n+1} innermost.
+
+    The grid is walked by prefix: each node substitutes its coordinate for
+    the first remaining variable of all three term maps, so the kernel runs
+    once per prefix, not per point.  Below the last prefix ``first`` is a
+    constant and the other two are term maps in t = x_{n+1}, evaluated at
+    each t.
+    """
+    coords = range(bound + 1)
+
+    def walk(f: dict, s: dict, r: dict, nvars: int) -> Iterator[tuple[int, int]]:
+        if nvars == 1:
+            scale = f.get(0, 0)
+            for t in coords:
+                yield (
+                    scale * sum(c * t**k for k, c in s.items()),
+                    sum(c * t**k for k, c in r.items()),
+                )
+            return
+        for x in coords:
+            yield from walk(
+                substitute_first(f, nvars - 1, x),
+                substitute_first(s, nvars, x),
+                substitute_first(r, nvars, x),
+                nvars - 1,
+            )
+
+    return walk(first.terms, second.terms, rhs.terms, first.nvars + 1)
 
 
 def verify_square_reduction(

@@ -6,14 +6,21 @@ the branching rule, the limit at q -> -1 against ``specialize_alternating``,
 the q-substitution against ``hook_content_rectangular``, the middle-line
 condition on one array against ``count_scpp_middle_line``, the move graph
 built from whole validated neighbour arrays against ``check_move_graph``,
-and so on.
+the tuple-keyed polynomial against the packed ``MPoly``, and so on.
+
+``pack`` and ``unpack_key`` convert between exponent tuples and packed
+``MPoly`` keys.  They are written from the key layout (x_1 in the most
+significant 32-bit field, x_n in the least), not from the production
+decoder, so tests that state facts in exponent tuples go through them.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
@@ -41,12 +48,121 @@ def skew_cells(lam: Iterable[int], mu: Iterable[int]) -> Iterator[tuple[int, int
             yield (r, c)
 
 
+# one exponent field of a packed key holds 0 <= e < FIELD
+FIELD = 2**32
+
+
+def pack(exps: Sequence[int]) -> int:
+    """The packed key of an exponent tuple: the digits of exps in base
+    2^32, x_1 the most significant."""
+    key = 0
+    for e in exps:
+        if not 0 <= e < FIELD:
+            raise ValueError(f"exponent {e} does not fit a field")
+        key = key * FIELD + e
+    return key
+
+
+def unpack_key(key: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key in nvars variables."""
+    digits = []
+    for _ in range(nvars):
+        key, e = divmod(key, FIELD)
+        digits.append(e)
+    if key:
+        raise ValueError("key has more fields than variables")
+    return tuple(reversed(digits))
+
+
+def packed(nvars: int, terms: dict[tuple[int, ...], int]) -> MPoly:
+    """The ``MPoly`` of a tuple-keyed term map without zero coefficients."""
+    return MPoly(nvars, {pack(e): c for e, c in terms.items()})
+
+
+def tuple_terms(poly: MPoly) -> dict[tuple[int, ...], int]:
+    """The term map of poly keyed by exponent tuples."""
+    return {unpack_key(k, poly.nvars): c for k, c in poly.terms.items()}
+
+
+class TupleMPoly:
+    """Oracle for the packed ``MPoly``: the same operations on a term map
+    keyed by exponent tuples, with exponent-wise sums for products, each
+    monomial's powers for evaluation and the tuples' own order for the
+    digest."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict[tuple[int, ...], int]):
+        self.nvars = nvars
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TupleMPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    __hash__ = None
+
+    def __mul__(self, other: "TupleMPoly") -> "TupleMPoly":
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
+        acc: dict[tuple[int, ...], int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return TupleMPoly(self.nvars, {e: c for e, c in acc.items() if c})
+
+    def __pow__(self, n: int) -> "TupleMPoly":
+        if n < 0:
+            raise ValueError("negative power")
+        result = TupleMPoly(self.nvars, {(0,) * self.nvars: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def evaluate(self, point: Sequence[int | Fraction]) -> int | Fraction:
+        if len(point) != self.nvars:
+            raise ValueError(
+                f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
+            )
+        total: int | Fraction = 0
+        for exps, coeff in self.terms.items():
+            value: int | Fraction = coeff
+            for base, e in zip(point, exps):
+                if e:
+                    value *= base**e
+            total += value
+        return total
+
+    def lift(self, nvars: int) -> "TupleMPoly":
+        if nvars < self.nvars:
+            raise ValueError("cannot lift to fewer variables")
+        pad = (0,) * (nvars - self.nvars)
+        return TupleMPoly(nvars, {e + pad: c for e, c in self.terms.items()})
+
+    def restrict_last_zero(self) -> "TupleMPoly":
+        if self.nvars == 0:
+            raise ValueError("no variable to restrict")
+        return TupleMPoly(
+            self.nvars - 1,
+            {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0},
+        )
+
+    def digest(self) -> str:
+        parts = [str(self.nvars)]
+        for exps in sorted(self.terms):
+            parts.append(",".join(map(str, exps)) + ":" + str(self.terms[exps]))
+        blob = ";".join(parts).encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+
 def to_q_coeffs(poly: MPoly, powers: Sequence[int]) -> list[int]:
     """Coefficients of the univariate polynomial obtained by x_i := q^powers[i]."""
     if len(powers) != poly.nvars:
         raise ValueError("powers vector has wrong length")
     acc: dict[int, int] = {}
-    for exps, coeff in poly.terms.items():
+    for exps, coeff in tuple_terms(poly).items():
         d = sum(p * e for p, e in zip(powers, exps))
         acc[d] = acc.get(d, 0) + coeff
     if not acc:
@@ -154,11 +270,12 @@ def complete_homogeneous(k: int, n: int) -> MPoly:
         for i in combo:
             e[i] += 1
         acc[tuple(e)] = 1
-    return MPoly(n, acc)
+    return packed(n, acc)
 
 
 def poly_add(p: MPoly, q: MPoly) -> MPoly:
-    """The sum of two polynomials in the same variables."""
+    """The sum of two polynomials in the same variables; keys of the same
+    monomial are equal, so the term maps add key by key."""
     if p.nvars != q.nvars:
         raise ValueError(f"variable count mismatch: {p.nvars} vs {q.nvars}")
     acc = dict(p.terms)

@@ -274,6 +274,8 @@ def test_text_format(capsys):
 # route began to charge the default cap without --budget and verify began to
 # check n before charging: a schurid sweep over 22^6 points stops before it
 # builds a polynomial, and n = -1 is an invalid parameter whatever the cap.
+# The zero-denominator --at line was recorded when its message began to
+# name the coordinate.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -336,6 +338,7 @@ GOLDEN = [
     ('verify schurid1 --gamma1 3 --gamma2 3 --alpha 3 --n 5 --method evaluation-sweep', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 100000001 nodes > cap 100000000"}}\n'),
     ('verify schurid1 --gamma1 1 --gamma2 1 --alpha 1 --n -1 --budget 1', 2, '{"error": {"code": "invalid-parameter", "message": "variable count must be nonnegative"}}\n'),
     ('verify square-reduction --gamma 1 --alpha 1 --n -1 --budget 1', 2, '{"error": {"code": "invalid-parameter", "message": "variable count must be nonnegative"}}\n'),
+    ('schur evaluate --shape 1 --n 1 --at 1/0', 2, '{"error": {"code": "invalid-parameter", "message": "--at coordinate 1 (1/0) has a zero denominator"}}\n'),
 ]
 
 

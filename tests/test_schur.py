@@ -11,6 +11,8 @@ from oracles import (
     complete_homogeneous,
     enumerate_ssyt,
     lr_coefficient,
+    pack,
+    packed,
     poly_add,
     schur_determinant_oracle,
     to_q_coeffs,
@@ -76,8 +78,8 @@ def test_enumerate_ssyt_yields_distinct_valid_tableaux():
 
 
 def test_schur_examples():
-    assert schur_tableau_sum((1,), 2) == MPoly(2, {(1, 0): 1, (0, 1): 1})
-    assert schur_tableau_sum((2, 1), 2) == MPoly(2, {(2, 1): 1, (1, 2): 1})
+    assert schur_tableau_sum((1,), 2) == packed(2, {(1, 0): 1, (0, 1): 1})
+    assert schur_tableau_sum((2, 1), 2) == packed(2, {(2, 1): 1, (1, 2): 1})
     assert schur_tableau_sum((1, 1, 1), 2) == MPoly.zero(2)
     assert schur_tableau_sum((), 0) == MPoly.const(0, 1)
 
@@ -86,8 +88,17 @@ def test_schur_sum_matches_tableau_monomials():
     # the branching rule against the generating function of the tableau
     # stream itself, for every shape in the 4x4 box and n <= 6
     for lam, n in product(partitions_in_rectangle(4, 4), range(7)):
-        contents = Counter(t.content() for t in enumerate_ssyt(lam, n))
+        contents = Counter(pack(t.content()) for t in enumerate_ssyt(lam, n))
         assert contents == schur_tableau_sum(lam, n).terms, (lam, n)
+
+
+def test_shape_parts_stay_below_the_exponent_limit():
+    # the largest part is the largest exponent; fields hold exponents below 2**31
+    with pytest.raises(ValueError):
+        schur_tableau_sum((2**31,), 1)
+    with pytest.raises(ValueError):
+        schur_tableau_sum((2**31, 1), 1)  # refused even where the polynomial is zero
+    assert schur_tableau_sum((40000,), 1) == packed(1, {(40000,): 1})
 
 
 def test_polynomial_caches_are_bounded():
@@ -102,7 +113,7 @@ def test_determinant_oracle_sample(lam, n):
 
 def test_complete_homogeneous():
     assert complete_homogeneous(0, 2) == MPoly.const(2, 1)
-    assert complete_homogeneous(2, 2) == MPoly(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+    assert complete_homogeneous(2, 2) == packed(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert complete_homogeneous(-1, 2) == MPoly.zero(2)
     assert complete_homogeneous(3, 0) == MPoly.zero(0)
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from scpp import verify
@@ -74,6 +76,40 @@ def test_both_methods_catch_a_missing_glued_term(monkeypatch, method):
     report = verify_schurid(2, 2, 1, 2, 3, method=method)
     assert not report.match
     assert report.lhs != report.rhs
+
+
+def _sweep_inputs(which, gamma1, gamma2, alpha, n):
+    rhs = verify._glue_sum(verify._rhs_terms(which, gamma1, gamma2, alpha, n, WorkBudget()), n)
+    first, second = verify._lhs_factors(which, gamma1, gamma2, alpha, n)
+    return first, second, rhs, alpha * gamma1 + (alpha + 1) * gamma2
+
+
+# tuples of the benchmark's sweeps with a nonconstant first factor, so that
+# the right-hand side is not symmetric in all n + 1 variables
+SWEEP_TUPLES = [(1, 2, 0, 2, 3), (1, 1, 1, 1, 3), (1, 2, 2, 1, 2), (2, 2, 1, 1, 3), (2, 2, 2, 1, 2)]
+
+
+@pytest.mark.parametrize(("which", "gamma1", "gamma2", "alpha", "n"), SWEEP_TUPLES)
+def test_sweep_walk_matches_pointwise_evaluation(which, gamma1, gamma2, alpha, n):
+    first, second, rhs, bound = _sweep_inputs(which, gamma1, gamma2, alpha, n)
+    expected = [
+        (first.evaluate(point[:-1]) * second.evaluate(point), rhs.evaluate(point))
+        for point in product(range(bound + 1), repeat=n + 1)
+    ]
+    assert list(verify._swept_values(first, second, rhs, bound)) == expected
+
+
+def test_sweep_substitutes_once_per_prefix(monkeypatch):
+    calls = []
+    kernel = verify.substitute_first
+    monkeypatch.setattr(verify, "substitute_first", lambda *args: calls.append(1) or kernel(*args))
+    monkeypatch.setattr(verify.MPoly, "evaluate", None)  # the sweep must not call it
+    which, gamma1, gamma2, alpha, n = SWEEP_TUPLES[0]
+    report = verify_schurid(which, gamma1, gamma2, alpha, n, method="evaluation-sweep")
+    assert report.match
+    bound = alpha * gamma1 + (alpha + 1) * gamma2
+    # three term maps at each node x_1..x_k, k = 1..n, of the prefix tree
+    assert len(calls) == 3 * sum((bound + 1) ** k for k in range(1, n + 1))
 
 
 def test_verify_schurid_zero_when_fewer_variables_than_rows():

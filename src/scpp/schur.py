@@ -17,8 +17,8 @@ from typing import Iterable
 from scpp.partitions import Partition, horizontal_strips_within, partition, rectangle, size
 from scpp.polynomials import (
     EXPONENT_LIMIT,
-    FIELD_BITS,
     MPoly,
+    add_with_last_power,
     one_minus_power,
     upoly_divexact,
     upoly_mul,
@@ -44,7 +44,7 @@ def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
         raise ValueError("variable count must be nonnegative")
     lam = partition(lam)
     if lam and lam[0] >= EXPONENT_LIMIT:
-        raise ValueError(f"shape part {lam[0]} is not below 2**{FIELD_BITS - 1}")
+        raise ValueError(f"shape part {lam[0]} is not below {EXPONENT_LIMIT}")
     if len(lam) > n:
         return MPoly.zero(n)
     return _schur_sum(lam, n)
@@ -58,14 +58,9 @@ def _schur_sum(lam: Partition, n: int) -> MPoly:
     if n == 0:
         return MPoly.const(0, 1)
     acc: dict[int, int] = {}
-    get = acc.get
     lam_size = size(lam)
     for mu in horizontal_strips_within(lam):
-        strip = lam_size - size(mu)
-        # x_n^strip is the new lowest field
-        for k, c in _schur_sum(mu, n - 1).terms.items():
-            k = (k << FIELD_BITS) + strip
-            acc[k] = get(k, 0) + c
+        add_with_last_power(acc, _schur_sum(mu, n - 1).terms, lam_size - size(mu))
     return MPoly(n, acc)
 
 

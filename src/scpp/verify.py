@@ -41,7 +41,7 @@ from scpp.plane_partitions import (
     count_scpp_middle_line,
     count_scpp_signed,
 )
-from scpp.polynomials import FIELD_BITS, MPoly, substitute_first
+from scpp.polynomials import MPoly, add_with_last_power, substitute_first
 from scpp.products import (
     box_count,
     middle_line_product,
@@ -134,13 +134,8 @@ def _glue_sum(terms: list[tuple[Partition, int]], n: int) -> MPoly:
     """The sum of s_shape(x_1, ..., x_n) * x_{n+1}^strip over the terms."""
     acc: dict[int, int] = {}
     for shape, strip in terms:
-        for key, coeff in schur_tableau_sum(shape, n).terms.items():
-            key = (key << FIELD_BITS) + strip
-            s = acc.get(key, 0) + coeff
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+        # Schur coefficients are positive, so no sum reaches zero
+        add_with_last_power(acc, schur_tableau_sum(shape, n).terms, strip)
     return MPoly(n + 1, acc)
 
 

@@ -5,13 +5,14 @@ sorted, big integers are rendered as decimal strings, and reports carry
 no timings.  Exit codes: 0 on success and on verifications that match, 1
 on a verification mismatch, 2 on errors.  An error prints one JSON line
 ``{"error": {"code": ..., "message": ...}}`` on stdout, with code
-``usage`` (a missing parameter, or ``--method`` given for an identity
-with a single route), ``bad-parity``, ``budget-exceeded`` or
-``invalid-parameter`` (a parameter out of range, including a ``--budget``
-below 1, which every subcommand rejects before doing any work, and a
-``sweep --workers`` below 1 and a ``schur evaluate --at`` coordinate with
-a zero denominator; also a ``--config`` or ``--out`` file that cannot be
-read or written).
+``usage`` (a missing parameter, ``--method`` given for an identity with
+a single route, or a sweep range that lists no value), ``bad-parity``,
+``budget-exceeded`` or ``invalid-parameter`` (a parameter out of range,
+including a ``--budget`` below 1, which every subcommand rejects before
+doing any work, and a ``sweep --workers`` below 1 and a ``schur evaluate
+--at`` coordinate that is not a rational number or has a zero
+denominator; also a ``--config`` or ``--out`` file that cannot be read or
+written).
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
@@ -66,8 +67,10 @@ from scpp.products import (
     signed_enumeration_product,
 )
 from scpp.schur import (
+    checked_shape,
     hook_content_rectangular,
     schur_tableau_sum,
+    schur_value,
     specialize_alternating,
 )
 from scpp.verify import _BOX, _LINE, IDENTITIES, METHODS, Identity
@@ -163,21 +166,24 @@ def _coordinate(index: int, text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"--at coordinate {index} ({text}) has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--at coordinate {index} ({text}) is not a rational number") from None
 
 
 def _handle_schur(args, budget: WorkBudget) -> tuple[dict, int]:
     action = args.action
     if action == "evaluate":
         shape = partition(int(x) for x in args.shape.split(",") if x != "")
-        poly = schur_tableau_sum(shape, args.n)
+        shape = checked_shape(shape, args.n)  # before the point is read
         if args.at is None:
+            poly = schur_tableau_sum(shape, args.n)
             terms = [[list(e), str(c)] for e, c in poly.sorted_terms()]
             return {"nvars": args.n, "terms": terms}, 0
         coords = args.at.split(",") if args.at else []
         point = [_coordinate(i, x) for i, x in enumerate(coords, 1)]
         if len(point) != args.n:
             raise UsageError("evaluation point must have exactly n coordinates")
-        return {"value": _value_str(poly.evaluate(point))}, 0
+        return {"value": _value_str(schur_value(shape, point))}, 0
     if action == "hook-content":
         coeffs = hook_content_rectangular(args.gamma, args.alpha, args.n)
         return {"coefficients": [str(c) for c in coeffs]}, 0
@@ -214,18 +220,24 @@ def _handle_verify(args, budget: WorkBudget) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(name: str, spec: str) -> list[int]:
+    """The values of parameter ``name`` that ``spec`` lists; an empty list
+    is a usage error, since a sweep over it would check nothing."""
     spec = spec.strip()
     if "," in spec:
-        return [int(x) for x in spec.split(",") if x != ""]
-    if ".." in spec:
+        values = [int(x) for x in spec.split(",") if x != ""]
+    elif ".." in spec:
         lohi, _, step = spec.partition(":")
         lo, _, hi = lohi.partition("..")
         step_v = int(step) if step else 1
         if step_v <= 0:
             raise UsageError("range step must be positive")
-        return list(range(int(lo), int(hi) + 1, step_v))
-    return [int(spec)]
+        values = list(range(int(lo), int(hi) + 1, step_v))
+    else:
+        values = [int(spec)]
+    if not values:
+        raise UsageError(f"empty range for {name}: {spec!r}")
+    return values
 
 
 def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[int]]:
@@ -239,12 +251,12 @@ def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[
                 if "=" not in line:
                     raise UsageError(f"bad config line {raw!r}")
                 key, _, value = line.partition("=")
-                grid[key.strip()] = _parse_range(value)
+                grid[key.strip()] = _parse_range(key.strip(), value)
     for item in sets:
         if "=" not in item:
             raise UsageError(f"bad --set value {item!r}")
         key, _, value = item.partition("=")
-        grid[key.strip()] = _parse_range(value)
+        grid[key.strip()] = _parse_range(key.strip(), value)
     return grid
 
 

@@ -20,14 +20,15 @@ may reach 2^32 - 2, which its fields still hold exactly, but it cannot be
 multiplied again.
 
 ``MPoly`` has one constructor, which trusts its caller, and only the
-operations that production code uses: product, power, exact evaluation,
-lifting to more variables, setting the last variable to zero and a
-digest.  ``substitute_first`` sets the first variable of a term map to a
-value; evaluation and the evaluation sweep of ``scpp.verify`` are built
-on it.  Sums are a test oracle (``tests/oracles.py``).  Univariate
-polynomials (used for the principal specialization in a formal variable
-q) are plain ascending coefficient lists with exact integer division
-helpers.
+operations that production code uses: product, power, lifting to more
+variables, setting the last variable to zero and a digest.
+``substitute_first`` sets the first variable of a term map to a value;
+the evaluation sweep of ``scpp.verify`` is built on it.  Values at a
+single point come from ``scpp.schur.schur_value`` without a polynomial,
+so evaluating a whole ``MPoly`` is a test oracle, as are sums
+(``tests/oracles.py``).  Univariate polynomials (used for the principal
+specialization in a formal variable q) are plain ascending coefficient
+lists with exact integer division helpers.
 """
 
 from __future__ import annotations
@@ -147,18 +148,6 @@ class MPoly:
         for _ in range(n):
             result = result * self
         return result
-
-    def evaluate(self, point: Sequence[Value]) -> Value:
-        """Exact substitution of the variables by the given values, one
-        variable at a time."""
-        if len(point) != self.nvars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
-            )
-        terms: dict[int, Value] = self.terms
-        for nvars, value in zip(range(self.nvars, 0, -1), point):
-            terms = substitute_first(terms, nvars, value)
-        return terms.get(0, 0)
 
     def lift(self, nvars: int) -> "MPoly":
         """Embed into a larger variable set; new variables get exponent 0."""

@@ -1,23 +1,30 @@
-"""Schur polynomials.
+"""Schur polynomials and their values.
 
-Schur polynomials are built by the branching rule (Stanley, EC2 7.10):
-s_lam(x_1..x_n) is the sum, over the mu with lam/mu a horizontal strip,
-of s_mu(x_1..x_{n-1}) * x_n^|lam/mu|, each s_mu taken from a bounded
-cache.  Its two independent oracles, the walk over semistandard tableaux
-and a determinant of complete homogeneous polynomials, live in
-``tests/oracles.py``.  The rectangular principal specialization is
-available as an exactly cancelled product in a formal variable q.
+Both routes run the branching rule (Stanley, EC2 7.10): s_lam(x_1..x_n)
+is the sum, over the mu with lam/mu a horizontal strip, of
+s_mu(x_1..x_{n-1}) * x_n^|lam/mu|.  ``schur_tableau_sum`` sums term maps
+and keeps each s_mu in a bounded cache shared by all calls.
+``schur_value`` sums exact numbers at one point and keeps each
+s_mu(v_1..v_k) in a memo that lives for that call only; the bridge,
+``specialize_alternating`` and ``scpp schur evaluate --at`` read their
+values from it and build no polynomial.  The independent oracles of the
+polynomial route, the walk over semistandard tableaux and a determinant
+of complete homogeneous polynomials, live in ``tests/oracles.py``; the
+tests check the value route against the polynomial route at integer and
+rational points.  The rectangular principal specialization is available
+as an exactly cancelled product in a formal variable q.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from scpp.partitions import Partition, horizontal_strips_within, partition, rectangle, size
 from scpp.polynomials import (
     EXPONENT_LIMIT,
     MPoly,
+    Value,
     add_with_last_power,
     one_minus_power,
     upoly_divexact,
@@ -27,6 +34,17 @@ from scpp.polynomials import (
 # entries kept by the Schur polynomial cache; one verify_schurid(1, 4, 3, 3, 5)
 # touches 787 (shape, variable count) pairs
 CACHE_SIZE = 384
+
+
+def checked_shape(lam: Iterable[int], n: int) -> Partition:
+    """lam as a partition, after the checks of both entry points: n is
+    nonnegative, lam is a partition and its first part is below 2^31."""
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    lam = partition(lam)
+    if lam and lam[0] >= EXPONENT_LIMIT:
+        raise ValueError(f"shape part {lam[0]} is not below {EXPONENT_LIMIT}")
+    return lam
 
 
 def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
@@ -40,11 +58,7 @@ def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
     of s_lam exceeds its first part, and packed keys hold exponents below
     2^31.
     """
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
-    lam = partition(lam)
-    if lam and lam[0] >= EXPONENT_LIMIT:
-        raise ValueError(f"shape part {lam[0]} is not below {EXPONENT_LIMIT}")
+    lam = checked_shape(lam, n)
     if len(lam) > n:
         return MPoly.zero(n)
     return _schur_sum(lam, n)
@@ -62,6 +76,34 @@ def _schur_sum(lam: Partition, n: int) -> MPoly:
     for mu in horizontal_strips_within(lam):
         add_with_last_power(acc, _schur_sum(mu, n - 1).terms, lam_size - size(mu))
     return MPoly(n, acc)
+
+
+def schur_value(lam: Iterable[int], point: Sequence[Value]) -> Value:
+    """s_lam at point, exactly, in n = len(point) variables.
+
+    The branching rule of ``_schur_sum`` on numbers: s_mu(v_1..v_k) is the
+    sum of s_nu(v_1..v_{k-1}) * v_k^|mu/nu| over the horizontal strips
+    mu/nu, each (mu, k) computed once in a memo local to this call.  Zero
+    when lam has more than n rows, 1 for the empty shape.  Refuses what
+    ``schur_tableau_sum`` refuses, with the same messages.
+    """
+    memo: dict[tuple[Partition, int], Value] = {}
+
+    def value(mu: Partition, k: int) -> Value:
+        if len(mu) > k:
+            return 0
+        if not mu:
+            return 1
+        key = (mu, k)
+        if key not in memo:
+            x, mu_size = point[k - 1], size(mu)
+            memo[key] = sum(
+                value(nu, k - 1) * x ** (mu_size - size(nu))
+                for nu in horizontal_strips_within(mu)
+            )
+        return memo[key]
+
+    return value(checked_shape(lam, len(point)), len(point))
 
 
 def hook_content_rectangular(gamma: int, alpha: int, n: int) -> list[int]:
@@ -105,12 +147,9 @@ def alternating_point(m: int) -> tuple[int, ...]:
 def specialize_alternating(gamma: int, alpha: int, m: int) -> int:
     """Rectangular Schur polynomial evaluated at alternating signs.
 
-    The branching-rule polynomial of ``schur_tableau_sum`` evaluated at
-    (1, -1, ..., (-1)^(m-1)); the product formula at q -> -1 in
-    ``tests/oracles.py`` checks it.
+    The value ``schur_value`` gives at (1, -1, ..., (-1)^(m-1)); the
+    product formula at q -> -1 in ``tests/oracles.py`` checks it.
     """
     if gamma < 0 or alpha < 0 or m < 0:
         raise ValueError("parameters must be nonnegative")
-    value = schur_tableau_sum(rectangle(alpha, gamma), m).evaluate(alternating_point(m))
-    assert isinstance(value, int)
-    return value
+    return schur_value(rectangle(alpha, gamma), alternating_point(m))

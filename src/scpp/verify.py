@@ -49,7 +49,7 @@ from scpp.products import (
     signed_enumeration_all_even,
     signed_enumeration_product,
 )
-from scpp.schur import schur_tableau_sum, specialize_alternating
+from scpp.schur import schur_tableau_sum, schur_value, specialize_alternating
 
 FULL_EXPANSION = "full-expansion"
 EVALUATION_SWEEP = "evaluation-sweep"
@@ -325,20 +325,23 @@ def verify_specialization_bridge(
 ) -> VerificationReport:
     """Evaluations of the rectangular Schur polynomial at all-ones and
     alternating points must equal the box count and the signed
-    self-complementary count of the matching box.  The polynomial comes
-    from the branching rule (``schur_tableau_sum``), which the oracles in
-    ``tests/oracles.py`` check; the counts come from the closed products, so
-    the two sides share no route.
+    self-complementary count of the matching box.  Both values come from
+    ``schur_value``, the branching rule on numbers, which builds no
+    polynomial; ``tests/test_schur.py`` checks it against the polynomial
+    route and the tableau count, and ``specialize_alternating`` against the
+    limit at q -> -1 in ``tests/oracles.py``.  The counts come from the
+    closed products, so the two sides share no route.
 
     The all-ones value is the box count on the nose.  The alternating value
     carries a parity sign: it equals (-1)^(gamma*alpha*(alpha+3)/2) times
     the self-complementary count, as the factor-pairing limit shows, so the
-    comparison is exact including sign.
+    comparison is exact including sign.  ``tests/test_verify.py`` checks
+    every tuple with gamma, alpha <= 5 and alpha <= m <= 12.
     """
     if m < alpha:
         raise ValueError("argument count must be at least the number of rows")
     params = {"gamma": gamma, "alpha": alpha, "m": m}
-    ones = schur_tableau_sum(rectangle(alpha, gamma), m).evaluate((1,) * m)
+    ones = schur_value(rectangle(alpha, gamma), (1,) * m)
     alt = specialize_alternating(gamma, alpha, m)
     box = box_count(alpha, m - alpha, gamma)
     sign = -1 if (gamma * alpha * (alpha + 3) // 2) % 2 else 1

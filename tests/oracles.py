@@ -6,7 +6,8 @@ the branching rule, the limit at q -> -1 against ``specialize_alternating``,
 the q-substitution against ``hook_content_rectangular``, the middle-line
 condition on one array against ``count_scpp_middle_line``, the move graph
 built from whole validated neighbour arrays against ``check_move_graph``,
-the tuple-keyed polynomial against the packed ``MPoly``, and so on.
+the tuple-keyed polynomial against the packed ``MPoly`` and against
+the fold of ``substitute_first``, and so on.
 
 ``pack`` and ``unpack_key`` convert between exponent tuples and packed
 ``MPoly`` keys.  They are written from the key layout (x_1 in the most
@@ -34,7 +35,7 @@ from scpp.plane_partitions import (
     is_self_complementary,
     weight,
 )
-from scpp.polynomials import MPoly, upoly_trim
+from scpp.polynomials import MPoly, substitute_first, upoly_trim
 from scpp.products import ParityError
 
 
@@ -155,6 +156,20 @@ class TupleMPoly:
             parts.append(",".join(map(str, exps)) + ":" + str(self.terms[exps]))
         blob = ";".join(parts).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def substituted(poly: MPoly, point: Sequence[int | Fraction]) -> int | Fraction:
+    """poly at point, by folding ``substitute_first`` over the coordinates,
+    x_1 first: the kernel that the evaluation sweep runs prefix by prefix.
+    The tests compare it with ``TupleMPoly.evaluate``."""
+    if len(point) != poly.nvars:
+        raise ValueError(
+            f"point has {len(point)} coordinates, polynomial has {poly.nvars} variables"
+        )
+    terms: dict[int, int | Fraction] = poly.terms
+    for nvars, value in zip(range(poly.nvars, 0, -1), point):
+        terms = substitute_first(terms, nvars, value)
+    return terms.get(0, 0)
 
 
 def to_q_coeffs(poly: MPoly, powers: Sequence[int]) -> list[int]:

@@ -275,7 +275,11 @@ def test_text_format(capsys):
 # check n before charging: a schurid sweep over 22^6 points stops before it
 # builds a polynomial, and n = -1 is an invalid parameter whatever the cap.
 # The zero-denominator --at line was recorded when its message began to
-# name the coordinate.
+# name the coordinate.  The last five lines were recorded when a sweep
+# range that lists no value became a usage error, when an --at coordinate
+# that is not a rational number began to be named, and when the bridge and
+# the alternating value began to come from the value kernel: the largest
+# rectangle of the wider bridge grid, on an all-odd box, so the value is 0.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -339,6 +343,11 @@ GOLDEN = [
     ('verify schurid1 --gamma1 1 --gamma2 1 --alpha 1 --n -1 --budget 1', 2, '{"error": {"code": "invalid-parameter", "message": "variable count must be nonnegative"}}\n'),
     ('verify square-reduction --gamma 1 --alpha 1 --n -1 --budget 1', 2, '{"error": {"code": "invalid-parameter", "message": "variable count must be nonnegative"}}\n'),
     ('schur evaluate --shape 1 --n 1 --at 1/0', 2, '{"error": {"code": "invalid-parameter", "message": "--at coordinate 1 (1/0) has a zero denominator"}}\n'),
+    ('sweep bridge --set gamma=1 --set alpha=1 --set m=3..1', 2, '{"error": {"code": "usage", "message": "empty range for m: \'3..1\'"}}\n'),
+    ('sweep bridge --set gamma=1 --set alpha=1 --set m=,', 2, '{"error": {"code": "usage", "message": "empty range for m: \',\'"}}\n'),
+    ('schur evaluate --shape 1 --n 1 --at x', 2, '{"error": {"code": "invalid-parameter", "message": "--at coordinate 1 (x) is not a rational number"}}\n'),
+    ('schur evaluate --shape 1 --n 2 --at ,', 2, '{"error": {"code": "invalid-parameter", "message": "--at coordinate 1 () is not a rational number"}}\n'),
+    ('schur alternating --gamma 5 --alpha 5 --m 12', 0, '{"value": "0"}\n'),
 ]
 
 
@@ -430,3 +439,28 @@ def test_sweep_records_arithmetic_errors(capsys, monkeypatch, workers):
     assert code == 2
     assert [(l["status"], l["reason"]) for l in lines[:-1]] == [("error", "division by zero")] * 2
     assert (lines[-1]["checked"], lines[-1]["failed"]) == (0, 2)
+
+
+def test_an_empty_range_in_a_config_file_is_a_usage_error(capsys, tmp_path):
+    config = tmp_path / "grid.txt"
+    config.write_text("gamma = 1\nalpha = 1  # one row\nm = 4..2\n")
+    code, out = run_cli(capsys, "sweep", "bridge", "--config", str(config))
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "usage", "message": "empty range for m: '4..2'"}
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        # the shape is checked before the point is read, as the polynomial route did
+        ("--shape 2147483648 --n 1 --at 1", "shape part 2147483648 is not below 2147483648"),
+        ("--shape 2147483648 --n 1", "shape part 2147483648 is not below 2147483648"),
+        ("--shape 1 --n -1 --at x", "variable count must be nonnegative"),
+        ("--shape 1,2 --n 2 --at x", "parts must be weakly decreasing, got (1, 2)"),
+        ("--shape 1 --n 2 --at 1,2/x", "--at coordinate 2 (2/x) is not a rational number"),
+    ],
+)
+def test_schur_evaluate_checks_the_shape_before_the_point(capsys, argv, message):
+    code, out = run_cli(capsys, "schur", "evaluate", *argv.split())
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "invalid-parameter", "message": message}

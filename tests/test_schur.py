@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     SemistandardTableau,
+    TupleMPoly,
     alternating_limit_value,
     complete_homogeneous,
     enumerate_ssyt,
@@ -15,7 +18,9 @@ from oracles import (
     packed,
     poly_add,
     schur_determinant_oracle,
+    substituted,
     to_q_coeffs,
+    tuple_terms,
 )
 from scpp.partitions import partitions_in_rectangle, rectangle, size
 from scpp.polynomials import MPoly
@@ -25,6 +30,7 @@ from scpp.schur import (
     alternating_point,
     hook_content_rectangular,
     schur_tableau_sum,
+    schur_value,
     specialize_alternating,
 )
 
@@ -223,4 +229,51 @@ def test_schur_symmetry_at_permuted_points():
             point = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
             shuffled = point[:]
             rng.shuffle(shuffled)
-            assert poly.evaluate(point) == poly.evaluate(shuffled)
+            assert substituted(poly, point) == substituted(poly, shuffled)
+            assert schur_value(lam, point) == schur_value(lam, shuffled) == substituted(poly, point)
+
+
+# the value kernel against the polynomial route
+
+coordinates = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@given(
+    st.sampled_from(list(partitions_in_rectangle(4, 4))),
+    st.lists(coordinates, min_size=0, max_size=6),
+)
+def test_schur_value_matches_the_polynomial_at_a_point(lam, point):
+    n = len(point)
+    oracle = TupleMPoly(n, tuple_terms(schur_tableau_sum(lam, n))).evaluate(point)
+    value = schur_value(lam, point)
+    assert value == oracle
+    if all(isinstance(x, int) for x in point):
+        assert isinstance(value, int)
+
+
+def test_schur_value_at_ones_counts_tableaux():
+    for lam, n in product(partitions_in_rectangle(3, 3), range(6)):
+        assert schur_value(lam, (1,) * n) == sum(1 for _ in enumerate_ssyt(lam, n)), (lam, n)
+
+
+def test_schur_value_edge_cases():
+    assert schur_value((), ()) == 1
+    assert schur_value((), (Fraction(1, 2), -3)) == 1
+    assert schur_value((1, 1, 1), (1, 2)) == 0  # more rows than variables
+    assert schur_value((2, 1, 0), (1, 1)) == schur_value((2, 1), (1, 1)) == 2
+    assert schur_value((1,), (Fraction(1, 2), Fraction(1, 3))) == Fraction(5, 6)
+
+
+@pytest.mark.parametrize(
+    ("lam", "n"),
+    [((-1,), 1), ((1, 2), 2), ((2**31,), 1), ((2**31, 1), 1), ((2**31, 1), 0), ((1, 0, 1), 3)],
+)
+def test_both_entry_points_refuse_the_same_shapes(lam, n):
+    with pytest.raises(ValueError) as by_poly:
+        schur_tableau_sum(lam, n)
+    with pytest.raises(ValueError) as by_value:
+        schur_value(lam, (1,) * n)
+    assert str(by_value.value) == str(by_poly.value)

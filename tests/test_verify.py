@@ -2,10 +2,13 @@ from itertools import product
 
 import pytest
 
-from scpp import verify
+from oracles import TupleMPoly, tuple_terms
+from scpp import schur, verify
 from scpp.budget import BudgetExceededError, WorkBudget
+from scpp.cli import main
 from scpp.polynomials import MPoly
-from scpp.schur import schur_tableau_sum
+from scpp.products import sc_count
+from scpp.schur import schur_tableau_sum, specialize_alternating
 from scpp.verify import (
     schurid_rhs,
     verify_box,
@@ -89,21 +92,31 @@ def _sweep_inputs(which, gamma1, gamma2, alpha, n):
 SWEEP_TUPLES = [(1, 2, 0, 2, 3), (1, 1, 1, 1, 3), (1, 2, 2, 1, 2), (2, 2, 1, 1, 3), (2, 2, 2, 1, 2)]
 
 
+def _at(poly, point):
+    """poly at point by the tuple-keyed oracle, term by term."""
+    return TupleMPoly(poly.nvars, tuple_terms(poly)).evaluate(point)
+
+
 @pytest.mark.parametrize(("which", "gamma1", "gamma2", "alpha", "n"), SWEEP_TUPLES)
 def test_sweep_walk_matches_pointwise_evaluation(which, gamma1, gamma2, alpha, n):
     first, second, rhs, bound = _sweep_inputs(which, gamma1, gamma2, alpha, n)
     expected = [
-        (first.evaluate(point[:-1]) * second.evaluate(point), rhs.evaluate(point))
+        (_at(first, point[:-1]) * _at(second, point), _at(rhs, point))
         for point in product(range(bound + 1), repeat=n + 1)
     ]
     assert list(verify._swept_values(first, second, rhs, bound)) == expected
+
+
+def _refuse(*args):
+    raise AssertionError("called")
 
 
 def test_sweep_substitutes_once_per_prefix(monkeypatch):
     calls = []
     kernel = verify.substitute_first
     monkeypatch.setattr(verify, "substitute_first", lambda *args: calls.append(1) or kernel(*args))
-    monkeypatch.setattr(verify.MPoly, "evaluate", None)  # the sweep must not call it
+    assert not hasattr(MPoly, "evaluate")
+    monkeypatch.setattr(verify, "schur_value", _refuse)  # the sweep must not call it
     which, gamma1, gamma2, alpha, n = SWEEP_TUPLES[0]
     report = verify_schurid(which, gamma1, gamma2, alpha, n, method="evaluation-sweep")
     assert report.match
@@ -174,6 +187,31 @@ def test_verify_bridge():
     assert verify_specialization_bridge(0, 2, 4).match
     with pytest.raises(ValueError):
         verify_specialization_bridge(2, 3, 2)
+
+
+def test_bridge_on_a_wider_grid():
+    # 378 tuples, up to 25-cell rectangles in 12 variables
+    tuples = [(g, a, m) for g in range(6) for a in range(6) for m in range(a, 13)]
+    assert len(tuples) == 378
+    assert [t for t in tuples if not verify_specialization_bridge(*t).match] == []
+
+
+def test_alternating_value_on_the_largest_rectangle():
+    # the bridge's sign rule: (-1)^(gamma*alpha*(alpha+3)/2) times sc_count
+    for gamma, alpha, m in [(5, 5, 12), (5, 4, 12), (4, 5, 12)]:
+        sign = -1 if (gamma * alpha * (alpha + 3) // 2) % 2 else 1
+        assert specialize_alternating(gamma, alpha, m) == sign * sc_count(alpha, m - alpha, gamma)
+    assert sc_count(4, 8, 5) > 0
+
+
+def test_bridge_and_alternating_build_no_polynomial(monkeypatch, capsys):
+    monkeypatch.setattr(schur, "_schur_sum", _refuse)
+    assert verify_specialization_bridge(3, 3, 7).match
+    assert specialize_alternating(3, 2, 6) == -sc_count(2, 4, 3) == -18
+    assert main(["schur", "evaluate", "--shape", "2,2", "--n", "3", "--at", "1,1/2,-1"]) == 0
+    assert capsys.readouterr().out == '{"value": "5/4"}\n'
+    with pytest.raises(AssertionError):  # the patch is live for the polynomial route
+        schur_tableau_sum((3, 3), 3)
 
 
 def test_budget_threads_through_verifiers():

@@ -6,13 +6,14 @@ no timings.  Exit codes: 0 on success and on verifications that match, 1
 on a verification mismatch, 2 on errors.  An error prints one JSON line
 ``{"error": {"code": ..., "message": ...}}`` on stdout, with code
 ``usage`` (a missing parameter, ``--method`` given for an identity with
-a single route, or a sweep range that lists no value), ``bad-parity``,
-``budget-exceeded`` or ``invalid-parameter`` (a parameter out of range,
-including a ``--budget`` below 1, which every subcommand rejects before
-doing any work, and a ``sweep --workers`` below 1 and a ``schur evaluate
---at`` coordinate that is not a rational number or has a zero
-denominator; also a ``--config`` or ``--out`` file that cannot be read or
-written).
+a single route, a sweep range that lists no value, or a parameter given
+two ``--set`` flags), ``bad-parity``, ``budget-exceeded`` or
+``invalid-parameter`` (a parameter out of range, including a ``--budget``
+below 1, which every subcommand rejects before doing any work, and a
+``sweep --workers`` below 1 and a ``schur evaluate --at`` coordinate that
+is not a rational number or has a zero denominator; also a sweep range
+that does not parse, and a ``--config`` or ``--out`` file that cannot be
+read or written).
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
@@ -22,7 +23,10 @@ outcome), ``skipped`` (outside the identity's cases), ``budget-exceeded``
 last three carry a ``reason``.  A tuple that fails does not stop the
 others.  The closing summary line counts ``checked``, ``matched``,
 ``mismatched``, ``skipped`` and ``failed`` (budget-exceeded or error).  A
-sweep exits 2 if any tuple failed, else 1 if any mismatched, else 0.
+sweep exits 2 if any tuple failed, else 1 if any mismatched, else 0.  Its
+grid comes from ``--config`` lines and ``--set`` flags, ``key=range`` each;
+a ``--set`` overrides the same key in the config file, and giving one
+parameter two ``--set`` flags is a usage error.
 
 ``--budget`` caps the work units that enumeration and expansion charge:
 the brute-force ``count`` targets, and ``verify`` and ``sweep`` of every
@@ -222,25 +226,33 @@ def _handle_verify(args, budget: WorkBudget) -> tuple[dict, int]:
 
 def _parse_range(name: str, spec: str) -> list[int]:
     """The values of parameter ``name`` that ``spec`` lists; an empty list
-    is a usage error, since a sweep over it would check nothing."""
+    is a usage error, since a sweep over it would check nothing, and a spec
+    that is not a list, a range or a number is an invalid parameter."""
     spec = spec.strip()
-    if "," in spec:
-        values = [int(x) for x in spec.split(",") if x != ""]
-    elif ".." in spec:
-        lohi, _, step = spec.partition(":")
-        lo, _, hi = lohi.partition("..")
-        step_v = int(step) if step else 1
-        if step_v <= 0:
-            raise UsageError("range step must be positive")
-        values = list(range(int(lo), int(hi) + 1, step_v))
-    else:
-        values = [int(spec)]
+    try:
+        if "," in spec:
+            values = [int(x) for x in spec.split(",") if x != ""]
+        elif ".." in spec:
+            lohi, _, step = spec.partition(":")
+            lo, _, hi = lohi.partition("..")
+            step_v = int(step) if step else 1
+            if step_v <= 0:
+                raise UsageError("range step must be positive")
+            values = list(range(int(lo), int(hi) + 1, step_v))
+        else:
+            values = [int(spec)]
+    except UsageError:
+        raise
+    except ValueError:
+        raise ValueError(f"bad range for {name}: {spec!r}") from None
     if not values:
         raise UsageError(f"empty range for {name}: {spec!r}")
     return values
 
 
 def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[int]]:
+    """The range of each parameter: from ``--config``, then from ``--set``,
+    which overrides a config key but may give each parameter only once."""
     grid: dict[str, list[int]] = {}
     if config_path:
         with open(config_path) as fh:
@@ -252,11 +264,16 @@ def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[
                     raise UsageError(f"bad config line {raw!r}")
                 key, _, value = line.partition("=")
                 grid[key.strip()] = _parse_range(key.strip(), value)
+    given = set()
     for item in sets:
         if "=" not in item:
             raise UsageError(f"bad --set value {item!r}")
         key, _, value = item.partition("=")
-        grid[key.strip()] = _parse_range(key.strip(), value)
+        key = key.strip()
+        if key in given:
+            raise UsageError(f"--set gives {key} more than once")
+        given.add(key)
+        grid[key] = _parse_range(key, value)
     return grid
 
 
@@ -375,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--set",
         action="append",
         metavar="key=range",
-        help="grid range, e.g. a=0..6:2 or c1=0,2,4 (repeatable)",
+        help="grid range, e.g. a=0..6:2 or c1=0,2,4; once per parameter, "
+        "and it overrides the same key in --config",
     )
     p_sweep.add_argument("--config", default=None, help="file of key=range lines")
     p_sweep.add_argument("--workers", type=int, default=1)

@@ -13,67 +13,40 @@ mirrored entries summing to at least b (a even) or to exactly b (the
 central row, a odd) for the self-complementary arrays, plus a pinned
 segment for the middle lines.  The counts sum over these chains with the
 transfer-matrix method (Stanley, EC1 4.7), whose states are the rows; they
-are exhaustive and use no closed form.  Each count charges its row states
-once per transfer step, up front (see ``_row_chains``); the signed count
-makes two runs on one budget.  ``enumerate_scpp`` builds the
-self-complementary arrays themselves, for the move graph, which joins two
-arrays when one cube moves to its 180-degree-opposite position;
-``check_move_graph`` finds each edge once, by checks at the two cells it
-changes, and checks that the weight, computed for each array from its own
-entries, flips across every edge.  The object-level
-oracles (every box array, the bijection with rectangular tableaux, the
-middle-line condition on one array) live in ``tests/oracles.py``.
+are exhaustive and use no closed form.  The rows of [0, b]^c and their
+raised-entry index form one row table per (b, c), built once per process
+and shared by every count (``_row_table``).  Each count charges its row
+states once per transfer step, up front (see ``_row_chains``); the signed
+count makes two runs on one budget.
+
+The move graph joins two self-complementary arrays when one cube moves to
+its 180-degree-opposite position.  ``check_move_graph`` lists the arrays
+as flat tuples, the a*c entries row by row (``_scpp_flats``), finds each
+edge once, by checks at the two cells it changes, and checks that the
+weight, computed for each array from its own entries (``_flipped_parity``),
+flips across every edge.  The object-level oracles (the validated array
+type, every box array, the self-complementary arrays as objects and their
+weight, the bijection with rectangular tableaux, the middle-line condition
+on one array) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Iterator
 
 from scpp.budget import WorkBudget
-from scpp.products import ParityError, check_box_sides, check_middle_line_params
+from scpp.products import check_box_sides, check_middle_line_params
 
 Row = tuple[int, ...]
-Grid = tuple[Row, ...]
 RowWeight = Callable[[Row], int]
 
-
-@dataclass(frozen=True)
-class PlanePartition:
-    """Array form of a plane partition in a rows x height_bound x cols box."""
-
-    rows: int
-    cols: int
-    height_bound: int
-    entries: Grid
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0 or self.height_bound < 0:
-            raise ValueError("box dimensions must be nonnegative")
-        entries = tuple(tuple(int(v) for v in row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != self.rows:
-            raise ValueError("wrong number of rows")
-        if not _is_valid_grid(entries, self.rows, self.cols, self.height_bound):
-            raise ValueError(f"not a valid plane partition array: {entries}")
-
-
-def _is_valid_grid(grid: Grid, a: int, c: int, b: int) -> bool:
-    if len(grid) != a:
-        return False
-    for i, row in enumerate(grid):
-        if len(row) != c:
-            return False
-        for j, v in enumerate(row):
-            if not 0 <= v <= b:
-                return False
-            if j and row[j - 1] < v:
-                return False
-            if i and grid[i - 1][j] < v:
-                return False
-    return True
+# row tables kept at once; the enum benchmark draws from 26 distinct (b, c),
+# 21 to 23 of them in one pass
+ROW_TABLE_SIZE = 32
 
 
 def count_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
@@ -98,6 +71,18 @@ def _rows_above(counts: list[int], raised: list[list[int]]) -> list[int]:
     return sums
 
 
+@lru_cache(maxsize=ROW_TABLE_SIZE)
+def _row_table(b: int, c: int) -> tuple[list[Row], list[list[int]]]:
+    """The weakly decreasing rows in [0, b]^c in decreasing lexicographic
+    order, and per column j the index of each row with entry j raised by
+    one (-1: none).  Every caller shares the two lists and only reads them.
+    """
+    rows = list(combinations_with_replacement(range(b, -1, -1), c))
+    index = {row: i for i, row in enumerate(rows)}
+    raised = [[index.get(row[:j] + (row[j] + 1,) + row[j + 1:], -1) for row in rows] for j in range(c)]
+    return rows, raised
+
+
 def _row_chains(
     k: int, b: int, c: int, budget: WorkBudget, signed: bool = False
 ) -> tuple[list[Row], list[int]]:
@@ -105,16 +90,13 @@ def _row_chains(
     the one before, counted by their last row: the rows and their counts.
     ``signed`` weights each row by (-1)^(b*c - its sum), the parity of the
     cubes it leaves out of the box.  Charges its k*C(b+c, c) units to
-    ``budget`` before it lists the rows, so a cap stops it before they fill
-    memory.
+    ``budget`` before it reads the row table, so a cap stops it before the
+    rows fill memory.
     """
     if k == 0:
         return [(b,) * c], [1]  # the full row (b, ..., b) stands for the lid of the box
     budget.charge(k * comb(b + c, c))
-    rows = list(combinations_with_replacement(range(b, -1, -1), c))  # decreasing lex order
-    index = {row: i for i, row in enumerate(rows)}
-    # per column j, the index of each row with entry j raised by one (-1: none)
-    raised = [[index.get(row[:j] + (row[j] + 1,) + row[j + 1:], -1) for row in rows] for j in range(c)]
+    rows, raised = _row_table(b, c)
     counts = [1] + [0] * (len(rows) - 1)  # the lid
     for _ in range(k):
         counts = _rows_above(counts, raised)
@@ -135,83 +117,6 @@ def _decreasing_rows(bound: Row, mirrored: int = 0, row: Row = ()) -> Iterator[R
     lo = mirrored - row[c - 1 - j] if 2 * j >= c else 0  # once the mirror is placed
     for v in range(hi, max(lo, 0) - 1, -1):
         yield from _decreasing_rows(bound, mirrored, row + (v,))
-
-
-def _pp_grids(a: int, b: int, c: int, budget: WorkBudget) -> Iterator[Grid]:
-    """The arrays of the box; charges one unit per node of the row tree."""
-    check_box_sides(a, b, c)
-    acc: list[Row] = []
-
-    def rec(r: int) -> Iterator[Grid]:
-        budget.charge()
-        if r == a:
-            yield tuple(acc)
-            return
-        for row in _decreasing_rows(acc[-1] if acc else (b,) * c):
-            acc.append(row)
-            yield from rec(r + 1)
-            acc.pop()
-
-    yield from rec(0)
-
-
-def is_self_complementary(pp: PlanePartition) -> bool:
-    """True iff every entry and its 180-degree-opposite entry sum to the height bound."""
-    g, b = pp.entries, pp.height_bound
-    return all(
-        v + w == b for row, mirror in zip(g, reversed(g)) for v, w in zip(row, reversed(mirror))
-    )
-
-
-def half_full(a: int, b: int, c: int) -> PlanePartition:
-    """Canonical self-complementary reference array of weight +1.
-
-    Splits along the first even dimension in the preference order b, c, a.
-    """
-    if a % 2 and b % 2 and c % 2:
-        raise ParityError("no self-complementary plane partition fits an all-odd box")
-    if b % 2 == 0:
-        grid = tuple(((b // 2,) * c) for _ in range(a))
-    elif c % 2 == 0:
-        row = ((b + 1) // 2,) * (c // 2) + ((b - 1) // 2,) * (c // 2)
-        grid = tuple(row for _ in range(a))
-    else:
-        hi = ((b + 1) // 2,) * c
-        lo = ((b - 1) // 2,) * c
-        grid = tuple(hi for _ in range(a // 2)) + tuple(lo for _ in range(a - a // 2))
-    return PlanePartition(a, c, b, grid)
-
-
-def flipped_pair_count(pp: PlanePartition) -> int:
-    """Number of opposite-position cube pairs whose occupied member is the
-    lexicographically larger one.
-
-    For a self-complementary array each pair {(i,j,k), opposite} holds
-    exactly one cube; grouping pairs by column shows the count equals the
-    sum of (height bound - entry) over the positions that lexicographically
-    precede their own opposite: the upper a//2 rows, and the left c//2
-    entries of a central row.
-    """
-    a, c, b = pp.rows, pp.cols, pp.height_bound
-    total = sum(b * c - sum(row) for row in pp.entries[: a // 2])
-    if a % 2:
-        total += sum(b - v for v in pp.entries[a // 2][: c // 2])
-    return total
-
-
-def weight(pp: PlanePartition, reference: int | None = None) -> int:
-    """The +-1 weight of a self-complementary plane partition.
-
-    Normalized so the half-full reference array has weight +1; each single
-    move of a cube to its opposite position flips the sign.  ``reference``
-    is ``flipped_pair_count`` of the box's ``half_full`` array, for callers
-    that weigh many arrays of one box; it is computed when not given.
-    """
-    if not is_self_complementary(pp):
-        raise ValueError("weight is defined only for self-complementary arrays")
-    if reference is None:
-        reference = flipped_pair_count(half_full(pp.rows, pp.height_bound, pp.cols))
-    return -1 if (flipped_pair_count(pp) - reference) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -254,29 +159,30 @@ def _closed_chains(
     return sum(n * closes(row) for n, row in zip(counts, rows) if n)
 
 
-def enumerate_scpp(
-    a: int, b: int, c: int, budget: WorkBudget | None = None
-) -> Iterator[PlanePartition]:
-    """Every self-complementary plane partition of the box, exactly once.
+def _upper_cells(a: int, c: int) -> int:
+    """h, the number of cells of an a x c array read row by row that
+    precede their opposite: the upper a//2 rows and the left c//2 cells of
+    a central row."""
+    return (a // 2) * c + (a % 2) * (c // 2)
 
-    Walks the free upper rows, then the closing row below each (the last
-    upper row for a even, the central row for a odd), whose mirrored
-    entries sum to at least b; the remaining rows are the reversed
-    complements of the upper rows.  Charges one unit per node it walks.
+
+def _reference_parity(a: int, b: int, c: int) -> int:
+    """The weight parity of the box's half-full reference array, the array
+    of weight +1, for a box that is not all odd: the cubes missing from the
+    positions that precede their opposite (see ``_flipped_parity``).
+
+    The reference splits along the first even side in the order b, c, a:
+    every entry b/2; or rows of c/2 entries (b+1)/2 then c/2 entries
+    (b-1)/2; or the upper a/2 rows (b+1)/2 and the lower ones (b-1)/2.
     """
-    budget = budget or WorkBudget()
-    check_box_sides(a, b, c)
-    if a == 0:
-        yield PlanePartition(0, c, b, ())
-        return
-    closes = _closing_row(a, b, c)
-    for free in _pp_grids((a - 1) // 2, b, c, budget):
-        for row in _decreasing_rows(free[-1] if free else (b,) * c, b):
-            budget.charge()
-            if closes(row):
-                upper = free + (row,) if a % 2 == 0 else free
-                lower = tuple(tuple(b - v for v in reversed(r)) for r in reversed(upper))
-                yield PlanePartition(a, c, b, free + (row,) + lower)
+    h = _upper_cells(a, c)
+    if b % 2 == 0:
+        missing = h * (b // 2)
+    elif c % 2 == 0:
+        missing = (a // 2) * (c // 2) * b + (a % 2) * (c // 2) * ((b - 1) // 2)
+    else:
+        missing = h * ((b - 1) // 2)
+    return missing % 2
 
 
 def count_scpp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
@@ -298,13 +204,12 @@ def count_scpp_signed(
     check_box_sides(a, b, c)
     if a % 2 and b % 2 and c % 2:
         return SignedCount(0, 0)
-    base = flipped_pair_count(half_full(a, b, c)) % 2
     closes = _closing_row(a, b, c)
     total = _closed_chains(a, b, c, closes, budget)
     # the signed run weighs a whole central row; take its right half back out
     right = c // 2 if a % 2 else c
     weighted = lambda w: closes(w) * (-1) ** sum(b - v for v in w[right:])
-    signed = (-1) ** base * _closed_chains(a, b, c, weighted, budget, True)
+    signed = (-1) ** _reference_parity(a, b, c) * _closed_chains(a, b, c, weighted, budget, True)
     positive = (total + signed) // 2
     return SignedCount(positive, total - positive)
 
@@ -353,6 +258,48 @@ class MoveGraphReport:
     sign_flips_consistent: bool
 
 
+def _scpp_flats(a: int, b: int, c: int, budget: WorkBudget) -> Iterator[Row]:
+    """Every self-complementary array of the box exactly once, as a flat
+    tuple of its a*c entries read row by row.
+
+    Walks the free upper rows, then the closing row below them (the last
+    upper row for a even, the central row for a odd), whose mirrored
+    entries sum to at least b; the lower rows are the reversed complements
+    of the upper ones, which flattened is the reversed complement of the
+    flat upper half.  Charges one unit per node of the free-row tree and
+    one per closing row it tries.
+    """
+    if a == 0:
+        yield ()
+        return
+    closes = _closing_row(a, b, c)
+    free = (a - 1) // 2
+
+    def walk(r: int, upper: Row, bound: Row) -> Iterator[Row]:
+        budget.charge()
+        if r < free:
+            for row in _decreasing_rows(bound):
+                yield from walk(r + 1, upper + row, row)
+            return
+        for row in _decreasing_rows(bound, b):
+            budget.charge()
+            if closes(row):
+                half = upper + row if a % 2 == 0 else upper
+                yield upper + row + tuple(b - v for v in reversed(half))
+
+    yield from walk(0, (), (b,) * c)
+
+
+def _flipped_parity(flat: Row, b: int, h: int) -> int:
+    """The parity of the cubes missing from the first h cells of a flat
+    self-complementary array, h = ``_upper_cells(a, c)``: the positions
+    that precede their opposite.  Each opposite pair of cube positions
+    holds one cube, so this counts, mod 2, the pairs whose occupied member
+    is the lexicographically larger one, the weight's parity before the
+    box's reference."""
+    return (b * h - sum(flat[:h])) % 2
+
+
 def check_move_graph(a: int, b: int, c: int, budget: WorkBudget | None = None) -> MoveGraphReport:
     """Build the graph of single cube moves on all self-complementary arrays.
 
@@ -367,17 +314,20 @@ def check_move_graph(a: int, b: int, c: int, budget: WorkBudget | None = None) -
     neighbour and at most the entry above it, both read in the new array
     (either may be p).  That also keeps it at most b: q follows its
     opposite, so it is not the corner cell and has one of the two.  The
-    new array is then looked up among the listed ones; a miss means the
-    enumerator is incomplete and raises ``KeyError``.
+    new array is then looked up among the listed ones.
 
-    Each array's weight comes from its own entries, by ``weight`` against
-    the reference count of the box, never from a neighbour's, so the check
-    that every edge joins weights +1 and -1 can fail.  Also reports how
-    many connected components the graph has (0 or 1 expected).
+    The arrays come from ``_scpp_flats``, a walk independent of the
+    transfer-matrix count; a walk that lists another number of arrays than
+    ``count_scpp`` counts raises ``RuntimeError``, and a neighbour missing
+    from the listing raises ``KeyError``.  Each array's weight comes from its own
+    entries, by ``_flipped_parity`` against the reference parity of the
+    box, never from a neighbour's, so the check that every edge joins
+    weights +1 and -1 can fail.  Also reports how many connected
+    components the graph has (0 or 1 expected).
 
     Before it lists any array it charges its dominant work: the units of
-    ``count_scpp``, then (a*c)//2 moves for each array counted.
-    ``enumerate_scpp`` then charges its nodes to the same budget.
+    ``count_scpp``, then (a*c)//2 moves for each array counted.  The walk
+    then charges its nodes to the same budget.
     """
     budget = budget or WorkBudget()
     cells = a * c
@@ -385,12 +335,14 @@ def check_move_graph(a: int, b: int, c: int, budget: WorkBudget | None = None) -
     budget.charge(counted * (cells // 2))
     if counted == 0:
         return MoveGraphReport(0, 0, 0, True)
-    reference = flipped_pair_count(half_full(a, b, c))
-    weights, flats = [], []
-    for pp in enumerate_scpp(a, b, c, budget):
-        weights.append(weight(pp, reference))
-        flats.append(tuple(chain.from_iterable(pp.entries)))
+    flats = list(_scpp_flats(a, b, c, budget))
     n = len(flats)
+    if n != counted:
+        raise RuntimeError(f"the move-graph walk listed {n} arrays, count_scpp counted {counted}")
+    h = _upper_cells(a, c)
+    reference = _reference_parity(a, b, c)
+    # 0 for weight +1, 1 for weight -1
+    weights = [_flipped_parity(f, b, h) ^ reference for f in flats]
     index = {f: k for k, f in enumerate(flats)}
     # per move: the cell p that loses its top cube, its opposite q, and the
     # left neighbour and the cell above q (negative: none)

@@ -6,8 +6,10 @@ the branching rule, the limit at q -> -1 against ``specialize_alternating``,
 the q-substitution against ``hook_content_rectangular``, the middle-line
 condition on one array against ``count_scpp_middle_line``, the move graph
 built from whole validated neighbour arrays against ``check_move_graph``,
-the tuple-keyed polynomial against the packed ``MPoly`` and against
-the fold of ``substitute_first``, and so on.
+the validated arrays of ``enumerate_scpp`` against the move graph's flat
+walk, ``flipped_pair_count`` of the half-full array against the
+arithmetic reference parity, the tuple-keyed polynomial against the
+packed ``MPoly`` and against the fold of ``substitute_first``, and so on.
 
 ``pack`` and ``unpack_key`` convert between exponent tuples and packed
 ``MPoly`` keys.  They are written from the key layout (x_1 in the most
@@ -26,17 +28,9 @@ from typing import Iterable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
 from scpp.partitions import Partition, contains, part_at, partition, rectangle, size
-from scpp.plane_partitions import (
-    MoveGraphReport,
-    PlanePartition,
-    _is_valid_grid,
-    _pp_grids,
-    enumerate_scpp,
-    is_self_complementary,
-    weight,
-)
+from scpp.plane_partitions import MoveGraphReport, Row, _closing_row, _decreasing_rows
 from scpp.polynomials import MPoly, substitute_first, upoly_trim
-from scpp.products import ParityError
+from scpp.products import ParityError, check_box_sides
 
 
 def skew_cells(lam: Iterable[int], mu: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -433,6 +427,150 @@ def alternating_limit_value(gamma: int, alpha: int, m: int) -> int:
     # monomial prefactor of the product formula evaluated at q = -1
     exponent = gamma * alpha + gamma * alpha * (alpha + 1) // 2
     return -ratio if exponent % 2 else ratio
+
+
+# ---------------------------------------------------------------------------
+# plane partitions as validated objects
+
+Grid = tuple[Row, ...]
+
+
+@dataclass(frozen=True)
+class PlanePartition:
+    """Array form of a plane partition in a rows x height_bound x cols box."""
+
+    rows: int
+    cols: int
+    height_bound: int
+    entries: Grid
+
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0 or self.height_bound < 0:
+            raise ValueError("box dimensions must be nonnegative")
+        entries = tuple(tuple(int(v) for v in row) for row in self.entries)
+        object.__setattr__(self, "entries", entries)
+        if len(entries) != self.rows:
+            raise ValueError("wrong number of rows")
+        if not _is_valid_grid(entries, self.rows, self.cols, self.height_bound):
+            raise ValueError(f"not a valid plane partition array: {entries}")
+
+
+def _is_valid_grid(grid: Grid, a: int, c: int, b: int) -> bool:
+    if len(grid) != a:
+        return False
+    for i, row in enumerate(grid):
+        if len(row) != c:
+            return False
+        for j, v in enumerate(row):
+            if not 0 <= v <= b:
+                return False
+            if j and row[j - 1] < v:
+                return False
+            if i and grid[i - 1][j] < v:
+                return False
+    return True
+
+
+def _pp_grids(a: int, b: int, c: int, budget: WorkBudget) -> Iterator[Grid]:
+    """The arrays of the box; charges one unit per node of the row tree."""
+    check_box_sides(a, b, c)
+    acc: list[Row] = []
+
+    def rec(r: int) -> Iterator[Grid]:
+        budget.charge()
+        if r == a:
+            yield tuple(acc)
+            return
+        for row in _decreasing_rows(acc[-1] if acc else (b,) * c):
+            acc.append(row)
+            yield from rec(r + 1)
+            acc.pop()
+
+    yield from rec(0)
+
+
+def is_self_complementary(pp: PlanePartition) -> bool:
+    """True iff every entry and its 180-degree-opposite entry sum to the height bound."""
+    g, b = pp.entries, pp.height_bound
+    return all(
+        v + w == b for row, mirror in zip(g, reversed(g)) for v, w in zip(row, reversed(mirror))
+    )
+
+
+def half_full(a: int, b: int, c: int) -> PlanePartition:
+    """Canonical self-complementary reference array of weight +1.
+
+    Splits along the first even dimension in the preference order b, c, a.
+    """
+    if a % 2 and b % 2 and c % 2:
+        raise ParityError("no self-complementary plane partition fits an all-odd box")
+    if b % 2 == 0:
+        grid = tuple(((b // 2,) * c) for _ in range(a))
+    elif c % 2 == 0:
+        row = ((b + 1) // 2,) * (c // 2) + ((b - 1) // 2,) * (c // 2)
+        grid = tuple(row for _ in range(a))
+    else:
+        hi = ((b + 1) // 2,) * c
+        lo = ((b - 1) // 2,) * c
+        grid = tuple(hi for _ in range(a // 2)) + tuple(lo for _ in range(a - a // 2))
+    return PlanePartition(a, c, b, grid)
+
+
+def flipped_pair_count(pp: PlanePartition) -> int:
+    """Number of opposite-position cube pairs whose occupied member is the
+    lexicographically larger one.
+
+    For a self-complementary array each pair {(i,j,k), opposite} holds
+    exactly one cube; grouping pairs by column shows the count equals the
+    sum of (height bound - entry) over the positions that lexicographically
+    precede their own opposite: the upper a//2 rows, and the left c//2
+    entries of a central row.
+    """
+    a, c, b = pp.rows, pp.cols, pp.height_bound
+    total = sum(b * c - sum(row) for row in pp.entries[: a // 2])
+    if a % 2:
+        total += sum(b - v for v in pp.entries[a // 2][: c // 2])
+    return total
+
+
+def weight(pp: PlanePartition, reference: int | None = None) -> int:
+    """The +-1 weight of a self-complementary plane partition.
+
+    Normalized so the half-full reference array has weight +1; each single
+    move of a cube to its opposite position flips the sign.  ``reference``
+    is ``flipped_pair_count`` of the box's ``half_full`` array, for callers
+    that weigh many arrays of one box; it is computed when not given.
+    """
+    if not is_self_complementary(pp):
+        raise ValueError("weight is defined only for self-complementary arrays")
+    if reference is None:
+        reference = flipped_pair_count(half_full(pp.rows, pp.height_bound, pp.cols))
+    return -1 if (flipped_pair_count(pp) - reference) % 2 else 1
+
+
+def enumerate_scpp(
+    a: int, b: int, c: int, budget: WorkBudget | None = None
+) -> Iterator[PlanePartition]:
+    """Every self-complementary plane partition of the box, exactly once.
+
+    Walks the free upper rows, then the closing row below each (the last
+    upper row for a even, the central row for a odd), whose mirrored
+    entries sum to at least b; the remaining rows are the reversed
+    complements of the upper rows.  Charges one unit per node it walks.
+    """
+    budget = budget or WorkBudget()
+    check_box_sides(a, b, c)
+    if a == 0:
+        yield PlanePartition(0, c, b, ())
+        return
+    closes = _closing_row(a, b, c)
+    for free in _pp_grids((a - 1) // 2, b, c, budget):
+        for row in _decreasing_rows(free[-1] if free else (b,) * c, b):
+            budget.charge()
+            if closes(row):
+                upper = free + (row,) if a % 2 == 0 else free
+                lower = tuple(tuple(b - v for v in reversed(r)) for r in reversed(upper))
+                yield PlanePartition(a, c, b, free + (row,) + lower)
 
 
 def pp_from_rows(rows, height_bound: int, cols: int | None = None) -> PlanePartition:

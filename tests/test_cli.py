@@ -280,6 +280,8 @@ def test_text_format(capsys):
 # that is not a rational number began to be named, and when the bridge and
 # the alternating value began to come from the value kernel: the largest
 # rectangle of the wider bridge grid, on an all-odd box, so the value is 0.
+# The last two lines were recorded when a second --set of one parameter
+# became a usage error and a range that does not parse began to be named.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -348,6 +350,8 @@ GOLDEN = [
     ('schur evaluate --shape 1 --n 1 --at x', 2, '{"error": {"code": "invalid-parameter", "message": "--at coordinate 1 (x) is not a rational number"}}\n'),
     ('schur evaluate --shape 1 --n 2 --at ,', 2, '{"error": {"code": "invalid-parameter", "message": "--at coordinate 1 () is not a rational number"}}\n'),
     ('schur alternating --gamma 5 --alpha 5 --m 12', 0, '{"value": "0"}\n'),
+    ('sweep bridge --set gamma=1 --set alpha=1 --set m=1 --set m=2', 2, '{"error": {"code": "usage", "message": "--set gives m more than once"}}\n'),
+    ('sweep bridge --set gamma=1 --set alpha=1 --set m=1..3,5', 2, '{"error": {"code": "invalid-parameter", "message": "bad range for m: \'1..3,5\'"}}\n'),
 ]
 
 
@@ -447,6 +451,16 @@ def test_an_empty_range_in_a_config_file_is_a_usage_error(capsys, tmp_path):
     code, out = run_cli(capsys, "sweep", "bridge", "--config", str(config))
     assert code == 2
     assert json.loads(out)["error"] == {"code": "usage", "message": "empty range for m: '4..2'"}
+
+
+def test_a_set_overrides_the_same_key_in_a_config_file(capsys, tmp_path):
+    config = tmp_path / "grid.txt"
+    config.write_text("gamma = 1\nalpha = 1\nm = 1..3\n")
+    code, out = run_cli(capsys, "sweep", "bridge", "--config", str(config), "--set", "m=2")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [l["parameters"]["m"] for l in lines[:-1]] == [2]
+    assert lines[-1]["checked"] == 1
 
 
 @pytest.mark.parametrize(

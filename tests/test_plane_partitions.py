@@ -2,15 +2,21 @@ from itertools import permutations, product
 
 import pytest
 
+import oracles
 from oracles import (
     enumerate_pp,
+    enumerate_scpp,
     enumerate_ssyt,
+    flipped_pair_count,
+    half_full,
+    is_self_complementary,
     middle_line_constraint,
     move_graph_oracle,
     move_neighbors,
     pp_from_rows,
     pp_to_tableau,
     tableau_to_pp,
+    weight,
 )
 from scpp import plane_partitions
 from scpp.budget import BudgetExceededError, WorkBudget
@@ -22,11 +28,6 @@ from scpp.plane_partitions import (
     count_scpp,
     count_scpp_middle_line,
     count_scpp_signed,
-    enumerate_scpp,
-    flipped_pair_count,
-    half_full,
-    is_self_complementary,
-    weight,
 )
 from scpp.products import (
     ParityError,
@@ -370,16 +371,69 @@ def test_move_graph_matches_the_oracle():
         assert check_move_graph(a, b, c) == move_graph_oracle(a, b, c), (a, b, c)
 
 
+def _flat(pp):
+    return tuple(v for row in pp.entries for v in row)
+
+
+def test_flat_walk_lists_the_oracle_arrays():
+    # the move graph's walk against the validated object arrays, flattened
+    for a, b, c in MOVE_GRAPH_BOXES:
+        flats = list(plane_partitions._scpp_flats(a, b, c, WorkBudget()))
+        assert len(set(flats)) == len(flats), (a, b, c)
+        assert flats == [_flat(pp) for pp in enumerate_scpp(a, b, c)], (a, b, c)
+
+
+def test_reference_parity_is_the_half_full_flipped_pair_count():
+    boxes = [t for t in product(range(8), repeat=3) if not all(side % 2 for side in t)]
+    assert len(boxes) == 512 - 64
+    for a, b, c in boxes:
+        expected = flipped_pair_count(half_full(a, b, c)) % 2
+        assert plane_partitions._reference_parity(a, b, c) == expected, (a, b, c)
+
+
+def test_flipped_parity_reads_the_flat_array():
+    for a, b, c in [(2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 4), (4, 3, 3), (1, 2, 5)]:
+        h = plane_partitions._upper_cells(a, c)
+        for pp in enumerate_scpp(a, b, c):
+            parity = plane_partitions._flipped_parity(_flat(pp), b, h)
+            assert parity == flipped_pair_count(pp) % 2, (a, b, c)
+
+
+def test_row_table_is_built_once_per_row_shape():
+    row_table = plane_partitions._row_table
+    before = count_scpp(4, 3, 4), count_scpp_signed(4, 3, 4), check_move_graph(4, 3, 4)
+    row_table.cache_clear()
+    after = count_scpp(4, 3, 4), count_scpp_signed(4, 3, 4), check_move_graph(4, 3, 4)
+    # one count, two signed-count runs and the move graph's count, all on (3, 4)
+    assert (row_table.cache_info().misses, row_table.cache_info().hits) == (1, 3)
+    assert after == before
+    assert row_table.cache_info().maxsize == plane_partitions.ROW_TABLE_SIZE
+
+
+def test_move_graph_walk_must_agree_with_the_count(monkeypatch):
+    # the walk and the transfer-matrix count are independent routes
+    honest = plane_partitions._scpp_flats
+
+    def drops_one(*args):
+        flats = honest(*args)
+        next(flats)
+        yield from flats
+
+    monkeypatch.setattr(plane_partitions, "_scpp_flats", drops_one)
+    with pytest.raises(RuntimeError, match="listed 17 arrays, count_scpp counted 18"):
+        check_move_graph(2, 3, 4)
+
+
 def test_move_graph_flip_check_can_fail(monkeypatch):
     # one array's weight is corrupted; the kernel weighs every array apart,
     # so an edge at that array joins equal weights
     a, b, c = 2, 3, 4
-    target = next(pp.entries for pp in enumerate_scpp(a, b, c) if pp != half_full(a, b, c))
-    honest = flipped_pair_count
+    target = next(_flat(pp) for pp in enumerate_scpp(a, b, c) if pp != half_full(a, b, c))
+    honest = plane_partitions._flipped_parity
     monkeypatch.setattr(
         plane_partitions,
-        "flipped_pair_count",
-        lambda pp: honest(pp) + (pp.entries == target),
+        "_flipped_parity",
+        lambda flat, b, h: honest(flat, b, h) ^ (flat == target),
     )
     report = check_move_graph(a, b, c)
     assert (report.vertices, report.components) == (18, 1)
@@ -392,7 +446,7 @@ def test_move_graph_charges_its_moves_before_listing(monkeypatch):
     def listing(*args):
         raise AssertionError("listed arrays past the cap")
 
-    monkeypatch.setattr(plane_partitions, "enumerate_scpp", listing)
+    monkeypatch.setattr(plane_partitions, "_scpp_flats", listing)
     budget = WorkBudget(35 + 18 * 4 - 1)
     with pytest.raises(BudgetExceededError):
         check_move_graph(2, 3, 4, budget)
@@ -448,7 +502,7 @@ def test_unbudgeted_count_stops_at_the_default_cap():
 
 def test_unbudgeted_enumeration_charges_a_fresh_budget(monkeypatch):
     # the walk charges a fresh budget, here with a small cap
-    monkeypatch.setattr(plane_partitions, "WorkBudget", lambda: WorkBudget(10))
+    monkeypatch.setattr(oracles, "WorkBudget", lambda: WorkBudget(10))
     with pytest.raises(BudgetExceededError, match="11 nodes > cap 10"):
         list(enumerate_scpp(2, 4, 4))
 

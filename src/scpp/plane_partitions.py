@@ -108,13 +108,21 @@ def _row_chains(
 def _decreasing_rows(bound: Row, mirrored: int = 0, row: Row = ()) -> Iterator[Row]:
     """The weakly decreasing rows w that begin with ``row``, are bounded
     entrywise by ``bound`` and have w[j] + w[c-1-j] >= ``mirrored`` for
-    each two mirrored columns j != c-1-j, in decreasing lexicographic order."""
+    each two mirrored columns j != c-1-j, in decreasing lexicographic order.
+    An entry is not tried when its mirror, placed later, cannot lift the
+    pair to ``mirrored``: that mirror is at most the entry and at most its
+    bound."""
     j, c = len(row), len(bound)
     if j == c:
         yield row
         return
     hi = min(bound[j], row[-1]) if row else bound[0]
-    lo = mirrored - row[c - 1 - j] if 2 * j >= c else 0  # once the mirror is placed
+    if 2 * j >= c:  # the mirror is placed
+        lo = mirrored - row[c - 1 - j]
+    elif 2 * j + 1 < c:  # the mirror comes later
+        lo = max(mirrored - bound[c - 1 - j], (mirrored + 1) // 2)
+    else:
+        lo = 0
     for v in range(hi, max(lo, 0) - 1, -1):
         yield from _decreasing_rows(bound, mirrored, row + (v,))
 

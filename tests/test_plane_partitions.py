@@ -371,6 +371,18 @@ def test_move_graph_matches_the_oracle():
         assert check_move_graph(a, b, c) == move_graph_oracle(a, b, c), (a, b, c)
 
 
+def test_decreasing_rows_are_the_filtered_rows_under_the_bound():
+    # brute force over [0, b]^c: the walk skips prefixes that cannot meet
+    # the mirrored sums, and no row may be lost with them
+    for b, c in product(range(4), range(6)):
+        decreasing = [w for w in product(range(b, -1, -1), repeat=c) if list(w) == sorted(w, reverse=True)]
+        for bound in decreasing:
+            under = [w for w in decreasing if all(v <= u for v, u in zip(w, bound))]
+            for mirrored in range(2 * b + 2):
+                expected = [w for w in under if all(w[j] + w[c - 1 - j] >= mirrored for j in range(c // 2))]
+                assert list(plane_partitions._decreasing_rows(bound, mirrored)) == expected, (bound, mirrored)
+
+
 def _flat(pp):
     return tuple(v for row in pp.entries for v in row)
 

@@ -229,22 +229,24 @@ def _parse_range(name: str, spec: str) -> list[int]:
     is a usage error, since a sweep over it would check nothing, and a spec
     that is not a list, a range or a number is an invalid parameter."""
     spec = spec.strip()
-    try:
-        if "," in spec:
-            values = [int(x) for x in spec.split(",") if x != ""]
-        elif ".." in spec:
-            lohi, _, step = spec.partition(":")
-            lo, _, hi = lohi.partition("..")
-            step_v = int(step) if step else 1
-            if step_v <= 0:
-                raise UsageError("range step must be positive")
-            values = list(range(int(lo), int(hi) + 1, step_v))
-        else:
-            values = [int(spec)]
-    except UsageError:
-        raise
-    except ValueError:
-        raise ValueError(f"bad range for {name}: {spec!r}") from None
+
+    def number(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"bad range for {name}: {spec!r}") from None
+
+    if "," in spec:
+        values = [number(x) for x in spec.split(",") if x != ""]
+    elif ".." in spec:
+        lohi, _, step = spec.partition(":")
+        lo, _, hi = lohi.partition("..")
+        step_v = number(step) if step else 1
+        if step_v <= 0:
+            raise UsageError("range step must be positive")
+        values = list(range(number(lo), number(hi) + 1, step_v))
+    else:
+        values = [number(spec)]
     if not values:
         raise UsageError(f"empty range for {name}: {spec!r}")
     return values

@@ -7,13 +7,13 @@ on a verification mismatch, 2 on errors.  An error prints one JSON line
 ``{"error": {"code": ..., "message": ...}}`` on stdout, with code
 ``usage`` (a missing parameter, ``--method`` given for an identity with
 a single route, a sweep range that lists no value, or a parameter given
-two ``--set`` flags), ``bad-parity``, ``budget-exceeded`` or
-``invalid-parameter`` (a parameter out of range, including a ``--budget``
-below 1, which every subcommand rejects before doing any work, and a
-``sweep --workers`` below 1 and a ``schur evaluate --at`` coordinate that
-is not a rational number or has a zero denominator; also a sweep range
-that does not parse, and a ``--config`` or ``--out`` file that cannot be
-read or written).
+two ``--set`` flags or two ``--config`` lines), ``bad-parity``,
+``budget-exceeded`` or ``invalid-parameter`` (a parameter out of range,
+including a ``--budget`` below 1, which every subcommand rejects before
+doing any work, and a ``sweep --workers`` below 1 and a ``schur evaluate
+--at`` coordinate that is not a rational number or has a zero
+denominator; also a sweep range that does not parse, and a ``--config``
+or ``--out`` file that cannot be read or written).
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
@@ -26,7 +26,7 @@ others.  The closing summary line counts ``checked``, ``matched``,
 sweep exits 2 if any tuple failed, else 1 if any mismatched, else 0.  Its
 grid comes from ``--config`` lines and ``--set`` flags, ``key=range`` each;
 a ``--set`` overrides the same key in the config file, and giving one
-parameter two ``--set`` flags is a usage error.
+parameter twice in either is a usage error.
 
 ``--budget`` caps the work units that enumeration and expansion charge:
 the brute-force ``count`` targets, and ``verify`` and ``sweep`` of every
@@ -254,7 +254,7 @@ def _parse_range(name: str, spec: str) -> list[int]:
 
 def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[int]]:
     """The range of each parameter: from ``--config``, then from ``--set``,
-    which overrides a config key but may give each parameter only once."""
+    which overrides a config key; each gives a parameter at most once."""
     grid: dict[str, list[int]] = {}
     if config_path:
         with open(config_path) as fh:
@@ -265,7 +265,10 @@ def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[
                 if "=" not in line:
                     raise UsageError(f"bad config line {raw!r}")
                 key, _, value = line.partition("=")
-                grid[key.strip()] = _parse_range(key.strip(), value)
+                key = key.strip()
+                if key in grid:
+                    raise UsageError(f"--config gives {key} more than once")
+                grid[key] = _parse_range(key, value)
     given = set()
     for item in sets:
         if "=" not in item:

@@ -76,15 +76,18 @@ def partitions_in_rectangle(alpha: int, gamma: int) -> Iterator[Partition]:
     yield ()
 
 
-def horizontal_strips_within(lam: Iterable[int]) -> Iterator[Partition]:
-    """All pi inside lam such that lam/pi is a horizontal strip.
+def horizontal_strips_within(lam: Iterable[int], rows: int | None = None) -> Iterator[Partition]:
+    """All pi inside lam such that lam/pi is a horizontal strip, with at
+    most ``rows`` rows when that is given.
 
-    The rows of pi vary independently in [lam_{i+1}, lam_i]; the result is
-    automatically a partition, and only its last row can be zero.
+    The rows of pi vary independently in [lam_{i+1}, lam_i], or in [lam_{i+1},
+    0] from row ``rows`` on; the result is automatically a partition, and
+    only its last row can be zero.
     """
     lam = partition(lam)
     ranges = [
-        range(part_at(lam, i + 1), lam[i] + 1) for i in range(len(lam))
+        range(part_at(lam, i + 1), (0 if rows is not None and i >= rows else lam[i]) + 1)
+        for i in range(len(lam))
     ]
     for choice in _cartesian(*ranges):
         yield choice[:-1] if choice and not choice[-1] else choice

@@ -21,14 +21,14 @@ multiplied again.
 
 ``MPoly`` has one constructor, which trusts its caller, and only the
 operations that production code uses: product, power, lifting to more
-variables, setting the last variable to zero and a digest.
-``substitute_first`` sets the first variable of a term map to a value;
-the evaluation sweep of ``scpp.verify`` is built on it.  Values at a
-single point come from ``scpp.schur.schur_value`` without a polynomial,
-so evaluating a whole ``MPoly`` is a test oracle, as are sums
-(``tests/oracles.py``).  Univariate polynomials (used for the principal
-specialization in a formal variable q) are plain ascending coefficient
-lists with exact integer division helpers.
+variables, setting the last variable to zero and a digest.  The
+evaluation sweep of ``scpp.verify`` groups a term map by the exponent of
+x_1 once (``group_by_first``) and sets x_1 from the groups
+(``substitute_groups``).  Setting x_1 term by term (``substitute_first``)
+and sums are test oracles (``tests/oracles.py``); values at one point
+come from ``scpp.schur.schur_value``.  Univariate polynomials (used for
+the principal specialization in a formal variable q) are plain ascending
+coefficient lists with exact integer division helpers.
 """
 
 from __future__ import annotations
@@ -62,27 +62,39 @@ def add_with_last_power(acc: dict[int, int], terms: dict[int, int], e: int) -> N
         acc[key] = get(key, 0) + coeff
 
 
-def substitute_first(terms: dict[int, Value], nvars: int, value: Value) -> dict[int, Value]:
-    """The term map left when x_1 := value in a term map in x_1..x_nvars.
+def max_exponent(terms: dict[int, Value], nvars: int) -> int:
+    """The largest exponent in a term map in x_1..x_nvars; 0 if there is none."""
+    fields = range(0, FIELD_BITS * nvars, FIELD_BITS)
+    return max((key >> shift & FIELD_MASK for key in terms for shift in fields), default=0)
 
-    The result is keyed by the packed monomials in x_2..x_nvars; its
-    coefficients are exact (``Fraction`` when value is) and may be zero.
-    Each power of value is computed once, and terms whose power is zero
-    are skipped.
-    """
+
+def group_by_first(terms: dict[int, Value], nvars: int) -> list[tuple[int, list]]:
+    """The terms of a term map in x_1..x_nvars grouped by their exponent e
+    of x_1, as (e, [(key in x_2..x_nvars, coeff), ...]) pairs: grouped once,
+    the map is substituted at each x_1 with no shift or mask per term."""
     shift = FIELD_BITS * (nvars - 1)
     low = (1 << shift) - 1
-    powers: dict[int, Value] = {}
-    out: dict[int, Value] = {}
-    get = out.get
+    groups: dict[int, list[tuple[int, Value]]] = {}
     for key, coeff in terms.items():
         e = key >> shift
-        power = powers.get(e)
-        if power is None:
-            power = powers[e] = value**e
+        group = groups.get(e)
+        if group is None:
+            group = groups[e] = []
+        group.append((key & low, coeff))
+    return list(groups.items())
+
+
+def substitute_groups(groups: list[tuple[int, list]], powers: Sequence[Value]) -> dict[int, Value]:
+    """The term map left when x_1 := value, from ``group_by_first`` groups
+    and powers[e] = value**e; its coefficients are exact and may be zero,
+    and groups whose power is zero are skipped."""
+    out: dict[int, Value] = {}
+    get = out.get
+    for e, items in groups:
+        power = powers[e]
         if power:
-            rest = key & low
-            out[rest] = get(rest, 0) + coeff * power
+            for rest, coeff in items:
+                out[rest] = get(rest, 0) + coeff * power
     return out
 
 

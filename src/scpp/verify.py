@@ -21,7 +21,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
-from itertools import product as _cartesian
+from itertools import product as _cartesian, repeat
+from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
@@ -41,7 +42,7 @@ from scpp.plane_partitions import (
     count_scpp_middle_line,
     count_scpp_signed,
 )
-from scpp.polynomials import MPoly, add_with_last_power, substitute_first
+from scpp.polynomials import MPoly, add_with_last_power, group_by_first, max_exponent, substitute_groups
 from scpp.products import (
     box_count,
     middle_line_product,
@@ -160,11 +161,11 @@ def verify_schurid(
     full-expansion compares exact term maps; evaluation-sweep compares
     values on an integer grid larger than the per-variable degree bound,
     which by the polynomial identity theorem is also a proof.  The sweep
-    specializes by prefix: it sets x_1 to each grid value, then x_2 in
-    each of the polynomials left, and so on (``_swept_values``), and hashes
-    and compares the two sides point by point in lexicographic order.
-    Charges the glued terms, and for the sweep one unit per grid point, all
-    before it builds any polynomial.
+    specializes by prefix (``_swept_values``), compares the two sides' value
+    lists prefix by prefix and hashes their values "v;" in lexicographic
+    order of the points, one hash update per prefix and side.  Charges the
+    glued terms, and for the sweep one unit per grid point, all before it
+    builds any polynomial.
     """
     budget = budget or WorkBudget()
     identity = f"schurid{which}"
@@ -179,52 +180,66 @@ def verify_schurid(
     first, second = _lhs_factors(which, gamma1, gamma2, alpha, n)
 
     if method == FULL_EXPANSION:
-        lhs = first.lift(n + 1) * second
-        return _report(identity, params, lhs.digest(), rhs.digest(), lhs == rhs, method)
+        return _expansion_report(identity, params, first.lift(n + 1) * second, rhs)
 
     lhs_hash = hashlib.sha256()
     rhs_hash = hashlib.sha256()
     ok = True
-    for lval, rval in _swept_values(first, second, rhs, bound):
-        if lval != rval:
-            ok = False
-        lhs_hash.update(str(lval).encode() + b";")
-        rhs_hash.update(str(rval).encode() + b";")
+    for lvals, rvals in _swept_values(first, second, rhs, bound):
+        data = _value_bytes(lvals)
+        lhs_hash.update(data)
+        rhs_hash.update(data if lvals == rvals else _value_bytes(rvals))
+        ok = ok and lvals == rvals
     return _report(
         identity, params, lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16], ok, method
     )
 
 
+def _expansion_report(identity, params, lhs: MPoly, rhs: MPoly) -> VerificationReport:
+    # a digest is a function of (nvars, terms), so equal sides are digested once
+    digest, match = lhs.digest(), lhs == rhs
+    rhs_digest = digest if match else rhs.digest()
+    return _report(identity, params, digest, rhs_digest, match, FULL_EXPANSION)
+
+
+def _value_bytes(values: list[int]) -> bytes:
+    # the sweep's hash input: "v;" for each value
+    return (";".join(map(str, values)) + ";").encode()
+
+
 def _swept_values(
     first: MPoly, second: MPoly, rhs: MPoly, bound: int
-) -> Iterator[tuple[int, int]]:
-    """(first * second, rhs) at every point of {0..bound}^(n+1), n =
-    ``first.nvars``, in lexicographic order with x_{n+1} innermost.
+) -> Iterator[tuple[list[int], list[int]]]:
+    """(first * second, rhs) on {0..bound}^(n+1), n = ``first.nvars``: one
+    pair of value lists per prefix x_1..x_n, in lexicographic order, each
+    list holding the values at x_{n+1} = t = 0..bound.
 
-    The grid is walked by prefix: each node substitutes its coordinate for
-    the first remaining variable of all three term maps, so the kernel runs
-    once per prefix, not per point.  Below the last prefix ``first`` is a
-    constant and the other two are term maps in t = x_{n+1}, evaluated at
-    each t.
+    The walk is depth first.  Each node groups its three term maps once
+    (``group_by_first``) and substitutes each coordinate from the groups,
+    with powers from a table sized by the largest exponent present.  Below
+    the last prefix ``first`` is a constant and the other two are term maps
+    in t, evaluated at every t in one pass over their terms.
     """
     coords = range(bound + 1)
+    top = max(max_exponent(p.terms, p.nvars) for p in (first, second, rhs))
+    rows = [[x**e for e in range(top + 1)] for x in coords]  # rows[x][e] = x**e
+    columns = list(zip(*rows))  # columns[e][t] = t**e
+    zeros = [0] * len(coords)
 
-    def walk(f: dict, s: dict, r: dict, nvars: int) -> Iterator[tuple[int, int]]:
+    def values(terms: dict) -> list[int]:
+        acc = zeros
+        for k, c in terms.items():
+            acc = list(map(add, acc, map(mul, columns[k], repeat(c))))
+        return acc
+
+    def walk(f: dict, s: dict, r: dict, nvars: int) -> Iterator[tuple[list[int], list[int]]]:
         if nvars == 1:
             scale = f.get(0, 0)
-            for t in coords:
-                yield (
-                    scale * sum(c * t**k for k, c in s.items()),
-                    sum(c * t**k for k, c in r.items()),
-                )
+            yield [scale * v for v in values(s)] if scale else zeros, values(r)
             return
-        for x in coords:
-            yield from walk(
-                substitute_first(f, nvars - 1, x),
-                substitute_first(s, nvars, x),
-                substitute_first(r, nvars, x),
-                nvars - 1,
-            )
+        groups = group_by_first(f, nvars - 1), group_by_first(s, nvars), group_by_first(r, nvars)
+        for row in rows:
+            yield from walk(*[substitute_groups(g, row) for g in groups], nvars - 1)
 
     return walk(first.terms, second.terms, rhs.terms, first.nvars + 1)
 
@@ -237,14 +252,7 @@ def verify_square_reduction(
     params = {"gamma": gamma, "alpha": alpha, "n": n}
     reduced = schurid_rhs(1, gamma, gamma, alpha, n, budget).restrict_last_zero()
     square = schur_tableau_sum(rectangle(alpha, gamma), n) ** 2
-    return _report(
-        "square-reduction",
-        params,
-        reduced.digest(),
-        square.digest(),
-        reduced == square,
-        FULL_EXPANSION,
-    )
+    return _expansion_report("square-reduction", params, reduced, square)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ built from whole validated neighbour arrays against ``check_move_graph``,
 the validated arrays of ``enumerate_scpp`` against the move graph's flat
 walk, ``flipped_pair_count`` of the half-full array against the
 arithmetic reference parity, the tuple-keyed polynomial against the
-packed ``MPoly`` and against the fold of ``substitute_first``, and so on.
+packed ``MPoly`` and against the fold of ``substitute_first``,
+``substitute_first`` against the grouped substitution of the evaluation
+sweep (``group_by_first`` and ``substitute_groups``), and so on.
 
 ``pack`` and ``unpack_key`` convert between exponent tuples and packed
 ``MPoly`` keys.  They are written from the key layout (x_1 in the most
@@ -29,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 from scpp.budget import WorkBudget
 from scpp.partitions import Partition, contains, part_at, partition, rectangle, size
 from scpp.plane_partitions import MoveGraphReport, Row, _closing_row, _decreasing_rows
-from scpp.polynomials import MPoly, substitute_first, upoly_trim
+from scpp.polynomials import FIELD_BITS, MPoly, Value, upoly_trim
 from scpp.products import ParityError, check_box_sides
 
 
@@ -150,6 +152,30 @@ class TupleMPoly:
             parts.append(",".join(map(str, exps)) + ":" + str(self.terms[exps]))
         blob = ";".join(parts).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def substitute_first(terms: dict[int, Value], nvars: int, value: Value) -> dict[int, Value]:
+    """The term map left when x_1 := value in a term map in x_1..x_nvars.
+
+    The result is keyed by the packed monomials in x_2..x_nvars; its
+    coefficients are exact (``Fraction`` when value is) and may be zero.
+    Each power of value is computed once, and terms whose power is zero
+    are skipped.
+    """
+    shift = FIELD_BITS * (nvars - 1)
+    low = (1 << shift) - 1
+    powers: dict[int, Value] = {}
+    out: dict[int, Value] = {}
+    get = out.get
+    for key, coeff in terms.items():
+        e = key >> shift
+        power = powers.get(e)
+        if power is None:
+            power = powers[e] = value**e
+        if power:
+            rest = key & low
+            out[rest] = get(rest, 0) + coeff * power
+    return out
 
 
 def substituted(poly: MPoly, point: Sequence[int | Fraction]) -> int | Fraction:

@@ -310,6 +310,8 @@ GOLDEN = [
     ('count middle-line --a 3 --b 3 --c1 4 --c2 2', 0, '{"value": "18"}\n'),
     ('count middle-line-brute --a 3 --b 3 --c1 4 --c2 2', 0, '{"value": "18"}\n'),
     ('schur evaluate --shape 2,1 --n 2', 0, '{"nvars": 2, "terms": [[[1, 2], "1"], [[2, 1], "1"]]}\n'),
+    # the branching rule lists only the strips whose shape fits in n - 1 rows
+    ('schur evaluate --shape 2147483647 --n 1', 0, '{"nvars": 1, "terms": [[[2147483647], "1"]]}\n'),
     ('schur evaluate --shape 2,2 --n 3 --at 1,1/2,-1', 0, '{"value": "5/4"}\n'),
     ('schur hook-content --gamma 2 --alpha 1 --n 3', 0, '{"coefficients": ["0", "0", "1", "1", "2", "1", "1"]}\n'),
     ('schur hook-content --gamma 2 --alpha 1 --n 3 --format csv', 0, 'coefficients\n"[""0"", ""0"", ""1"", ""1"", ""2"", ""1"", ""1""]"\n'),
@@ -461,6 +463,14 @@ def test_a_set_overrides_the_same_key_in_a_config_file(capsys, tmp_path):
     assert code == 0
     assert [l["parameters"]["m"] for l in lines[:-1]] == [2]
     assert lines[-1]["checked"] == 1
+
+
+def test_a_key_given_twice_in_a_config_file_is_a_usage_error(capsys, tmp_path):
+    config = tmp_path / "grid.txt"
+    config.write_text("gamma = 1\nalpha = 1\nm = 1\nm = 2\n")
+    code, out = run_cli(capsys, "sweep", "bridge", "--config", str(config))
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "usage", "message": "--config gives m more than once"}
 
 
 @pytest.mark.parametrize(

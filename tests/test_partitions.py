@@ -151,6 +151,15 @@ def test_horizontal_strips_within_agrees_with_filter():
         assert direct == filtered
 
 
+def test_horizontal_strips_within_a_row_limit_are_the_filtered_strips():
+    # the same strips in the same order as the unrestricted list, filtered by length
+    for lam in partitions_in_rectangle(4, 4):
+        every = list(horizontal_strips_within(lam))
+        for rows in range(6):
+            limited = list(horizontal_strips_within(lam, rows))
+            assert limited == [pi for pi in every if len(pi) <= rows], (lam, rows)
+
+
 def test_part_at_reads_zero_beyond_length():
     assert part_at((3, 1), 0) == 3
     assert part_at((3, 1), 5) == 0

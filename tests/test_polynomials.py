@@ -9,6 +9,7 @@ from oracles import (
     pack,
     packed,
     poly_add,
+    substitute_first,
     substituted,
     to_q_coeffs,
     tuple_terms,
@@ -16,7 +17,10 @@ from oracles import (
 )
 from scpp.polynomials import (
     MPoly,
+    group_by_first,
+    max_exponent,
     one_minus_power,
+    substitute_groups,
     upoly_divexact,
     upoly_mul,
     upoly_trim,
@@ -57,6 +61,32 @@ def test_evaluation_is_a_ring_homomorphism(p, q, pt):
     # evaluation by the substitute_first fold
     assert substituted(poly_add(p, q), pt) == substituted(p, pt) + substituted(q, pt)
     assert substituted(p * q, pt) == substituted(p, pt) * substituted(q, pt)
+
+
+@st.composite
+def sized_maps(draw):
+    """(nvars, tuple-keyed term map) with nvars in 1..6."""
+    nvars = draw(st.integers(min_value=1, max_value=6))
+    return nvars, draw(tuple_maps(nvars))
+
+
+values = st.one_of(
+    st.just(0),
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+
+
+@given(sized_maps(), values)
+def test_grouped_substitution_matches_the_substitute_first_oracle(pair, value):
+    # the evaluation sweep's kernel: group once, substitute from the groups
+    nvars, terms = pair
+    keyed = packed(nvars, terms).terms
+    top = max_exponent(keyed, nvars)
+    assert top == max((e for exps in terms for e in exps), default=0)
+    powers = [value**e for e in range(top + 1)]
+    grouped = substitute_groups(group_by_first(keyed, nvars), powers)
+    assert grouped == substitute_first(keyed, nvars, value)
 
 
 def test_evaluate_length_mismatch():

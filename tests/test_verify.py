@@ -104,25 +104,70 @@ def test_sweep_walk_matches_pointwise_evaluation(which, gamma1, gamma2, alpha, n
         (_at(first, point[:-1]) * _at(second, point), _at(rhs, point))
         for point in product(range(bound + 1), repeat=n + 1)
     ]
-    assert list(verify._swept_values(first, second, rhs, bound)) == expected
+    # one pair of value lists per prefix, t = 0..bound in each
+    swept = list(verify._swept_values(first, second, rhs, bound))
+    assert len(swept) == (bound + 1) ** n
+    assert all(len(lvals) == len(rvals) == bound + 1 for lvals, rvals in swept)
+    assert [pair for lvals, rvals in swept for pair in zip(lvals, rvals)] == expected
 
 
 def _refuse(*args):
     raise AssertionError("called")
 
 
-def test_sweep_substitutes_once_per_prefix(monkeypatch):
+def _counted(monkeypatch, name):
     calls = []
-    kernel = verify.substitute_first
-    monkeypatch.setattr(verify, "substitute_first", lambda *args: calls.append(1) or kernel(*args))
+    kernel = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: calls.append(1) or kernel(*args))
+    return calls
+
+
+def test_sweep_substitutes_once_per_prefix(monkeypatch):
+    grouped = _counted(monkeypatch, "group_by_first")
+    substituted = _counted(monkeypatch, "substitute_groups")
     assert not hasattr(MPoly, "evaluate")
     monkeypatch.setattr(verify, "schur_value", _refuse)  # the sweep must not call it
     which, gamma1, gamma2, alpha, n = SWEEP_TUPLES[0]
     report = verify_schurid(which, gamma1, gamma2, alpha, n, method="evaluation-sweep")
     assert report.match
     bound = alpha * gamma1 + (alpha + 1) * gamma2
-    # three term maps at each node x_1..x_k, k = 1..n, of the prefix tree
-    assert len(calls) == 3 * sum((bound + 1) ** k for k in range(1, n + 1))
+    # three term maps grouped at each internal node x_1..x_k, k = 0..n-1, of
+    # the prefix tree, and substituted at each node x_1..x_k, k = 1..n
+    assert len(grouped) == 3 * sum((bound + 1) ** k for k in range(n))
+    assert len(substituted) == 3 * sum((bound + 1) ** k for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize(("which", "gamma1", "gamma2", "alpha", "n"), SWEEP_TUPLES)
+def test_sweep_catches_a_right_side_above_the_degree_bound(monkeypatch, which, gamma1, gamma2, alpha, n):
+    # the power table is sized by the exponents present, not by the bound
+    glue = verify._glue_sum
+    bound = alpha * gamma1 + (alpha + 1) * gamma2
+
+    def with_extra_term(terms, n):
+        rhs = glue(terms, n)
+        return MPoly(rhs.nvars, {**rhs.terms, bound + 1: 1})  # + x_{n+1}^(bound+1)
+
+    monkeypatch.setattr(verify, "_glue_sum", with_extra_term)
+    report = verify_schurid(which, gamma1, gamma2, alpha, n, method="evaluation-sweep")
+    assert not report.match
+    assert report.lhs != report.rhs
+
+
+def test_full_expansion_digests_equal_sides_once(monkeypatch):
+    calls = []
+    digest = MPoly.digest
+    monkeypatch.setattr(MPoly, "digest", lambda self: calls.append(1) or digest(self))
+    report = verify_schurid(1, 2, 1, 2, 3)
+    assert report.match and report.lhs == report.rhs
+    assert len(calls) == 1
+    square = verify_square_reduction(2, 2, 3)
+    assert square.match and square.lhs == square.rhs
+    assert len(calls) == 2
+    glued = verify._glued_terms
+    monkeypatch.setattr(verify, "_glued_terms", lambda *args: glued(*args)[:-1])
+    report = verify_schurid(1, 2, 1, 2, 3)
+    assert not report.match and report.lhs != report.rhs
+    assert len(calls) == 4
 
 
 def test_verify_schurid_zero_when_fewer_variables_than_rows():

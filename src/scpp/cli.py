@@ -5,15 +5,19 @@ sorted, big integers are rendered as decimal strings, and reports carry
 no timings.  Exit codes: 0 on success and on verifications that match, 1
 on a verification mismatch, 2 on errors.  An error prints one JSON line
 ``{"error": {"code": ..., "message": ...}}`` on stdout, with code
-``usage`` (a missing parameter, ``--method`` given for an identity with
-a single route, a sweep range that lists no value, or a parameter given
-two ``--set`` flags or two ``--config`` lines), ``bad-parity``,
-``budget-exceeded`` or ``invalid-parameter`` (a parameter out of range,
-including a ``--budget`` below 1, which every subcommand rejects before
-doing any work, and a ``sweep --workers`` below 1 and a ``schur evaluate
---at`` coordinate that is not a rational number or has a zero
-denominator; also a sweep range that does not parse, and a ``--config``
-or ``--out`` file that cannot be read or written).
+``usage`` (a flag that ``count``, ``pfaffian`` or ``verify`` needs or a
+range that ``sweep`` needs was not given, ``--method`` given for an
+identity with a single route, a sweep range that lists no value, or a
+parameter given two ``--set`` flags or two ``--config`` lines; ``schur``
+reads a missing flag as 0 and a missing ``--shape`` as the empty shape),
+``bad-parity``, ``budget-exceeded`` or ``invalid-parameter`` (a parameter
+out of range, including a ``--budget`` below 1, which every subcommand
+rejects before doing any work, a ``sweep --workers`` below 1, a ``schur
+evaluate --shape`` part that is not an integer and an ``--at`` coordinate
+that is not a rational number or has a zero denominator; also a sweep
+range that does not parse, and a ``--config`` or ``--out`` file that
+cannot be read or written).  Argparse itself reports, on stderr, a
+missing positional argument and a flag value it cannot parse.
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
@@ -144,7 +148,7 @@ COUNT_TARGETS = {
 }
 
 
-def _values(args, names: Sequence[str], what: str) -> list[int]:
+def _values(args, names: Sequence[str], what: str) -> list:
     for name in names:
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required for {what}")
@@ -164,27 +168,30 @@ def _handle_count(args, budget: WorkBudget) -> tuple[dict, int]:
     return {"value": str(value)}, 0
 
 
-def _coordinate(index: int, text: str) -> Fraction:
-    """Coordinate ``index`` (from 1) of ``--at``, as an exact rational."""
+def _parsed(kind, name: str, index: int, text: str):
+    """Item ``index`` (from 1) of a comma-separated flag, parsed by ``kind``;
+    ``name`` names the flag and its items in the error."""
     try:
-        return Fraction(text)
+        return kind(text)
     except ZeroDivisionError:
-        raise ValueError(f"--at coordinate {index} ({text}) has a zero denominator") from None
+        raise ValueError(f"{name} {index} ({text}) has a zero denominator") from None
     except ValueError:
-        raise ValueError(f"--at coordinate {index} ({text}) is not a rational number") from None
+        what = "an integer" if kind is int else "a rational number"
+        raise ValueError(f"{name} {index} ({text}) is not {what}") from None
 
 
 def _handle_schur(args, budget: WorkBudget) -> tuple[dict, int]:
     action = args.action
     if action == "evaluate":
-        shape = partition(int(x) for x in args.shape.split(",") if x != "")
+        parts = enumerate(args.shape.split(","), 1)
+        shape = partition(_parsed(int, "--shape part", i, x) for i, x in parts if x != "")
         shape = checked_shape(shape, args.n)  # before the point is read
         if args.at is None:
             poly = schur_tableau_sum(shape, args.n)
             terms = [[list(e), str(c)] for e, c in poly.sorted_terms()]
             return {"nvars": args.n, "terms": terms}, 0
         coords = args.at.split(",") if args.at else []
-        point = [_coordinate(i, x) for i, x in enumerate(coords, 1)]
+        point = [_parsed(Fraction, "--at coordinate", i, x) for i, x in enumerate(coords, 1)]
         if len(point) != args.n:
             raise UsageError("evaluation point must have exactly n coordinates")
         return {"value": _value_str(schur_value(shape, point))}, 0
@@ -196,7 +203,7 @@ def _handle_schur(args, budget: WorkBudget) -> tuple[dict, int]:
 
 
 def _handle_pfaffian(args, budget: WorkBudget) -> tuple[dict, int]:
-    check = pfaffian_check(args.case, args.a, args.b, args.c1, args.c2)
+    check = pfaffian_check(*_values(args, ("case", *_LINE), "pfaffian"))
     payload = {
         "match": check.match,
         "pfaffian": str(check.pfaffian),
@@ -359,11 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="closed-form and brute-force counts")
     p_count.add_argument("target", choices=tuple(COUNT_TARGETS))
-    p_count.add_argument("--a", type=int, required=True)
-    p_count.add_argument("--b", type=int, required=True)
-    p_count.add_argument("--c", type=int, default=None)
-    p_count.add_argument("--c1", type=int, default=None)
-    p_count.add_argument("--c2", type=int, default=None)
+    for flag in dict.fromkeys(name for _, names, _ in COUNT_TARGETS.values() for name in names):
+        p_count.add_argument(f"--{flag}", type=int, default=None)
     _add_common(p_count)
 
     p_schur = sub.add_parser("schur", help="Schur polynomial queries")
@@ -377,11 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_schur)
 
     p_pf = sub.add_parser("pfaffian", help="evaluate one bordered binomial Pfaffian")
-    p_pf.add_argument("--case", choices=CASES, required=True)
-    p_pf.add_argument("--a", type=int, required=True)
-    p_pf.add_argument("--b", type=int, required=True)
-    p_pf.add_argument("--c1", type=int, required=True)
-    p_pf.add_argument("--c2", type=int, required=True)
+    p_pf.add_argument("--case", choices=CASES, default=None)
+    for flag in _LINE:
+        p_pf.add_argument(f"--{flag}", type=int, default=None)
     _add_common(p_pf)
 
     p_verify = sub.add_parser("verify", help="check one identity at one tuple")

@@ -26,9 +26,7 @@ evaluation sweep of ``scpp.verify`` groups a term map by the exponent of
 x_1 once (``group_by_first``) and sets x_1 from the groups
 (``substitute_groups``).  Setting x_1 term by term (``substitute_first``)
 and sums are test oracles (``tests/oracles.py``); values at one point
-come from ``scpp.schur.schur_value``.  Univariate polynomials (used for
-the principal specialization in a formal variable q) are plain ascending
-coefficient lists with exact integer division helpers.
+come from ``scpp.schur.schur_value``.
 """
 
 from __future__ import annotations
@@ -150,9 +148,6 @@ class MPoly:
         # zero sums are dropped once, at the end
         return MPoly(self.nvars, {k: c for k, c in acc.items() if c})
 
-    # no caller needs it, but bench/tracing.py wraps the name
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")
@@ -208,57 +203,3 @@ class MPoly:
         tail = " + ..." if len(self.terms) > 8 else ""
         return f"MPoly({self.nvars}, {' + '.join(bits)}{tail})"
 
-
-# ---------------------------------------------------------------------------
-# dense univariate helpers (ascending coefficient lists; [] is the zero poly)
-
-def upoly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def upoly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return upoly_trim(out)
-
-
-def upoly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Exact division of integer polynomials; raises if the remainder is nonzero."""
-    num = upoly_trim(list(num))
-    den = upoly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return []
-    if len(num) < len(den):
-        raise ValueError("division is not exact")
-    lead = den[-1]
-    rem = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        coeff = rem[k + len(den) - 1]
-        if coeff % lead:
-            raise ValueError("division is not exact")
-        q = coeff // lead
-        quot[k] = q
-        if q:
-            for j, b in enumerate(den):
-                rem[k + j] -= q * b
-    if any(rem):
-        raise ValueError("division is not exact")
-    return upoly_trim(quot)
-
-
-def one_minus_power(m: int) -> list[int]:
-    """The polynomial 1 - q^m."""
-    if m <= 0:
-        raise ValueError("exponent must be positive")
-    return [1] + [0] * (m - 1) + [-1]

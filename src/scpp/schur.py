@@ -11,8 +11,10 @@ values from it and build no polynomial.  The independent oracles of the
 polynomial route, the walk over semistandard tableaux and a determinant
 of complete homogeneous polynomials, live in ``tests/oracles.py``; the
 tests check the value route against the polynomial route at integer and
-rational points.  The rectangular principal specialization is available
-as an exactly cancelled product in a formal variable q.
+rational points.  The rectangular principal specialization in a formal
+variable q is MacMahon's box product (EC2 7.21), computed on one
+coefficient list by stride sums: multiplying by 1 - q^e subtracts the list
+shifted by e, and dividing by it adds the shifted list back, bottom up.
 """
 
 from __future__ import annotations
@@ -21,15 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from scpp.partitions import Partition, horizontal_strips_within, partition, rectangle, size
-from scpp.polynomials import (
-    EXPONENT_LIMIT,
-    MPoly,
-    Value,
-    add_with_last_power,
-    one_minus_power,
-    upoly_divexact,
-    upoly_mul,
-)
+from scpp.polynomials import EXPONENT_LIMIT, MPoly, Value, add_with_last_power
 
 # entries kept by the Schur polynomial cache; verify_schurid(1, 4, 3, 3, 5) touches
 # 390 (shape, n) pairs.  384 raised the schur benchmark's peak memory, 192 did not
@@ -108,34 +102,46 @@ def schur_value(lam: Iterable[int], point: Sequence[Value]) -> Value:
 def hook_content_rectangular(gamma: int, alpha: int, n: int) -> list[int]:
     """Coefficients in q of the rectangular Schur polynomial at x_i = q^i.
 
-    Computed as q^(gamma*alpha*(alpha+1)/2) times an exactly cancelled
-    product of (1 - q^e) factors.  Returns the zero polynomial ([]) when
-    n < alpha, where the Schur polynomial itself vanishes.
+    q^(gamma*alpha*(alpha+1)/2) times the product over the boxes (i, k) of
+    the alpha x gamma rectangle of (1 - q^(n-alpha+i+k)) / (1 - q^(i+k)),
+    expanded by ``_stride_quotient``.  Its divisions are exact: the whole
+    denominator divides the numerator, since the quotient is the Schur
+    polynomial, so every part of the denominator does too, and each
+    partial quotient is a polynomial.  Returns the zero polynomial ([])
+    when n < alpha, where the Schur polynomial itself vanishes.
     """
     if gamma < 0 or alpha < 0 or n < 0:
         raise ValueError("parameters must be nonnegative")
-    if gamma == 0 or alpha == 0:
-        return [1]
-    if n < alpha:
+    if gamma and n < alpha:
         return []
-    num_exps: list[int] = []
-    den_exps: list[int] = []
-    for i in range(1, alpha + 1):
-        for k in range(gamma):
-            num_exps.append(i + n - alpha + k)
-            den_exps.append(i + k)
-    # cancel identical factors before expanding
-    for e in list(den_exps):
-        if e in num_exps:
-            num_exps.remove(e)
-            den_exps.remove(e)
-    num = [1]
-    for e in num_exps:
-        num = upoly_mul(num, one_minus_power(e))
-    for e in den_exps:
-        num = upoly_divexact(num, one_minus_power(e))
+    den_exps = [i + k for i in range(1, alpha + 1) for k in range(gamma)]
+    num_exps = [e + n - alpha for e in den_exps]
     shift = gamma * alpha * (alpha + 1) // 2
-    return [0] * shift + num
+    return [0] * shift + _stride_quotient(num_exps, den_exps)
+
+
+def _stride_quotient(num_exps: Sequence[int], den_exps: Sequence[int]) -> list[int]:
+    """Coefficients of prod(1 - q^e for e in num_exps) divided by
+    prod(1 - q^e for e in den_exps); every e is positive.
+
+    Multiplying by 1 - q^e is c[j] -= c[j - e] from the top down.  Dividing
+    by it is the power series c[j] += c[j - e] from the bottom up, which
+    equals the polynomial quotient exactly when its top e coefficients are
+    zero; they are then dropped, and otherwise the division is refused.
+    """
+    c = [1] + [0] * sum(num_exps)
+    top = 0
+    for e in num_exps:
+        top += e
+        for j in range(top, e - 1, -1):
+            c[j] -= c[j - e]
+    for e in den_exps:
+        for j in range(e, len(c)):
+            c[j] += c[j - e]
+        if any(c[-e:]):
+            raise ValueError("division is not exact")
+        del c[-e:]
+    return c
 
 
 def alternating_point(m: int) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 from scpp.budget import WorkBudget
 from scpp.partitions import Partition, contains, part_at, partition, rectangle, size
 from scpp.plane_partitions import MoveGraphReport, Row, _closing_row, _decreasing_rows
-from scpp.polynomials import FIELD_BITS, MPoly, Value, upoly_trim
+from scpp.polynomials import FIELD_BITS, MPoly, Value
 from scpp.products import ParityError, check_box_sides
 
 
@@ -200,12 +200,11 @@ def to_q_coeffs(poly: MPoly, powers: Sequence[int]) -> list[int]:
     for exps, coeff in tuple_terms(poly).items():
         d = sum(p * e for p, e in zip(powers, exps))
         acc[d] = acc.get(d, 0) + coeff
-    if not acc:
-        return []
-    out = [0] * (max(acc) + 1)
+    acc = {d: c for d, c in acc.items() if c}
+    out = [0] * (max(acc, default=-1) + 1)
     for d, c in acc.items():
         out[d] = c
-    return upoly_trim(out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -280,8 +280,11 @@ def test_text_format(capsys):
 # that is not a rational number began to be named, and when the bridge and
 # the alternating value began to come from the value kernel: the largest
 # rectangle of the wider bridge grid, on an all-odd box, so the value is 0.
-# The last two lines were recorded when a second --set of one parameter
+# The next two lines were recorded when a second --set of one parameter
 # became a usage error and a range that does not parse began to be named.
+# The last three were recorded when a missing --a of count and a missing
+# flag of pfaffian became usage errors, as any other missing parameter
+# was, and a --shape part that is not an integer began to be named.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -354,6 +357,9 @@ GOLDEN = [
     ('schur alternating --gamma 5 --alpha 5 --m 12', 0, '{"value": "0"}\n'),
     ('sweep bridge --set gamma=1 --set alpha=1 --set m=1 --set m=2', 2, '{"error": {"code": "usage", "message": "--set gives m more than once"}}\n'),
     ('sweep bridge --set gamma=1 --set alpha=1 --set m=1..3,5', 2, '{"error": {"code": "invalid-parameter", "message": "bad range for m: \'1..3,5\'"}}\n'),
+    ('count box --b 1 --c 1', 2, '{"error": {"code": "usage", "message": "--a is required for this target"}}\n'),
+    ('pfaffian --case a-odd --a 1 --b 1 --c1 2', 2, '{"error": {"code": "usage", "message": "--c2 is required for pfaffian"}}\n'),
+    ('schur evaluate --shape 1,x --n 2', 2, '{"error": {"code": "invalid-parameter", "message": "--shape part 2 (x) is not an integer"}}\n'),
 ]
 
 
@@ -393,6 +399,33 @@ def test_subcommand_flags_and_choices(command):
         for a in sub.choices[command]._actions
     }
     assert got == {**_COMMON, **HELP_FLAGS[command]}
+
+
+@pytest.mark.parametrize("command", ["count", "pfaffian"])
+def test_each_missing_integer_flag_is_one_usage_line(capsys, command):
+    # every integer flag without a default is a parameter that some call
+    # needs; leaving it out of such a call is one JSON usage line on stdout
+    # that names it, and argparse prints nothing on stderr
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    flags = [a.option_strings[0] for a in actions if a.type is int and a.default is None]
+    if command == "count":
+        heads = [["count", t] for t in next(a for a in actions if a.dest == "target").choices]
+    else:
+        heads = [["pfaffian", "--case", "a-odd"]]
+    reported = set()
+    for head in heads:
+        for flag in flags:
+            main(head + [x for f in flags if f != flag for x in (f, "2")])
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            error = json.loads(captured.out).get("error", {})
+            if error.get("code") == "usage":
+                assert captured.out.count("\n") == 1
+                assert error["message"].startswith(f"{flag} is required for ")
+                reported.add(flag)
+    assert reported == set(flags)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -15,16 +15,7 @@ from oracles import (
     tuple_terms,
     unpack_key,
 )
-from scpp.polynomials import (
-    MPoly,
-    group_by_first,
-    max_exponent,
-    one_minus_power,
-    substitute_groups,
-    upoly_divexact,
-    upoly_mul,
-    upoly_trim,
-)
+from scpp.polynomials import MPoly, group_by_first, max_exponent, substitute_groups
 
 NVARS = 3
 
@@ -204,28 +195,8 @@ def test_product_refuses_an_operand_at_the_exponent_limit():
         wide * packed(2, {(0, 2**31): 1})
 
 
-# univariate helpers
 
-def test_upoly_mul_and_divexact_roundtrip():
-    p = [1, 2, 0, -3]
-    q = [2, 0, 5]
-    prod = upoly_mul(p, q)
-    assert upoly_divexact(prod, q) == upoly_trim(list(p))
-    assert upoly_divexact(prod, upoly_trim(list(p))) == [2, 0, 5]
-
-
-def test_upoly_divexact_rejects_inexact():
-    with pytest.raises(ValueError):
-        upoly_divexact([1, 1, 1], [1, 1])
-
-
-def test_one_minus_power():
-    assert one_minus_power(3) == [1, 0, 0, -1]
-    assert sum(c * (-1) ** k for k, c in enumerate(one_minus_power(4))) == 0
-    with pytest.raises(ValueError):
-        one_minus_power(0)
-
-
-def test_geometric_quotient():
-    # (1 - q^6) / (1 - q^2) = 1 + q^2 + q^4
-    assert upoly_divexact(one_minus_power(6), one_minus_power(2)) == [1, 0, 1, 0, 1]
+def test_an_integer_times_a_polynomial_is_a_type_error():
+    # MPoly multiplies only by MPoly; the reflected product is not defined
+    with pytest.raises(TypeError):
+        2 * packed(1, {(1,): 1})

@@ -27,6 +27,7 @@ from scpp.polynomials import MPoly
 from scpp.schur import (
     CACHE_SIZE,
     _schur_sum,
+    _stride_quotient,
     alternating_point,
     hook_content_rectangular,
     schur_tableau_sum,
@@ -184,14 +185,30 @@ def test_hook_content_examples():
 
 
 def test_hook_content_matches_principal_substitution():
-    for gamma in range(4):
-        for alpha in range(4):
-            for n in range(6):
+    for gamma in range(5):
+        for alpha in range(5):
+            for n in range(8):
                 product_form = hook_content_rectangular(gamma, alpha, n)
                 substituted = to_q_coeffs(
                     schur_tableau_sum(rectangle(alpha, gamma), n), list(range(1, n + 1))
                 )
                 assert product_form == substituted, (gamma, alpha, n)
+
+
+def test_stride_quotient_divides_exactly():
+    # (1 - q^6) / (1 - q^2) = 1 + q^2 + q^4
+    assert _stride_quotient([6], [2]) == [1, 0, 1, 0, 1]
+    # (1 - q^2)(1 - q^3) / ((1 - q)(1 - q)) = (1 + q)(1 + q + q^2)
+    assert _stride_quotient([2, 3], [1, 1]) == [1, 2, 2, 1]
+    assert _stride_quotient([], []) == [1]
+
+
+def test_stride_quotient_rejects_an_inexact_division():
+    with pytest.raises(ValueError, match="division is not exact"):
+        _stride_quotient([3], [2])
+    # a divisor of higher degree than the dividend
+    with pytest.raises(ValueError, match="division is not exact"):
+        _stride_quotient([2], [3])
 
 
 def test_alternating_point():

@@ -106,7 +106,7 @@ def hook_content_rectangular(gamma: int, alpha: int, n: int) -> list[int]:
     the alpha x gamma rectangle of (1 - q^(n-alpha+i+k)) / (1 - q^(i+k)),
     expanded by ``_stride_quotient``.  Its divisions are exact: the whole
     denominator divides the numerator, since the quotient is the Schur
-    polynomial, so every part of the denominator does too, and each
+    polynomial, so the product of any of its factors does too, and each
     partial quotient is a polynomial.  Returns the zero polynomial ([])
     when n < alpha, where the Schur polynomial itself vanishes.
     """

@@ -195,7 +195,6 @@ def test_product_refuses_an_operand_at_the_exponent_limit():
         wide * packed(2, {(0, 2**31): 1})
 
 
-
 def test_an_integer_times_a_polynomial_is_a_type_error():
     # MPoly multiplies only by MPoly; the reflected product is not defined
     with pytest.raises(TypeError):

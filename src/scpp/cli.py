@@ -16,8 +16,9 @@ rejects before doing any work, a ``sweep --workers`` below 1, a ``schur
 evaluate --shape`` part that is not an integer and an ``--at`` coordinate
 that is not a rational number or has a zero denominator; also a sweep
 range that does not parse, and a ``--config`` or ``--out`` file that
-cannot be read or written).  Argparse itself reports, on stderr, a
-missing positional argument and a flag value it cannot parse.
+cannot be read or written).  Every error argparse finds (a missing
+positional argument, an unknown flag or choice, a flag value it cannot
+parse) is a ``usage`` error too.
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
@@ -50,7 +51,6 @@ import io
 import json
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -86,6 +86,13 @@ from scpp.verify import _BOX, _LINE, IDENTITIES, METHODS, Identity
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and its subparsers, whose errors ``main`` reports as usage."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +328,8 @@ def _handle_sweep(args, budget: WorkBudget) -> tuple[list[dict], int]:
         for values in tuples
     ]
     if args.workers > 1:
+        # imported here: it pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sweep_tuple, tasks))
     else:
@@ -358,7 +367,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on first use and then reused."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scpp",
         description="Exact counting and identity verification for box-bounded plane partitions.",
     )
@@ -419,16 +428,15 @@ _ERROR_CODES = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "count": _handle_count,
-        "schur": _handle_schur,
-        "pfaffian": _handle_pfaffian,
-        "verify": _handle_verify,
-        "sweep": _handle_sweep,
-    }[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        handler = {
+            "count": _handle_count,
+            "schur": _handle_schur,
+            "pfaffian": _handle_pfaffian,
+            "verify": _handle_verify,
+            "sweep": _handle_sweep,
+        }[args.command]
         budget = WorkBudget(args.budget)
         if getattr(args, "workers", 1) < 1:
             raise ValueError("worker count must be positive")

@@ -20,7 +20,7 @@ may reach 2^32 - 2, which its fields still hold exactly, but it cannot be
 multiplied again.
 
 ``MPoly`` has one constructor, which trusts its caller, and only the
-operations that production code uses: product, power, lifting to more
+operations that production code uses: product, lifting to more
 variables, setting the last variable to zero and a digest.  The
 evaluation sweep of ``scpp.verify`` groups a term map by the exponent of
 x_1 once (``group_by_first``) and sets x_1 from the groups
@@ -133,6 +133,8 @@ class MPoly:
     __hash__ = None  # mutable dict inside; equality is by value
 
     def __mul__(self, other: "MPoly") -> "MPoly":
+        if not isinstance(other, MPoly):
+            return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
         guard = _guard_mask(self.nvars)
@@ -147,14 +149,6 @@ class MPoly:
                 acc[k] = get(k, 0) + c1 * c2
         # zero sums are dropped once, at the end
         return MPoly(self.nvars, {k: c for k, c in acc.items() if c})
-
-    def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = MPoly.const(self.nvars, 1)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def lift(self, nvars: int) -> "MPoly":
         """Embed into a larger variable set; new variables get exponent 0."""

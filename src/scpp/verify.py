@@ -5,6 +5,11 @@ enumeration vs. closed form, or full polynomial expansion vs. a gluing
 construction) and returns a report with deterministic digests of the two
 sides.
 
+The Schur product identities have two methods.  Full expansion multiplies
+the left-hand factors with ``MPoly.__mul__``; the evaluation sweep compares
+values on an integer grid and never multiplies two polynomials, so it is
+the one route whose verdict does not depend on ``MPoly.__mul__``.
+
 ``IDENTITIES`` is the one table of the checkable identities.  Each row,
 keyed by its CLI name, gives the ordered parameter names, the ``verify_*``
 function that runs both routes, the standard grid (ranges plus an
@@ -85,18 +90,22 @@ def _report(identity, parameters, lhs, rhs, match, method) -> VerificationReport
 # the two rectangular Schur product identities
 
 def _glued_terms(
-    which: int, gamma1: int, gamma2: int, alpha: int, budget: WorkBudget
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
 ) -> list[tuple[Partition, int]]:
-    """(shape, strip size) pairs for the gluing sum of identity 1 or 2.
+    """(shape, strip size) pairs for the gluing sum of identity 1 or 2 in
+    n + 1 variables.
 
     Both identities sum over mu inside the alpha x gamma2 rectangle.
     Identity 1 takes lam = mu; identity 2 puts a full first row of length
     gamma2 on top of mu.  In both, pi runs over horizontal strips inside lam
     and the glued shape puts the complement of mu in the alpha x
-    (gamma1+gamma2) rectangle, rotated 180 degrees, on top of pi.  The
-    listing is cheap; it charges one unit per term, once, for the Schur
-    polynomials built from them.
+    (gamma1+gamma2) rectangle, rotated 180 degrees, on top of pi.  Shapes
+    with more than n rows are left out, as their Schur polynomial in n
+    variables vanishes.  Each term is charged one unit as it is listed,
+    kept or not, so a cap stops the listing itself.
     """
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
     if gamma1 < gamma2:
         raise ValueError("gamma1 must be at least gamma2")
     if which not in (1, 2):
@@ -107,28 +116,10 @@ def _glued_terms(
         lam = mu if which == 1 else rectangle(1, gamma2) + mu
         lam_size = size(lam)
         for pi in horizontal_strips_within(lam):
-            out.append((top + pi, lam_size - size(pi)))
-    budget.charge(len(out))
+            budget.charge()
+            if len(top) + len(pi) <= n:
+                out.append((top + pi, lam_size - size(pi)))
     return out
-
-
-def _rhs_terms(
-    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
-) -> list[tuple[Partition, int]]:
-    """The glued (shape, strip size) pairs, after checking n; shapes with
-    more than n rows are left out, as their polynomial in n variables vanishes."""
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
-    terms = _glued_terms(which, gamma1, gamma2, alpha, budget)
-    return [(shape, strip) for shape, strip in terms if len(shape) <= n]
-
-
-def schurid_rhs(
-    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None = None
-) -> MPoly:
-    """Right-hand side of identity 1 or 2 as a polynomial in n+1 variables;
-    charges its glued terms."""
-    return _glue_sum(_rhs_terms(which, gamma1, gamma2, alpha, n, budget or WorkBudget()), n)
 
 
 def _glue_sum(terms: list[tuple[Partition, int]], n: int) -> MPoly:
@@ -170,7 +161,7 @@ def verify_schurid(
     budget = budget or WorkBudget()
     identity = f"schurid{which}"
     params = {"gamma1": gamma1, "gamma2": gamma2, "alpha": alpha, "n": n}
-    terms = _rhs_terms(which, gamma1, gamma2, alpha, n, budget)
+    terms = _glued_terms(which, gamma1, gamma2, alpha, n, budget)
     bound = alpha * gamma1 + (alpha + 1) * gamma2  # safe per-variable degree bound
     if method == EVALUATION_SWEEP:
         budget.charge((bound + 1) ** (n + 1))
@@ -248,11 +239,13 @@ def verify_square_reduction(
     gamma: int, alpha: int, n: int, budget: WorkBudget | None = None
 ) -> VerificationReport:
     """Setting the extra variable to zero with equal widths must reduce the
-    gluing sum to the square of a single rectangular Schur polynomial."""
+    gluing sum to the square of a single rectangular Schur polynomial, so
+    only the strip-free glued terms are built; all of them are charged."""
     params = {"gamma": gamma, "alpha": alpha, "n": n}
-    reduced = schurid_rhs(1, gamma, gamma, alpha, n, budget).restrict_last_zero()
-    square = schur_tableau_sum(rectangle(alpha, gamma), n) ** 2
-    return _expansion_report("square-reduction", params, reduced, square)
+    terms = _glued_terms(1, gamma, gamma, alpha, n, budget or WorkBudget())
+    reduced = _glue_sum([term for term in terms if term[1] == 0], n).restrict_last_zero()
+    root = schur_tableau_sum(rectangle(alpha, gamma), n)
+    return _expansion_report("square-reduction", params, reduced, root * root)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +404,8 @@ IDENTITIES: dict[str, Identity] = {
     "signed": Identity(
         _BOX,
         verify_signed_enumeration,
-        Grid((range(7),) * 3, lambda a, b, c: (a % 2, b % 2, c % 2) in ((0, 1, 1), (1, 0, 0))),
+        # the three parity classes: b and c of one parity, not all odd
+        Grid((range(7),) * 3, lambda a, b, c: b % 2 == c % 2 and not a % 2 == b % 2 == 1),
     ),
     "schurid1": Identity(_SCHURID, partial(verify_schurid, 1), _SCHURID_GRID, takes_method=True),
     "schurid2": Identity(_SCHURID, partial(verify_schurid, 2), _SCHURID_GRID, takes_method=True),

@@ -110,14 +110,6 @@ class TupleMPoly:
                 acc[e] = acc.get(e, 0) + c1 * c2
         return TupleMPoly(self.nvars, {e: c for e, c in acc.items() if c})
 
-    def __pow__(self, n: int) -> "TupleMPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = TupleMPoly(self.nvars, {(0,) * self.nvars: 1})
-        for _ in range(n):
-            result = result * self
-        return result
-
     def evaluate(self, point: Sequence[int | Fraction]) -> int | Fraction:
         if len(point) != self.nvars:
             raise ValueError(

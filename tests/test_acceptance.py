@@ -7,28 +7,22 @@ Each test prints one criterion line; run with ``pytest tests/test_acceptance.py 
 import time
 
 from oracles import schur_determinant_oracle
-from scpp.partitions import partitions_in_rectangle, rectangle
+from scpp.partitions import partitions_in_rectangle
 from scpp.pfaffian import corollary_matrix, exact_determinant, pfaffian, pfaffian_check
 from scpp.plane_partitions import (
     check_move_graph,
     count_pp,
     count_scpp,
     count_scpp_middle_line,
-    count_scpp_signed,
 )
-from scpp.products import (
-    box_count,
-    middle_line_product,
-    sc_count,
-    signed_enumeration_product,
-)
+from scpp.products import box_count, middle_line_product, sc_count
 from scpp.schur import schur_tableau_sum
 from scpp.verify import (
     IDENTITIES,
     PFAFFIAN_GRID,
-    schurid_rhs,
     verify_schurid,
     verify_specialization_bridge,
+    verify_square_reduction,
 )
 
 
@@ -72,9 +66,8 @@ def test_criterion_03_schur_product_identities():
 def test_criterion_04_square_reduction():
     start = time.perf_counter()
     for gamma, alpha, n in _grid("square-reduction", 36):
-        reduced = schurid_rhs(1, gamma, gamma, alpha, n).restrict_last_zero()
-        square = schur_tableau_sum(rectangle(alpha, gamma), n) ** 2
-        assert reduced == square, (gamma, alpha, n)
+        report = verify_square_reduction(gamma, alpha, n)
+        assert report.match, (gamma, alpha, n)
     _pass(4, "extra variable at zero reduces the gluing sum to the Schur square", start)
 
 
@@ -89,10 +82,13 @@ def test_criterion_05_middle_line_counts():
 
 def test_criterion_06_signed_enumeration():
     start = time.perf_counter()
-    for a, b, c in _grid("signed", 84):
-        signed = count_scpp_signed(a, b, c).signed_total
-        assert abs(signed) == signed_enumeration_product(a, b, c), (a, b, c)
-    _pass(6, "signed totals match the closed products in absolute value", start)
+    signed = IDENTITIES["signed"]
+    for a, b, c in _grid("signed", 148):
+        report = signed.run((a, b, c))
+        all_even = a % 2 == b % 2 == c % 2 == 0
+        assert report.identity == ("signed-all-even" if all_even else "signed"), (a, b, c)
+        assert report.match, (a, b, c, report.lhs, report.rhs)
+    _pass(6, "signed totals match both closed products in absolute value", start)
 
 
 def test_criterion_07_pfaffian_corollary():

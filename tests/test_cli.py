@@ -3,11 +3,17 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from scpp.cli import build_parser, main
 from scpp.verify import IDENTITIES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -285,6 +291,8 @@ def test_text_format(capsys):
 # The last three were recorded when a missing --a of count and a missing
 # flag of pfaffian became usage errors, as any other missing parameter
 # was, and a --shape part that is not an integer began to be named.
+# The last two were recorded when an argument argparse rejects (a flag
+# value it cannot parse, a missing positional) became a JSON usage line.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -360,12 +368,26 @@ GOLDEN = [
     ('count box --b 1 --c 1', 2, '{"error": {"code": "usage", "message": "--a is required for this target"}}\n'),
     ('pfaffian --case a-odd --a 1 --b 1 --c1 2', 2, '{"error": {"code": "usage", "message": "--c2 is required for pfaffian"}}\n'),
     ('schur evaluate --shape 1,x --n 2', 2, '{"error": {"code": "invalid-parameter", "message": "--shape part 2 (x) is not an integer"}}\n'),
+    ('count box --a x --b 1 --c 1', 2, '{"error": {"code": "usage", "message": "argument --a: invalid int value: \'x\'"}}\n'),
+    ('verify', 2, '{"error": {"code": "usage", "message": "the following arguments are required: identity"}}\n'),
 ]
 
 
 @pytest.mark.parametrize(("argv", "code", "out"), GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_output(capsys, argv, code, out):
-    assert run_cli(capsys, *argv.split()) == (code, out)
+    # every line, an error included, is on stdout; stderr stays empty
+    assert main(argv.split()) == code
+    assert capsys.readouterr() == (out, "")
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a sweep with --workers above 1 imports the pool
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, scpp.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 _FORMATS = ("json", "csv", "text")

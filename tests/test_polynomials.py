@@ -116,10 +116,6 @@ def test_digest_is_deterministic_and_discriminating():
     assert p.digest() != poly_add(p, MPoly.const(2, 1)).digest()
 
 
-def test_pow():
-    assert packed(1, {(0,): 1, (1,): 1}) ** 2 == packed(1, {(0,): 1, (1,): 2, (2,): 1})
-
-
 # packed keys against the tuple-keyed oracle
 
 def test_key_layout():
@@ -145,13 +141,12 @@ def _points(nvars, coordinate):
     return st.lists(coordinate, min_size=nvars, max_size=nvars)
 
 
-@given(oracle_pairs(), st.integers(min_value=0, max_value=3), st.data())
-def test_packed_kernel_matches_tuple_oracle(pair, power, data):
+@given(oracle_pairs(), st.data())
+def test_packed_kernel_matches_tuple_oracle(pair, data):
     nvars, a, b = pair
     p, q = packed(nvars, a), packed(nvars, b)
     tp, tq = TupleMPoly(nvars, a), TupleMPoly(nvars, b)
     assert tuple_terms(p * q) == (tp * tq).terms
-    assert tuple_terms(p**power) == (tp**power).terms
     assert p.digest() == tp.digest()
     assert tuple_terms(p.lift(nvars + 2)) == tp.lift(nvars + 2).terms
     if nvars:
@@ -188,14 +183,15 @@ def test_product_refuses_an_operand_at_the_exponent_limit():
         square * top
     with pytest.raises(ValueError):
         top * square
-    with pytest.raises(ValueError):
-        top**3
     wide = packed(2, {(0, 2**31): 1})
     with pytest.raises(ValueError):
         wide * packed(2, {(0, 2**31): 1})
 
 
 def test_an_integer_times_a_polynomial_is_a_type_error():
-    # MPoly multiplies only by MPoly; the reflected product is not defined
+    # MPoly multiplies only by MPoly, on either side
+    p = packed(1, {(1,): 1})
     with pytest.raises(TypeError):
-        2 * packed(1, {(1,): 1})
+        2 * p
+    with pytest.raises(TypeError):
+        p * 2

@@ -10,7 +10,6 @@ from scpp.polynomials import MPoly
 from scpp.products import sc_count
 from scpp.schur import schur_tableau_sum, specialize_alternating
 from scpp.verify import (
-    schurid_rhs,
     verify_box,
     verify_middle_line,
     verify_schurid,
@@ -22,28 +21,34 @@ from scpp.verify import (
 )
 
 
+def _rhs(which, gamma1, gamma2, alpha, n):
+    """The right-hand side as the verifiers build it: the glued terms summed
+    in n + 1 variables."""
+    return verify._glue_sum(verify._glued_terms(which, gamma1, gamma2, alpha, n, WorkBudget()), n)
+
+
 def test_rhs_identity1_trivial_cases():
     # empty rectangle: single term equal to the plain Schur polynomial
-    assert schurid_rhs(1, 2, 0, 2, 3) == schur_tableau_sum((2, 2), 3).lift(4)
+    assert _rhs(1, 2, 0, 2, 3) == schur_tableau_sum((2, 2), 3).lift(4)
     # no rows at all: the constant 1
-    assert schurid_rhs(1, 3, 2, 0, 2) == MPoly.const(3, 1)
+    assert _rhs(1, 3, 2, 0, 2) == MPoly.const(3, 1)
 
 
 def test_rhs_identity1_small_product():
     lhs = schur_tableau_sum((1,), 2).lift(3) * schur_tableau_sum((1,), 3)
-    assert schurid_rhs(1, 1, 1, 1, 2) == lhs
+    assert _rhs(1, 1, 1, 1, 2) == lhs
 
 
 def test_rhs_identity2_trivial_cases():
-    assert schurid_rhs(2, 2, 0, 1, 2) == schur_tableau_sum((2,), 2).lift(3)
+    assert _rhs(2, 2, 0, 1, 2) == schur_tableau_sum((2,), 2).lift(3)
     # one forced row: reproduces the single Schur factor in n+1 variables
     lhs = schur_tableau_sum((1,), 2)
-    assert schurid_rhs(2, 1, 1, 0, 1) == lhs
+    assert _rhs(2, 1, 1, 0, 1) == lhs
 
 
 def test_rhs_rejects_decreasing_widths():
     with pytest.raises(ValueError):
-        schurid_rhs(1, 1, 2, 1, 2)
+        _rhs(1, 1, 2, 1, 2)
     with pytest.raises(ValueError):
         verify_schurid(1, 2, 3, 1, 2)
 
@@ -82,9 +87,8 @@ def test_both_methods_catch_a_missing_glued_term(monkeypatch, method):
 
 
 def _sweep_inputs(which, gamma1, gamma2, alpha, n):
-    rhs = verify._glue_sum(verify._rhs_terms(which, gamma1, gamma2, alpha, n, WorkBudget()), n)
     first, second = verify._lhs_factors(which, gamma1, gamma2, alpha, n)
-    return first, second, rhs, alpha * gamma1 + (alpha + 1) * gamma2
+    return first, second, _rhs(which, gamma1, gamma2, alpha, n), alpha * gamma1 + (alpha + 1) * gamma2
 
 
 # tuples of the benchmark's sweeps with a nonconstant first factor, so that
@@ -127,6 +131,7 @@ def test_sweep_substitutes_once_per_prefix(monkeypatch):
     substituted = _counted(monkeypatch, "substitute_groups")
     assert not hasattr(MPoly, "evaluate")
     monkeypatch.setattr(verify, "schur_value", _refuse)  # the sweep must not call it
+    monkeypatch.setattr(MPoly, "__mul__", _refuse)  # nor multiply two polynomials
     which, gamma1, gamma2, alpha, n = SWEEP_TUPLES[0]
     report = verify_schurid(which, gamma1, gamma2, alpha, n, method="evaluation-sweep")
     assert report.match
@@ -267,6 +272,32 @@ def test_budget_threads_through_verifiers():
         verify_schurid(1, 2, 2, 2, 3, budget=WorkBudget(2))
     with pytest.raises(BudgetExceededError):
         verify_schurid(1, 1, 1, 1, 2, method="evaluation-sweep", budget=WorkBudget(4))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda budget: verify_schurid(1, 20, 20, 3, 1, budget=budget),
+        lambda budget: verify_schurid(2, 20, 20, 3, 1, method="evaluation-sweep", budget=budget),
+        lambda budget: verify_square_reduction(20, 3, 1, budget),
+    ],
+)
+def test_the_cap_stops_the_glued_listing(monkeypatch, run):
+    # at gamma1 = gamma2 = 20 and alpha = 3, identity 1 has 230,230 glued terms
+    # and identity 2 has 888,030; each term is charged as it is listed, so the
+    # cap stops the listing at cap + 1
+    listed = []
+    strips = verify.horizontal_strips_within
+
+    def counted(lam):
+        for pi in strips(lam):
+            listed.append(pi)
+            yield pi
+
+    monkeypatch.setattr(verify, "horizontal_strips_within", counted)
+    with pytest.raises(BudgetExceededError, match="1001 nodes > cap 1000"):
+        run(WorkBudget(1000))
+    assert 0 < len(listed) <= 1001
 
 
 def test_uncapped_sweep_stops_at_the_default_cap_before_building(monkeypatch):

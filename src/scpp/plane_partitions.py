@@ -13,11 +13,22 @@ mirrored entries summing to at least b (a even) or to exactly b (the
 central row, a odd) for the self-complementary arrays, plus a pinned
 segment for the middle lines.  The counts sum over these chains with the
 transfer-matrix method (Stanley, EC1 4.7), whose states are the rows; they
-are exhaustive and use no closed form.  The rows of [0, b]^c and their
-raised-entry index form one row table per (b, c), built once per process
-and shared by every count (``_row_table``).  Each count charges its row
-states once per transfer step, up front (see ``_row_chains``); the signed
-count makes two runs on one budget.
+are exhaustive and use no closed form.  The rows of [0, b]^c form one row
+table per (b, c), shared by every count (``_RowTable``).  Beside its rows
+the table keeps what the counts read from them: the raised-entry index of
+the transfer steps, the sign column of the signed steps, and two closing
+tables, the indices of the rows whose mirrored entries sum to at least b
+and of those that sum to exactly b, each listed once from the table's
+columns.  A count sums its chain counts at the indices of the closing
+table; a middle line filters that list by a column, or in the punctured
+case selects its rows in one pass over the columns.  The tables of recent
+(b, c) are kept up to ``ROW_TABLE_ROWS`` rows in all (``_row_table``).
+
+Each count charges its row states once per transfer step before it reads
+the table (``_charged_table``).  The table is built when first read, and
+each of its lists when first used, so a cap stops a count before any of
+them fills memory.  The signed count charges its two runs to one budget
+and makes both on one table.
 
 The move graph joins two self-complementary arrays when one cube moves to
 its 180-degree-opposite position.  ``check_move_graph`` lists the arrays
@@ -32,11 +43,13 @@ on one array) live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from functools import cached_property
+from itertools import combinations_with_replacement, compress, repeat
 from math import comb
-from typing import Callable, Iterator
+from operator import add, and_, eq, ge, mul
+from typing import Callable, Iterable, Iterator
 
 from scpp.budget import WorkBudget
 from scpp.products import check_box_sides, check_middle_line_params
@@ -44,15 +57,15 @@ from scpp.products import check_box_sides, check_middle_line_params
 Row = tuple[int, ...]
 RowWeight = Callable[[Row], int]
 
-# row tables kept at once; the enum benchmark draws from 26 distinct (b, c),
-# 21 to 23 of them in one pass
-ROW_TABLE_SIZE = 32
+# rows the row tables hold at once; the enum benchmark draws 26 distinct
+# (b, c) of at most 924 rows each, 24,024 rows in all
+ROW_TABLE_ROWS = 1 << 15
 
 
 def count_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
     """Exhaustive count of plane partitions in the box (no closed form used)."""
     check_box_sides(a, b, c)
-    return sum(_row_chains(a, b, c, budget or WorkBudget())[1])
+    return sum(_row_chains(_charged_table(a, b, c, budget or WorkBudget()), a))
 
 
 def _rows_above(counts: list[int], raised: list[list[int]]) -> list[int]:
@@ -71,47 +84,133 @@ def _rows_above(counts: list[int], raised: list[list[int]]) -> list[int]:
     return sums
 
 
-@lru_cache(maxsize=ROW_TABLE_SIZE)
-def _row_table(b: int, c: int) -> tuple[list[Row], list[list[int]]]:
-    """The weakly decreasing rows in [0, b]^c in decreasing lexicographic
-    order, and per column j the index of each row with entry j raised by
-    one (-1: none).  Every caller shares the two lists and only reads them.
+def _where(n: int, *tests: Iterable[bool]) -> list[int]:
+    """The indices below n at which every one of ``tests`` holds."""
+    keep: Iterable[bool] = repeat(True, n)
+    for test in tests:
+        keep = map(and_, keep, test)
+    return list(compress(range(n), keep))
+
+
+class _RowTable:
+    """Weakly decreasing rows of length c in [0, b], in decreasing
+    lexicographic order, and what the counts read from them.  Every caller
+    shares the lists and only reads them.
+
+    Past the rows, each list is built on its first use and kept with them:
+    the raised-entry index of the transfer steps, the columns, the sign
+    column of the signed steps, and the closing tables, the indices of the
+    rows that close a chain of upper rows (``closing``).  A count reads
+    them only after it has charged its units (``_charged_table``).
     """
-    rows = list(combinations_with_replacement(range(b, -1, -1), c))
-    index = {row: i for i, row in enumerate(rows)}
-    raised = [[index.get(row[:j] + (row[j] + 1,) + row[j + 1:], -1) for row in rows] for j in range(c)]
-    return rows, raised
+
+    def __init__(self, b: int, c: int, rows: list[Row]) -> None:
+        self.b, self.c, self.rows = b, c, rows
+        self._closing: dict[int, list[int]] = {}  # by the parity of a
+
+    @cached_property
+    def raised(self) -> list[list[int]]:
+        """Per column j the index of each row with entry j raised by one
+        (-1: none)."""
+        index = {row: i for i, row in enumerate(self.rows)}
+        return [
+            [index.get(row[:j] + (row[j] + 1,) + row[j + 1:], -1) for row in self.rows]
+            for j in range(self.c)
+        ]
+
+    @cached_property
+    def columns(self) -> list[Row]:
+        return list(zip(*self.rows))
+
+    @cached_property
+    def signs(self) -> list[int]:
+        """(-1)^(b*c - the row's sum) per row, the parity of the cubes it
+        leaves out of the box."""
+        full = self.b * self.c
+        return [-1 if (full - s) % 2 else 1 for s in map(sum, self.rows)]
+
+    def pair_sums(self, j: int) -> Iterator[int]:
+        """w[j] + w[c-1-j] for each row w."""
+        return map(add, self.columns[j], self.columns[self.c - 1 - j])
+
+    def closing(self, a: int) -> list[int]:
+        """The rows that close a chain of the upper (a+1)//2 rows of an
+        a x b x c array (see ``_closing_row``): mirrored entries summing to
+        at least b for a even, to exactly b for a odd."""
+        parity = a % 2
+        if parity not in self._closing:
+            test = eq if parity else ge
+            pairs = range((self.c + 1) // 2)
+            tests = (map(test, self.pair_sums(j), repeat(self.b)) for j in pairs)
+            self._closing[parity] = _where(len(self.rows), *tests)
+        return self._closing[parity]
 
 
-def _row_chains(
-    k: int, b: int, c: int, budget: WorkBudget, signed: bool = False
-) -> tuple[list[Row], list[int]]:
-    """Chains of k weakly decreasing rows in [0, b]^c, each entrywise at most
-    the one before, counted by their last row: the rows and their counts.
-    ``signed`` weights each row by (-1)^(b*c - its sum), the parity of the
-    cubes it leaves out of the box.  Charges its k*C(b+c, c) units to
-    ``budget`` before it reads the row table, so a cap stops it before the
-    rows fill memory.
+class _RowTables:
+    """The row tables by (b, c), the least recently used first, holding
+    ``ROW_TABLE_ROWS`` rows at most in all.  A larger table is built for
+    the call that asks for it and not kept."""
+
+    def __init__(self) -> None:
+        self.tables: OrderedDict[tuple[int, int], _RowTable] = OrderedDict()
+        self.held = 0
+
+    def __call__(self, b: int, c: int) -> _RowTable:
+        table = self.tables.get((b, c))
+        if table is not None:
+            self.tables.move_to_end((b, c))
+            return table
+        table = _RowTable(b, c, list(combinations_with_replacement(range(b, -1, -1), c)))
+        if len(table.rows) <= ROW_TABLE_ROWS:
+            self.tables[(b, c)] = table
+            self.held += len(table.rows)
+            while self.held > ROW_TABLE_ROWS:
+                self.held -= len(self.tables.popitem(last=False)[1].rows)
+        return table
+
+
+_row_table = _RowTables()
+
+
+def _charged_table(k: int, b: int, c: int, budget: WorkBudget, runs: int = 1) -> _RowTable:
+    """The row table for ``runs`` runs of ``_row_chains`` over k steps.
+    Charges their runs*k*C(b+c, c) units to ``budget`` before it reads the
+    table, so a cap stops a count before the rows fill memory.  With k = 0
+    the table is the lid alone, the full row (b, ..., b).
     """
     if k == 0:
-        return [(b,) * c], [1]  # the full row (b, ..., b) stands for the lid of the box
-    budget.charge(k * comb(b + c, c))
-    rows, raised = _row_table(b, c)
-    counts = [1] + [0] * (len(rows) - 1)  # the lid
+        return _RowTable(b, c, [(b,) * c])
+    budget.charge(runs * k * comb(b + c, c))
+    return _row_table(b, c)
+
+
+def _row_chains(table: _RowTable, k: int, signed: bool = False) -> list[int]:
+    """Chains of k rows from ``table``, each entrywise at most the one
+    before, counted by their last row.  ``signed`` weights each row by its
+    sign in ``table.signs``.
+    """
+    counts = [1] + [0] * (len(table.rows) - 1)  # the lid
     for _ in range(k):
-        counts = _rows_above(counts, raised)
+        counts = _rows_above(counts, table.raised)
         if signed:
-            counts = [-n if (b * c - sum(row)) % 2 else n for n, row in zip(counts, rows)]
-    return rows, counts
+            counts = list(map(mul, counts, table.signs))
+    return counts
 
 
-def _decreasing_rows(bound: Row, mirrored: int = 0, row: Row = ()) -> Iterator[Row]:
+def _decreasing_rows(
+    bound: Row, mirrored: int = 0, exact: bool = False, row: Row = ()
+) -> Iterator[Row]:
     """The weakly decreasing rows w that begin with ``row``, are bounded
     entrywise by ``bound`` and have w[j] + w[c-1-j] >= ``mirrored`` for
     each two mirrored columns j != c-1-j, in decreasing lexicographic order.
     An entry is not tried when its mirror, placed later, cannot lift the
     pair to ``mirrored``: that mirror is at most the entry and at most its
-    bound."""
+    bound.
+
+    ``exact`` asks for w[j] + w[c-1-j] == ``mirrored`` for every j, the
+    middle column of an odd c included: the walk places the left half and
+    tries one value for each later entry, the one that completes its pair.
+    """
     j, c = len(row), len(bound)
     if j == c:
         yield row
@@ -119,12 +218,16 @@ def _decreasing_rows(bound: Row, mirrored: int = 0, row: Row = ()) -> Iterator[R
     hi = min(bound[j], row[-1]) if row else bound[0]
     if 2 * j >= c:  # the mirror is placed
         lo = mirrored - row[c - 1 - j]
+        if exact:
+            hi = min(hi, lo)
     elif 2 * j + 1 < c:  # the mirror comes later
         lo = max(mirrored - bound[c - 1 - j], (mirrored + 1) // 2)
+    elif exact:  # the middle column is its own mirror
+        lo, hi = (mirrored + 1) // 2, min(hi, mirrored // 2)
     else:
         lo = 0
     for v in range(hi, max(lo, 0) - 1, -1):
-        yield from _decreasing_rows(bound, mirrored, row + (v,))
+        yield from _decreasing_rows(bound, mirrored, exact, row + (v,))
 
 
 @dataclass(frozen=True)
@@ -151,20 +254,26 @@ def _closing_row(a: int, b: int, c: int) -> RowWeight:
 
     With a even it is the last upper row, and the row below it is its
     reversed complement, so mirrored entries sum to at least b.  With a odd
-    it is the central row, which is its own reversed complement.
+    it is the central row, which is its own reversed complement.  The
+    closing tables (``_RowTable.closing``) list the rows that meet it.
     """
     if a % 2:
         return lambda w: all(w[j] + w[c - 1 - j] == b for j in range(c))
     return lambda w: all(w[j] + w[c - 1 - j] >= b for j in range(c))
 
 
-def _closed_chains(
-    a: int, b: int, c: int, closes: RowWeight, budget: WorkBudget, signed: bool = False
-) -> int:
-    """Chains of the upper (a+1)//2 rows, each counted with the weight
-    ``closes`` gives its last row (a bool counts as 0 or 1)."""
-    rows, counts = _row_chains((a + 1) // 2, b, c, budget, signed)
-    return sum(n * closes(row) for n, row in zip(counts, rows) if n)
+def _upper_chains(
+    a: int, b: int, c: int, budget: WorkBudget, runs: int = 1
+) -> tuple[_RowTable, list[int]]:
+    """The row table, charged for ``runs`` runs, and the plain run of the
+    chains of the upper (a+1)//2 rows."""
+    k = (a + 1) // 2
+    table = _charged_table(k, b, c, budget, runs)
+    return table, _row_chains(table, k)
+
+
+def _sum_at(counts: list[int], indices: Iterable[int]) -> int:
+    return sum(map(counts.__getitem__, indices))
 
 
 def _upper_cells(a: int, c: int) -> int:
@@ -196,7 +305,8 @@ def _reference_parity(a: int, b: int, c: int) -> int:
 def count_scpp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
     """Exhaustive count of self-complementary plane partitions."""
     check_box_sides(a, b, c)
-    return _closed_chains(a, b, c, _closing_row(a, b, c), budget or WorkBudget())
+    table, counts = _upper_chains(a, b, c, budget or WorkBudget())
+    return _sum_at(counts, table.closing(a))
 
 
 def count_scpp_signed(
@@ -212,12 +322,18 @@ def count_scpp_signed(
     check_box_sides(a, b, c)
     if a % 2 and b % 2 and c % 2:
         return SignedCount(0, 0)
-    closes = _closing_row(a, b, c)
-    total = _closed_chains(a, b, c, closes, budget)
-    # the signed run weighs a whole central row; take its right half back out
-    right = c // 2 if a % 2 else c
-    weighted = lambda w: closes(w) * (-1) ** sum(b - v for v in w[right:])
-    signed = (-1) ** _reference_parity(a, b, c) * _closed_chains(a, b, c, weighted, budget, True)
+    table, counts = _upper_chains(a, b, c, budget, runs=2)
+    closing = table.closing(a)
+    total = _sum_at(counts, closing)
+    counts = _row_chains(table, (a + 1) // 2, signed=True)
+    if a % 2:
+        # the signed run weighs a whole central row; take its right half back out
+        half, rows = c // 2, table.rows
+        full = b * (c - half)
+        signed = sum(-counts[i] if (full - sum(rows[i][half:])) % 2 else counts[i] for i in closing)
+    else:
+        signed = _sum_at(counts, closing)
+    signed *= (-1) ** _reference_parity(a, b, c)
     positive = (total + signed) // 2
     return SignedCount(positive, total - positive)
 
@@ -238,19 +354,30 @@ def count_scpp_middle_line(
     central rows whose segment is (b-1)/2 and whose other columns pair with
     their mirror to b, so the rows above stand at least (b-1)/2 over the
     segment and their complements at most (b+1)/2.
+
+    The rows are weakly decreasing, so a segment is constant once its two
+    ends are, and a central row's segment once its first entry is.
     """
     check_middle_line_params(a, b, c1, c2)
     c = (c1 + c2) // 2
+    table, counts = _upper_chains(a, b, c, budget or WorkBudget())
+    columns, half = table.columns, b // 2  # b/2, or (b-1)/2 under the puncture
     if a % 2 == 0:
-        closes = _closing_row(a, b, c)
-        carries = lambda w: closes(w) and (c1 == 0 or w[c1 // 2 - 1] >= b // 2)
+        closing = table.closing(a)
+        if c1:
+            column = columns[c1 // 2 - 1]
+            closing = [i for i in closing if column[i] >= half]
+    elif b % 2 == 0:
+        closing = table.closing(a)
+        if c1 > c2:
+            first = columns[c2 // 2]
+            closing = [i for i in closing if first[i] == half]
     else:
-        # b // 2 is b/2, or (b-1)/2 under the puncture
-        segment = range(c2 // 2, c1 // 2)
-        carries = lambda w: all(
-            w[j] == b // 2 if j in segment else w[j] + w[c - 1 - j] == b for j in range(c)
-        )
-    return _closed_chains(a, b, c, carries, budget or WorkBudget())
+        pairs = (map(eq, table.pair_sums(j), repeat(b)) for j in range(c2 // 2))
+        ends = [c2 // 2, c - 1 - c2 // 2] if c1 > c2 else []
+        segment = (map(eq, columns[j], repeat(half)) for j in ends)
+        closing = _where(len(table.rows), *pairs, *segment)
+    return _sum_at(counts, closing)
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +397,22 @@ def _scpp_flats(a: int, b: int, c: int, budget: WorkBudget) -> Iterator[Row]:
     """Every self-complementary array of the box exactly once, as a flat
     tuple of its a*c entries read row by row.
 
-    Walks the free upper rows, then the closing row below them (the last
-    upper row for a even, the central row for a odd), whose mirrored
-    entries sum to at least b; the lower rows are the reversed complements
-    of the upper ones, which flattened is the reversed complement of the
-    flat upper half.  Charges one unit per node of the free-row tree and
-    one per closing row it tries.
+    Walks the free upper rows, then the closing row below them.  For a
+    even that is the last upper row, whose mirrored entries sum to at least
+    b; the walk tries the rows whose pairs j != c-1-j do, and keeps those
+    whose middle entry, for c odd, does too.  For a odd it is the central
+    row, whose mirrored entries sum to exactly b: the walk places its left
+    half and tries only the value that completes each pair, so every
+    central row it tries closes.  The lower rows are the reversed
+    complements of the upper ones, which flattened is the reversed
+    complement of the flat upper half.  Charges one unit per node of the
+    free-row tree and one per closing row it tries.
     """
     if a == 0:
         yield ()
         return
     closes = _closing_row(a, b, c)
+    exact = a % 2 == 1
     free = (a - 1) // 2
 
     def walk(r: int, upper: Row, bound: Row) -> Iterator[Row]:
@@ -289,9 +421,9 @@ def _scpp_flats(a: int, b: int, c: int, budget: WorkBudget) -> Iterator[Row]:
             for row in _decreasing_rows(bound):
                 yield from walk(r + 1, upper + row, row)
             return
-        for row in _decreasing_rows(bound, b):
+        for row in _decreasing_rows(bound, b, exact):
             budget.charge()
-            if closes(row):
+            if exact or closes(row):
                 half = upper + row if a % 2 == 0 else upper
                 yield upper + row + tuple(b - v for v in reversed(half))
 

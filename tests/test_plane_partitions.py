@@ -1,4 +1,5 @@
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -28,6 +29,7 @@ from scpp.plane_partitions import (
     count_scpp,
     count_scpp_middle_line,
     count_scpp_signed,
+    _closing_row,
 )
 from scpp.products import (
     ParityError,
@@ -37,6 +39,7 @@ from scpp.products import (
     signed_enumeration_all_even,
     signed_enumeration_product,
 )
+from scpp.verify import IDENTITIES
 
 # 4x5 array with height bound 3 whose opposite entries sum to 3
 SC_4x5 = pp_from_rows(
@@ -373,7 +376,8 @@ def test_move_graph_matches_the_oracle():
 
 def test_decreasing_rows_are_the_filtered_rows_under_the_bound():
     # brute force over [0, b]^c: the walk skips prefixes that cannot meet
-    # the mirrored sums, and no row may be lost with them
+    # the mirrored sums, and no row may be lost with them; the exact walk
+    # places the left half and completes each pair
     for b, c in product(range(4), range(6)):
         decreasing = [w for w in product(range(b, -1, -1), repeat=c) if list(w) == sorted(w, reverse=True)]
         for bound in decreasing:
@@ -381,6 +385,8 @@ def test_decreasing_rows_are_the_filtered_rows_under_the_bound():
             for mirrored in range(2 * b + 2):
                 expected = [w for w in under if all(w[j] + w[c - 1 - j] >= mirrored for j in range(c // 2))]
                 assert list(plane_partitions._decreasing_rows(bound, mirrored)) == expected, (bound, mirrored)
+                expected = [w for w in under if all(w[j] + w[c - 1 - j] == mirrored for j in range(c))]
+                assert list(plane_partitions._decreasing_rows(bound, mirrored, True)) == expected, (bound, mirrored)
 
 
 def _flat(pp):
@@ -411,15 +417,73 @@ def test_flipped_parity_reads_the_flat_array():
             assert parity == flipped_pair_count(pp) % 2, (a, b, c)
 
 
-def test_row_table_is_built_once_per_row_shape():
-    row_table = plane_partitions._row_table
+def test_row_table_is_built_once_per_row_shape(monkeypatch):
     before = count_scpp(4, 3, 4), count_scpp_signed(4, 3, 4), check_move_graph(4, 3, 4)
-    row_table.cache_clear()
+    built = []
+    table = plane_partitions._RowTable
+
+    def counted(b, c, rows):
+        built.append((b, c))
+        return table(b, c, rows)
+
+    monkeypatch.setattr(plane_partitions, "_RowTable", counted)
+    monkeypatch.setattr(plane_partitions, "_row_table", plane_partitions._RowTables())
     after = count_scpp(4, 3, 4), count_scpp_signed(4, 3, 4), check_move_graph(4, 3, 4)
-    # one count, two signed-count runs and the move graph's count, all on (3, 4)
-    assert (row_table.cache_info().misses, row_table.cache_info().hits) == (1, 3)
+    # one count, the signed count's two runs and the move graph's count, all on (3, 4)
+    assert built == [(3, 4)]
     assert after == before
-    assert row_table.cache_info().maxsize == plane_partitions.ROW_TABLE_SIZE
+
+
+def test_row_tables_hold_at_most_the_row_bound(monkeypatch):
+    tables = plane_partitions._RowTables()
+    monkeypatch.setattr(plane_partitions, "_row_table", tables)
+    # every table of sides up to 6, the enum benchmark's, fits at once
+    shapes = set(product(range(7), repeat=2))
+    for b, c in shapes:
+        tables(b, c)
+    # C(20, 10) = 184,756 rows: built for the count, and not kept
+    assert count_pp(1, 10, 10) == box_count(1, 10, 10)
+    assert shapes <= set(tables.tables)
+    assert max(len(t.rows) for t in tables.tables.values()) < 184_756
+    assert tables.held == sum(len(t.rows) for t in tables.tables.values()) <= plane_partitions.ROW_TABLE_ROWS
+
+
+def _per_row(a, b, c, weight, signed=False):
+    """The chain counts summed with ``weight`` called on every row."""
+    table, counts = plane_partitions._upper_chains(a, b, c, WorkBudget())
+    if signed:
+        assert table.signs == [(-1) ** (b * c - sum(row)) for row in table.rows]
+        counts = plane_partitions._row_chains(table, (a + 1) // 2, signed=True)
+    return sum(n * weight(row) for n, row in zip(counts, table.rows))
+
+
+def _middle_line_row(a, b, c1, c2):
+    """The middle-line condition on the last upper row, as a predicate."""
+    c = (c1 + c2) // 2
+    if a % 2 == 0:
+        closes = _closing_row(a, b, c)
+        return lambda w: closes(w) and (c1 == 0 or w[c1 // 2 - 1] >= b // 2)
+    segment = range(c2 // 2, c1 // 2)
+    return lambda w: all(w[j] == b // 2 if j in segment else w[j] + w[c - 1 - j] == b for j in range(c))
+
+
+def test_closing_tables_sum_what_the_row_predicates_sum():
+    for a, b, c in product(range(7), repeat=3):
+        closes = _closing_row(a, b, c)
+        total = _per_row(a, b, c, closes)
+        assert count_scpp(a, b, c) == total, (a, b, c)
+        if a % 2 and b % 2 and c % 2:
+            continue
+        right = c // 2 if a % 2 else c
+        signed = _per_row(a, b, c, lambda w: closes(w) * (-1) ** sum(b - v for v in w[right:]), True)
+        signed *= (-1) ** plane_partitions._reference_parity(a, b, c)
+        positive = (total + signed) // 2
+        assert count_scpp_signed(a, b, c) == SignedCount(positive, total - positive), (a, b, c)
+    grid = list(IDENTITIES["middle-line"].grid)
+    assert len(grid) == 270
+    for a, b, c1, c2 in grid:
+        expected = _per_row(a, b, (c1 + c2) // 2, _middle_line_row(a, b, c1, c2))
+        assert count_scpp_middle_line(a, b, c1, c2) == expected, (a, b, c1, c2)
 
 
 def test_move_graph_walk_must_agree_with_the_count(monkeypatch):
@@ -463,6 +527,16 @@ def test_move_graph_charges_its_moves_before_listing(monkeypatch):
     with pytest.raises(BudgetExceededError):
         check_move_graph(2, 3, 4, budget)
     assert budget.used == budget.cap + 1
+
+
+def test_move_graph_charges_the_walk_one_unit_per_array_row():
+    # count_scpp(3, 4, 4) charges 2 * C(8, 4) units, then 3*4 // 2 = 6 moves
+    # per array; the walk charges its root and the C(8, 4) free upper rows,
+    # and one unit per central row it tries, each of which closes
+    budget = WorkBudget()
+    report = check_move_graph(3, 4, 4, budget)
+    assert report.vertices == sc_count(3, 4, 4)
+    assert budget.used == 2 * comb(8, 4) + 6 * report.vertices + (1 + comb(8, 4)) + report.vertices
 
 
 def test_budget_raises_cleanly():

@@ -187,10 +187,11 @@ def test_verify_schurid_unknown_method():
 
 
 def test_square_reduction_grid():
-    for gamma in range(3):
-        for alpha in range(3):
-            for n in range(4):
-                assert verify_square_reduction(gamma, alpha, n).match
+    # acceptance criterion 04 runs the 36 tuples with gamma, alpha < 3 and n < 4
+    for gamma, alpha, n in product(range(4), range(4), range(6)):
+        if gamma < 3 and alpha < 3 and n < 4:
+            continue
+        assert verify_square_reduction(gamma, alpha, n).match, (gamma, alpha, n)
 
 
 def test_verify_box():

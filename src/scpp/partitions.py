@@ -76,18 +76,18 @@ def partitions_in_rectangle(alpha: int, gamma: int) -> Iterator[Partition]:
     yield ()
 
 
-def horizontal_strips_within(lam: Iterable[int], rows: int | None = None) -> Iterator[Partition]:
-    """All pi inside lam such that lam/pi is a horizontal strip, with at
-    most ``rows`` rows when that is given.
-
-    The rows of pi vary independently in [lam_{i+1}, lam_i], or in [lam_{i+1},
-    0] from row ``rows`` on; the result is automatically a partition, and
-    only its last row can be zero.
-    """
-    lam = partition(lam)
-    ranges = [
+def strip_ranges(lam: Partition, rows: int | None = None) -> list[range]:
+    """For lam a partition, the range of each row of pi: [lam_{i+1}, lam_i],
+    or [lam_{i+1}, 0] from row ``rows`` on.  The rows vary independently."""
+    return [
         range(part_at(lam, i + 1), (0 if rows is not None and i >= rows else lam[i]) + 1)
         for i in range(len(lam))
     ]
-    for choice in _cartesian(*ranges):
+
+
+def horizontal_strips_within(lam: Iterable[int], rows: int | None = None) -> Iterator[Partition]:
+    """All pi inside lam such that lam/pi is a horizontal strip, with at
+    most ``rows`` rows when that is given: the tuples of the product of
+    ``strip_ranges``, which are partitions, with a last row of zero cut."""
+    for choice in _cartesian(*strip_ranges(partition(lam), rows)):
         yield choice[:-1] if choice and not choice[-1] else choice

@@ -6,10 +6,11 @@ nonzero coefficients.  The key of x_1^e_1 ... x_n^e_n packs the exponents
 big-endian into fixed fields of ``FIELD_BITS`` bits: it is the sum of
 e_i * 2^(FIELD_BITS * (n - i)), so x_1 is the most significant field and
 x_n the least (Kronecker substitution).  A product of monomials is a sum
-of keys, and appending a variable is a shift (``add_with_last_power``).
-Since each field holds its exponent whole and the fields are big-endian,
-comparing two keys compares their exponent tuples lexicographically:
-sorting the keys gives the order in which the digest lists the terms.
+of keys: multiplying by x_i^e adds the key of x_i^e, which is how the
+Schur descent of ``scpp.schur`` builds its term maps.  Since each field
+holds its exponent whole and the fields are big-endian, comparing two
+keys compares their exponent tuples lexicographically: sorting the keys
+gives the order in which the digest lists the terms.
 
 The top bit of each field is headroom.  ``schur_tableau_sum`` refuses a
 shape part of 2^31 (``EXPONENT_LIMIT``) or more, so the exponents it
@@ -49,15 +50,6 @@ EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 def _guard_mask(nvars: int) -> int:
     """The top bit of each of the nvars fields."""
     return (1 << FIELD_BITS * nvars) // FIELD_MASK * EXPONENT_LIMIT
-
-
-def add_with_last_power(acc: dict[int, int], terms: dict[int, int], e: int) -> None:
-    """acc += p * x_{n+1}^e, for the term map of p in x_1..x_n and acc a
-    term map in x_1..x_{n+1}; a sum that reaches zero is kept."""
-    get = acc.get
-    for key, coeff in terms.items():
-        key = (key << FIELD_BITS) + e  # x_{n+1} is the new lowest field
-        acc[key] = get(key, 0) + coeff
 
 
 def max_exponent(terms: dict[int, Value], nvars: int) -> int:
@@ -114,16 +106,6 @@ class MPoly:
     def __init__(self, nvars: int, terms: dict[int, int]):
         self.nvars = nvars
         self.terms = terms
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MPoly":
-        return cls(nvars, {})
-
-    @classmethod
-    def const(cls, nvars: int, value: int) -> "MPoly":
-        if value == 0:
-            return cls.zero(nvars)
-        return cls(nvars, {0: int(value)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):

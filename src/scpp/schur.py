@@ -1,32 +1,38 @@
 """Schur polynomials and their values.
 
-Both routes run the branching rule (Stanley, EC2 7.10): s_lam(x_1..x_n)
-is the sum, over the mu with lam/mu a horizontal strip, of
-s_mu(x_1..x_{n-1}) * x_n^|lam/mu|.  ``schur_tableau_sum`` sums term maps
-and keeps each s_mu in a bounded cache shared by all calls.
-``schur_value`` sums exact numbers at one point and keeps each
-s_mu(v_1..v_k) in a memo that lives for that call only; the bridge,
-``specialize_alternating`` and ``scpp schur evaluate --at`` read their
-values from it and build no polynomial.  The independent oracles of the
-polynomial route, the walk over semistandard tableaux and a determinant
-of complete homogeneous polynomials, live in ``tests/oracles.py``; the
-tests check the value route against the polynomial route at integer and
-rational points.  The rectangular principal specialization in a formal
-variable q is MacMahon's box product (EC2 7.21), computed on one
-coefficient list by stride sums: multiplying by 1 - q^e subtracts the list
-shifted by e, and dividing by it adds the shifted list back, bottom up.
+Both come from one descent of the branching rule (Stanley, EC2 7.10),
+s_mu(x_1..x_m) = sum of s_nu(x_1..x_{m-1}) * x_m^|mu/nu| over the
+horizontal strips mu/nu, run from x_n down.  ``_descend`` maps shapes to
+weights; level m sends each mu to its strips nu with at most m - 1 rows
+(s_nu vanishes in fewer variables), times x_m^|mu/nu|, and adds up the
+weights that reach one nu, so a shape reached from many is expanded once
+per level.  The weights are term maps (``schur_combination``, which
+``schur_tableau_sum`` starts from {lam: 1} and the gluing sum of
+``scpp.verify`` from its multiset) or numbers (``schur_value``: the bridge,
+``specialize_alternating`` and ``schur evaluate --at`` build no term map).
+Each shape's strips are charged before they are listed.  Whole
+polynomials are cached by ``schur_tableau_sum``, ``CACHE_SIZE`` of them.
+The tableau walk and a determinant in ``tests/oracles.py`` check them.
+
+The rectangular principal specialization in a formal variable q is
+MacMahon's box product (EC2 7.21), computed on one coefficient list by
+stride sums: multiplying by 1 - q^e subtracts the list shifted by e, and
+dividing by it adds the shifted list back, bottom up.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import product as _cartesian
+from math import prod
+from typing import Callable, Iterable, Sequence
 
-from scpp.partitions import Partition, horizontal_strips_within, partition, rectangle, size
-from scpp.polynomials import EXPONENT_LIMIT, MPoly, Value, add_with_last_power
+from scpp.budget import WorkBudget
+from scpp.partitions import Partition, partition, rectangle, strip_ranges
+from scpp.polynomials import EXPONENT_LIMIT, FIELD_BITS, MPoly, Value
 
-# entries kept by the Schur polynomial cache; verify_schurid(1, 4, 3, 3, 5) touches
-# 390 (shape, n) pairs.  384 raised the schur benchmark's peak memory, 192 did not
+# whole polynomials kept by ``schur_tableau_sum``: a verify_schurid call asks
+# for two, and one pass of the schur benchmark 159 times for 51 distinct ones
 CACHE_SIZE = 192
 
 
@@ -41,62 +47,71 @@ def checked_shape(lam: Iterable[int], n: int) -> Partition:
     return lam
 
 
-def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
-    """Schur polynomial of shape lam in n variables.
+def _descend(states: dict, n: int, shift: Callable, budget: WorkBudget | None):
+    """The weight of the empty shape after levels n..1, 0 if no shape
+    reaches it; shift(acc, weight, m, e) is acc + weight * x_m^e, with acc
+    None for a shape new to the level."""
+    budget = budget or WorkBudget()
+    for m in range(n, 0, -1):
+        below: dict = {}
+        get = below.get
+        for mu, weight in states.items():
+            ranges = strip_ranges(mu, m - 1)
+            budget.charge(prod(map(len, ranges)))  # before the strips are listed
+            mu_size = sum(mu)
+            for nu in _cartesian(*ranges):
+                e = mu_size - sum(nu)
+                if nu and not nu[-1]:  # only the last row can be zero
+                    nu = nu[:-1]
+                below[nu] = shift(get(nu), weight, m, e)
+        states = below
+    return states.get((), 0)
 
-    Zero when lam has more than n rows.  Built by the branching rule in
-    ``_schur_sum``; the tableau walk and the determinant oracle in
-    ``tests/oracles.py`` check it.  The name is kept from
-    when the sum ran over tableaux, since benchmark tracing looks the
-    Schur layer up by it.  A part of at least 2^31 is refused: no exponent
-    of s_lam exceeds its first part, and packed keys hold exponents below
-    2^31.
-    """
-    lam = checked_shape(lam, n)
-    if len(lam) > n:
-        return MPoly.zero(n)
-    return _schur_sum(lam, n)
+
+def schur_combination(
+    states: dict[Partition, dict], n: int, trailing: int = 0, budget: WorkBudget | None = None
+) -> dict[int, int]:
+    """The term map in x_1..x_{n+trailing} of the sum of w * s_mu(x_1..x_n)
+    over the (mu, w) of ``states``, each w a term map in the ``trailing``
+    variables after x_n with positive coefficients, so that no sum cancels."""
+    def shift(acc: dict | None, terms: dict[int, int], m: int, e: int) -> dict[int, int]:
+        offset = e << FIELD_BITS * (n - m + trailing)  # the key of x_m^e
+        if acc is None:
+            return {key + offset: coeff for key, coeff in terms.items()}
+        get = acc.get
+        for key, coeff in terms.items():
+            key += offset
+            acc[key] = get(key, 0) + coeff
+        return acc
+
+    return _descend(states, n, shift, budget) or {}
+
+
+def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
+    """Schur polynomial of shape lam in n variables, zero when lam has more
+    than n rows, kept in a cache of ``CACHE_SIZE`` polynomials.  Benchmark
+    tracing looks the Schur layer up by this name.  A part of at least 2^31
+    is refused: no exponent of s_lam exceeds its first part, and packed
+    keys hold exponents below 2^31."""
+    return _cached_schur(checked_shape(lam, n), n)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _schur_sum(lam: Partition, n: int) -> MPoly:
-    # the branching rule over the mu with at most n - 1 rows (s_mu vanishes in
-    # n - 1 variables otherwise); its coefficients are positive, so no term cancels
-    if n == 0:
-        return MPoly.const(0, 1)
-    acc: dict[int, int] = {}
-    lam_size = size(lam)
-    for mu in horizontal_strips_within(lam, n - 1):
-        add_with_last_power(acc, _schur_sum(mu, n - 1).terms, lam_size - size(mu))
-    return MPoly(n, acc)
+def _cached_schur(lam: Partition, n: int) -> MPoly:
+    return MPoly(n, schur_combination({lam: {0: 1}}, n))
 
 
-def schur_value(lam: Iterable[int], point: Sequence[Value]) -> Value:
-    """s_lam at point, exactly, in n = len(point) variables.
+def schur_value(
+    lam: Iterable[int], point: Sequence[Value], budget: WorkBudget | None = None
+) -> Value:
+    """s_lam at point, exactly, in n = len(point) variables: the descent on
+    numbers, with x_m = point[m-1].  Zero when lam has more than n rows;
+    refuses what ``schur_tableau_sum`` refuses, with the same messages."""
+    def shift(acc: Value | None, weight: Value, m: int, e: int) -> Value:
+        weight *= point[m - 1] ** e
+        return weight if acc is None else acc + weight
 
-    The branching rule of ``_schur_sum`` on numbers: s_mu(v_1..v_k) is the
-    sum of s_nu(v_1..v_{k-1}) * v_k^|mu/nu| over the horizontal strips
-    mu/nu, each (mu, k) computed once in a memo local to this call.  Zero
-    when lam has more than n rows, 1 for the empty shape.  Refuses what
-    ``schur_tableau_sum`` refuses, with the same messages.
-    """
-    memo: dict[tuple[Partition, int], Value] = {}
-
-    def value(mu: Partition, k: int) -> Value:
-        if len(mu) > k:
-            return 0
-        if not mu:
-            return 1
-        key = (mu, k)
-        if key not in memo:
-            x, mu_size = point[k - 1], size(mu)
-            memo[key] = sum(
-                value(nu, k - 1) * x ** (mu_size - size(nu))
-                for nu in horizontal_strips_within(mu, k - 1)
-            )
-        return memo[key]
-
-    return value(checked_shape(lam, len(point)), len(point))
+    return _descend({checked_shape(lam, len(point)): 1}, len(point), shift, budget)
 
 
 def hook_content_rectangular(gamma: int, alpha: int, n: int) -> list[int]:
@@ -149,12 +164,13 @@ def alternating_point(m: int) -> tuple[int, ...]:
     return tuple(1 if i % 2 == 0 else -1 for i in range(m))
 
 
-def specialize_alternating(gamma: int, alpha: int, m: int) -> int:
+def specialize_alternating(gamma: int, alpha: int, m: int, budget: WorkBudget | None = None) -> int:
     """Rectangular Schur polynomial evaluated at alternating signs.
 
-    The value ``schur_value`` gives at (1, -1, ..., (-1)^(m-1)); the
-    product formula at q -> -1 in ``tests/oracles.py`` checks it.
+    The value ``schur_value`` gives at (1, -1, ..., (-1)^(m-1)), charged to
+    ``budget`` when one is given; the product formula at q -> -1 in
+    ``tests/oracles.py`` checks it.
     """
     if gamma < 0 or alpha < 0 or m < 0:
         raise ValueError("parameters must be nonnegative")
-    return schur_value(rectangle(alpha, gamma), alternating_point(m))
+    return schur_value(rectangle(alpha, gamma), alternating_point(m), budget)

@@ -47,7 +47,7 @@ from scpp.plane_partitions import (
     count_scpp_middle_line,
     count_scpp_signed,
 )
-from scpp.polynomials import MPoly, add_with_last_power, group_by_first, max_exponent, substitute_groups
+from scpp.polynomials import MPoly, group_by_first, max_exponent, substitute_groups
 from scpp.products import (
     box_count,
     middle_line_product,
@@ -55,7 +55,7 @@ from scpp.products import (
     signed_enumeration_all_even,
     signed_enumeration_product,
 )
-from scpp.schur import schur_tableau_sum, schur_value, specialize_alternating
+from scpp.schur import schur_combination, schur_tableau_sum, schur_value, specialize_alternating
 
 FULL_EXPANSION = "full-expansion"
 EVALUATION_SWEEP = "evaluation-sweep"
@@ -123,12 +123,12 @@ def _glued_terms(
 
 
 def _glue_sum(terms: list[tuple[Partition, int]], n: int) -> MPoly:
-    """The sum of s_shape(x_1, ..., x_n) * x_{n+1}^strip over the terms."""
-    acc: dict[int, int] = {}
+    """The sum of s_shape(x_1..x_n) * x_{n+1}^strip over the terms, in one descent."""
+    states: dict[Partition, dict[int, int]] = {}
     for shape, strip in terms:
-        # Schur coefficients are positive, so no sum reaches zero
-        add_with_last_power(acc, schur_tableau_sum(shape, n).terms, strip)
-    return MPoly(n + 1, acc)
+        weight = states.setdefault(shape, {})
+        weight[strip] = weight.get(strip, 0) + 1
+    return MPoly(n + 1, schur_combination(states, n, trailing=1))
 
 
 def _lhs_factors(which: int, gamma1: int, gamma2: int, alpha: int, n: int) -> tuple[MPoly, MPoly]:

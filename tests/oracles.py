@@ -2,7 +2,9 @@
 
 Each one is compared in the tests against the production route in ``scpp``
 that it checks: the tableau walk and the Jacobi-Trudi determinant against
-the branching rule, the limit at q -> -1 against ``specialize_alternating``,
+the branching rule, the gluing sum built shape by shape against its one
+descent, the strips listed level by level against the descent's charges,
+the limit at q -> -1 against ``specialize_alternating``,
 the q-substitution against ``hook_content_rectangular``, the middle-line
 condition on one array against ``count_scpp_middle_line``, the move graph
 built from whole validated neighbour arrays against ``check_move_graph``,
@@ -29,10 +31,19 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
-from scpp.partitions import Partition, contains, part_at, partition, rectangle, size
+from scpp.partitions import (
+    Partition,
+    contains,
+    horizontal_strips_within,
+    part_at,
+    partition,
+    rectangle,
+    size,
+)
 from scpp.plane_partitions import MoveGraphReport, Row, _closing_row, _decreasing_rows
 from scpp.polynomials import FIELD_BITS, MPoly, Value
 from scpp.products import ParityError, check_box_sides
+from scpp.schur import schur_tableau_sum
 
 
 def skew_cells(lam: Iterable[int], mu: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -287,9 +298,9 @@ def enumerate_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Semistandar
 def complete_homogeneous(k: int, n: int) -> MPoly:
     """Sum of all degree-k monomials in n variables; h_0 = 1."""
     if k < 0:
-        return MPoly.zero(n)
+        return constant(n, 0)
     if k == 0:
-        return MPoly.const(n, 1)
+        return constant(n, 1)
     acc: dict[tuple[int, ...], int] = {}
     for combo in combinations_with_replacement(range(n), k):
         e = [0] * n
@@ -297,6 +308,35 @@ def complete_homogeneous(k: int, n: int) -> MPoly:
             e[i] += 1
         acc[tuple(e)] = 1
     return packed(n, acc)
+
+
+def glue_sum_by_shapes(terms: Iterable[tuple[Partition, int]], n: int) -> MPoly:
+    """The gluing sum of ``scpp.verify`` shape by shape: the sum of
+    ``schur_tableau_sum(shape, n)`` times x_{n+1}^strip over the terms,
+    each term added on its own."""
+    acc: dict[int, int] = {}
+    for shape, strip in terms:
+        for key, coeff in schur_tableau_sum(shape, n).terms.items():
+            key = (key << FIELD_BITS) + strip  # x_{n+1} is the new lowest field
+            acc[key] = acc.get(key, 0) + coeff
+    return MPoly(n + 1, acc)
+
+
+def descent_strip_count(lam: Iterable[int], n: int) -> int:
+    """The strips the Schur descent of lam in n variables lists: level m
+    lists, for each distinct shape mu that reaches it, the strips of mu with
+    at most m - 1 rows, and passes those on to level m - 1."""
+    level, listed = {partition(lam)}, 0
+    for m in range(n, 0, -1):
+        strips = [list(horizontal_strips_within(mu, m - 1)) for mu in level]
+        listed += sum(map(len, strips))
+        level = {nu for found in strips for nu in found}
+    return listed
+
+
+def constant(nvars: int, value: int) -> MPoly:
+    """The constant polynomial ``value`` in nvars variables."""
+    return MPoly(nvars, {0: value} if value else {})
 
 
 def poly_add(p: MPoly, q: MPoly) -> MPoly:
@@ -317,11 +357,11 @@ def poly_add(p: MPoly, q: MPoly) -> MPoly:
 def _poly_det(matrix: list[list[MPoly]], n: int) -> MPoly:
     dim = len(matrix)
     if dim == 0:
-        return MPoly.const(n, 1)
+        return constant(n, 1)
     if dim == 1:
         return matrix[0][0]
-    total = MPoly.zero(n)
-    minus_one = MPoly.const(n, -1)
+    total = constant(n, 0)
+    minus_one = constant(n, -1)
     for j in range(dim):
         entry = matrix[0][j]
         if not entry.terms:
@@ -343,7 +383,7 @@ def schur_determinant_oracle(lam: Iterable[int], n: int) -> MPoly:
     lam = partition(lam)
     rows = len(lam)
     if rows == 0:
-        return MPoly.const(n, 1)
+        return constant(n, 1)
     matrix = [
         [complete_homogeneous(lam[i] - i + j, n) for j in range(rows)]
         for i in range(rows)

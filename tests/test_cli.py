@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from scpp import schur
 from scpp.cli import build_parser, main
 from scpp.verify import IDENTITIES
 
@@ -81,6 +82,28 @@ def test_schur_alternating(capsys):
     code, out = run_cli(capsys, "schur", "alternating", "--gamma", "2", "--alpha", "2", "--m", "4")
     assert code == 0
     assert json.loads(out) == {"value": "4"}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("evaluate", "--shape", "10000000", "--n", "3"),
+        ("evaluate", "--shape", "10000000", "--n", "3", "--at", "1,2,3"),
+        ("alternating", "--gamma", "10000000", "--alpha", "1", "--m", "3"),
+    ],
+)
+def test_schur_charges_the_strips_before_listing_them(monkeypatch, capsys, flags):
+    # the first level has 10^7 + 1 strips: the charge stops the descent before
+    # any is listed, so a tree that lists first fails here instead of allocating
+    def listing(*ranges):
+        raise AssertionError("listed strips past the cap")
+
+    monkeypatch.setattr(schur, "_cartesian", listing)
+    code, out = run_cli(capsys, "schur", *flags, "--budget", "1000")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": {"code": "budget-exceeded", "message": "work budget exceeded: 1001 nodes > cap 1000"}
+    }
 
 
 def test_pfaffian_check(capsys):
@@ -323,6 +346,9 @@ GOLDEN = [
     ('schur evaluate --shape 2,1 --n 2', 0, '{"nvars": 2, "terms": [[[1, 2], "1"], [[2, 1], "1"]]}\n'),
     # the branching rule lists only the strips whose shape fits in n - 1 rows
     ('schur evaluate --shape 2147483647 --n 1', 0, '{"nvars": 1, "terms": [[[2147483647], "1"]]}\n'),
+    # the descent of (2, 1) in 2 variables lists 2 strips, then 1 for each of (2) and (1)
+    ('schur evaluate --shape 2,1 --n 2 --budget 3', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 4 nodes > cap 3"}}\n'),
+    ('schur evaluate --shape 2,1 --n 2 --budget 4', 0, '{"nvars": 2, "terms": [[[1, 2], "1"], [[2, 1], "1"]]}\n'),
     ('schur evaluate --shape 2,2 --n 3 --at 1,1/2,-1', 0, '{"value": "5/4"}\n'),
     ('schur hook-content --gamma 2 --alpha 1 --n 3', 0, '{"coefficients": ["0", "0", "1", "1", "2", "1", "1"]}\n'),
     ('schur hook-content --gamma 2 --alpha 1 --n 3 --format csv', 0, 'coefficients\n"[""0"", ""0"", ""1"", ""1"", ""2"", ""1"", ""1""]"\n'),

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given
@@ -14,6 +14,7 @@ from scpp.partitions import (
     rectangle,
     rotated_complement,
     size,
+    strip_ranges,
 )
 
 
@@ -158,6 +159,15 @@ def test_horizontal_strips_within_a_row_limit_are_the_filtered_strips():
         for rows in range(6):
             limited = list(horizontal_strips_within(lam, rows))
             assert limited == [pi for pi in every if len(pi) <= rows], (lam, rows)
+
+
+def test_strip_range_lengths_multiply_to_the_strip_count():
+    # the count the Schur descent charges before it lists
+    for lam in partitions_in_rectangle(4, 4):
+        for rows in [None, *range(6)]:
+            count = prod(map(len, strip_ranges(lam, rows)))
+            assert count == len(list(horizontal_strips_within(lam, rows))), (lam, rows)
+    assert prod(map(len, strip_ranges((2**31 - 1, 5), 1))) == (2**31 - 1 - 5 + 1) * 1
 
 
 def test_part_at_reads_zero_beyond_length():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     TupleMPoly,
+    constant,
     pack,
     packed,
     poly_add,
@@ -42,9 +43,9 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * poly_add(q, r) == poly_add(p * q, p * r)
-    assert poly_add(p, MPoly.zero(NVARS)) == p
-    assert p * MPoly.const(NVARS, 1) == p
-    assert poly_add(p, p * MPoly.const(NVARS, -1)) == MPoly.zero(NVARS)
+    assert poly_add(p, constant(NVARS, 0)) == p
+    assert p * constant(NVARS, 1) == p
+    assert poly_add(p, p * constant(NVARS, -1)) == constant(NVARS, 0)
 
 
 @given(mpolys(), mpolys(), points)
@@ -113,7 +114,7 @@ def test_digest_is_deterministic_and_discriminating():
     p = packed(2, {(1, 0): 1, (0, 1): 2})
     q = packed(2, {(0, 1): 2, (1, 0): 1})
     assert p.digest() == q.digest()
-    assert p.digest() != poly_add(p, MPoly.const(2, 1)).digest()
+    assert p.digest() != poly_add(p, constant(2, 1)).digest()
 
 
 # packed keys against the tuple-keyed oracle

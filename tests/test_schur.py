@@ -12,6 +12,8 @@ from oracles import (
     TupleMPoly,
     alternating_limit_value,
     complete_homogeneous,
+    constant,
+    descent_strip_count,
     enumerate_ssyt,
     lr_coefficient,
     pack,
@@ -22,14 +24,15 @@ from oracles import (
     to_q_coeffs,
     tuple_terms,
 )
+from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import partitions_in_rectangle, rectangle, size
-from scpp.polynomials import MPoly
 from scpp.schur import (
     CACHE_SIZE,
-    _schur_sum,
+    _cached_schur,
     _stride_quotient,
     alternating_point,
     hook_content_rectangular,
+    schur_combination,
     schur_tableau_sum,
     schur_value,
     specialize_alternating,
@@ -87,8 +90,8 @@ def test_enumerate_ssyt_yields_distinct_valid_tableaux():
 def test_schur_examples():
     assert schur_tableau_sum((1,), 2) == packed(2, {(1, 0): 1, (0, 1): 1})
     assert schur_tableau_sum((2, 1), 2) == packed(2, {(2, 1): 1, (1, 2): 1})
-    assert schur_tableau_sum((1, 1, 1), 2) == MPoly.zero(2)
-    assert schur_tableau_sum((), 0) == MPoly.const(0, 1)
+    assert schur_tableau_sum((1, 1, 1), 2) == constant(2, 0)
+    assert schur_tableau_sum((), 0) == constant(0, 1)
 
 
 def test_schur_sum_matches_tableau_monomials():
@@ -109,7 +112,42 @@ def test_shape_parts_stay_below_the_exponent_limit():
 
 
 def test_polynomial_caches_are_bounded():
-    assert _schur_sum.cache_info().maxsize == CACHE_SIZE
+    # the one cache holds whole polynomials; the descent keeps nothing between calls
+    assert _cached_schur.cache_info().maxsize == CACHE_SIZE
+    _cached_schur.cache_clear()
+    schur_tableau_sum((3, 2, 1), 4)
+    info = _cached_schur.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_combination_is_the_weighted_sum_of_its_shapes():
+    # s_(2,1) * (3 x_4 + x_4^2) + s_(1,1) * x_4 in x_1..x_3, then x_4
+    weights = {(2, 1): {1: 3, 2: 1}, (1, 1): {1: 1}}
+    terms = schur_combination(weights, 3, trailing=1)
+    expected = {}
+    for shape, weight in weights.items():
+        for key, coeff in schur_tableau_sum(shape, 3).terms.items():
+            for e, c in weight.items():
+                expected[(key << 32) + e] = expected.get((key << 32) + e, 0) + coeff * c
+    assert terms == expected
+    assert weights == {(2, 1): {1: 3, 2: 1}, (1, 1): {1: 1}}  # read, not changed
+    assert schur_combination({(1, 1, 1): {0: 1}}, 2) == {}  # more rows than variables
+    assert schur_combination({}, 3) == {}
+
+
+def test_the_descent_charges_every_strip_it_lists():
+    for lam, n in product(partitions_in_rectangle(3, 3), range(6)):
+        listed = descent_strip_count(lam, n)
+        by_terms, by_value = WorkBudget(), WorkBudget()
+        terms = schur_combination({lam: {0: 1}}, n, budget=by_terms)
+        assert terms == schur_tableau_sum(lam, n).terms
+        schur_value(lam, (1,) * n, by_value)
+        assert by_terms.used == by_value.used == listed, (lam, n)
+        if listed > 1:
+            with pytest.raises(BudgetExceededError):
+                schur_combination({lam: {0: 1}}, n, budget=WorkBudget(listed - 1))
+            with pytest.raises(BudgetExceededError):
+                schur_value(lam, (1,) * n, WorkBudget(listed - 1))
 
 
 @pytest.mark.parametrize("lam", [(), (1,), (2, 1), (2, 2), (3, 1, 1)])
@@ -119,10 +157,10 @@ def test_determinant_oracle_sample(lam, n):
 
 
 def test_complete_homogeneous():
-    assert complete_homogeneous(0, 2) == MPoly.const(2, 1)
+    assert complete_homogeneous(0, 2) == constant(2, 1)
     assert complete_homogeneous(2, 2) == packed(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
-    assert complete_homogeneous(-1, 2) == MPoly.zero(2)
-    assert complete_homogeneous(3, 0) == MPoly.zero(0)
+    assert complete_homogeneous(-1, 2) == constant(2, 0)
+    assert complete_homogeneous(3, 0) == constant(0, 0)
 
 
 @pytest.mark.parametrize(
@@ -149,13 +187,13 @@ def test_lr_product_expansion_3x3_grid():
             lhs = schur_tableau_sum(mu, n) * schur_tableau_sum(nu, n)
             total = sum(mu) + sum(nu)
             width = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-            rhs = MPoly.zero(n)
+            rhs = constant(n, 0)
             for rho in partitions_in_rectangle(n, width):
                 if size(rho) != total:
                     continue
                 mult = lr_coefficient(mu, nu, rho)
                 if mult:
-                    rhs = poly_add(rhs, MPoly.const(n, mult) * schur_tableau_sum(rho, n))
+                    rhs = poly_add(rhs, constant(n, mult) * schur_tableau_sum(rho, n))
             assert lhs == rhs, (mu, nu)
 
 
@@ -166,13 +204,13 @@ def test_lr_product_expansion_small_n():
             for nu in shapes:
                 lhs = schur_tableau_sum(mu, n) * schur_tableau_sum(nu, n)
                 total = sum(mu) + sum(nu)
-                rhs = MPoly.zero(n)
+                rhs = constant(n, 0)
                 for rho in partitions_in_rectangle(n, 4):
                     if size(rho) != total:
                         continue
                     mult = lr_coefficient(mu, nu, rho)
                     if mult:
-                        rhs = poly_add(rhs, MPoly.const(n, mult) * schur_tableau_sum(rho, n))
+                        rhs = poly_add(rhs, constant(n, mult) * schur_tableau_sum(rho, n))
                 assert lhs == rhs, (mu, nu, n)
 
 
@@ -269,6 +307,15 @@ def test_schur_value_matches_the_polynomial_at_a_point(lam, point):
     assert value == oracle
     if all(isinstance(x, int) for x in point):
         assert isinstance(value, int)
+
+
+def test_schur_value_matches_the_polynomial_at_rational_points():
+    # every shape in the 4 x 4 box, n <= 5, at points mixing signs and fractions
+    points = [(Fraction(1, 2), -2, Fraction(-3, 5), 1, Fraction(7, 3)), (-1, Fraction(2, 3), 3, 0, -1)]
+    for lam, n in product(partitions_in_rectangle(4, 4), range(6)):
+        poly = schur_tableau_sum(lam, n)
+        for point in points:
+            assert schur_value(lam, point[:n]) == substituted(poly, point[:n]), (lam, point[:n])
 
 
 def test_schur_value_at_ones_counts_tableaux():

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from oracles import TupleMPoly, tuple_terms
+from oracles import TupleMPoly, constant, glue_sum_by_shapes, tuple_terms
 from scpp import schur, verify
 from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.cli import main
@@ -31,7 +31,7 @@ def test_rhs_identity1_trivial_cases():
     # empty rectangle: single term equal to the plain Schur polynomial
     assert _rhs(1, 2, 0, 2, 3) == schur_tableau_sum((2, 2), 3).lift(4)
     # no rows at all: the constant 1
-    assert _rhs(1, 3, 2, 0, 2) == MPoly.const(3, 1)
+    assert _rhs(1, 3, 2, 0, 2) == constant(3, 1)
 
 
 def test_rhs_identity1_small_product():
@@ -44,6 +44,28 @@ def test_rhs_identity2_trivial_cases():
     # one forced row: reproduces the single Schur factor in n+1 variables
     lhs = schur_tableau_sum((1,), 2)
     assert _rhs(2, 1, 1, 0, 1) == lhs
+
+
+def test_glue_descent_matches_the_sum_shape_by_shape():
+    # both identities, gamma2 <= gamma1 <= 4, alpha <= 3, n <= 5: 600 tuples
+    for which, gamma1, alpha, n in product((1, 2), range(5), range(4), range(6)):
+        for gamma2 in range(gamma1 + 1):
+            terms = verify._glued_terms(which, gamma1, gamma2, alpha, n, WorkBudget())
+            expected = glue_sum_by_shapes(terms, n)
+            assert verify._glue_sum(terms, n) == expected, (which, gamma1, gamma2, alpha, n)
+
+
+def test_glue_descent_on_the_strip_free_terms_of_square_reduction():
+    for gamma, alpha, n in product(range(4), range(4), range(6)):
+        terms = verify._glued_terms(1, gamma, gamma, alpha, n, WorkBudget())
+        free = [term for term in terms if term[1] == 0]
+        assert verify._glue_sum(free, n) == glue_sum_by_shapes(free, n), (gamma, alpha, n)
+
+
+def test_schurid_in_full_expansion_at_reach():
+    # 6 variables plus the glued one; the glue descent builds its right side
+    report = verify_schurid(1, 4, 3, 3, 6)
+    assert report.match and report.lhs == report.rhs
 
 
 def test_rhs_rejects_decreasing_widths():
@@ -257,11 +279,12 @@ def test_alternating_value_on_the_largest_rectangle():
 
 
 def test_bridge_and_alternating_build_no_polynomial(monkeypatch, capsys):
-    monkeypatch.setattr(schur, "_schur_sum", _refuse)
+    monkeypatch.setattr(schur, "schur_combination", _refuse)  # the term-map descent
     assert verify_specialization_bridge(3, 3, 7).match
     assert specialize_alternating(3, 2, 6) == -sc_count(2, 4, 3) == -18
     assert main(["schur", "evaluate", "--shape", "2,2", "--n", "3", "--at", "1,1/2,-1"]) == 0
     assert capsys.readouterr().out == '{"value": "5/4"}\n'
+    schur._cached_schur.cache_clear()
     with pytest.raises(AssertionError):  # the patch is live for the polynomial route
         schur_tableau_sum((3, 3), 3)
 
@@ -308,6 +331,7 @@ def test_uncapped_sweep_stops_at_the_default_cap_before_building(monkeypatch):
         raise AssertionError("built a Schur polynomial past the cap")
 
     monkeypatch.setattr(verify, "schur_tableau_sum", building)
+    monkeypatch.setattr(verify, "schur_combination", building)  # the glue descent
     with pytest.raises(BudgetExceededError, match="100000001 nodes > cap 100000000"):
         verify_schurid(1, 3, 3, 3, 5, method="evaluation-sweep")
 

@@ -72,8 +72,9 @@ def schur_combination(
     states: dict[Partition, dict], n: int, trailing: int = 0, budget: WorkBudget | None = None
 ) -> dict[int, int]:
     """The term map in x_1..x_{n+trailing} of the sum of w * s_mu(x_1..x_n)
-    over the (mu, w) of ``states``, each w a term map in the ``trailing``
-    variables after x_n with positive coefficients, so that no sum cancels."""
+    over the (mu, w) of ``states``: mu a partition, w a term map in the
+    ``trailing`` variables after x_n with positive coefficients (no sum
+    cancels).  The weights are read, not changed."""
     def shift(acc: dict | None, terms: dict[int, int], m: int, e: int) -> dict[int, int]:
         offset = e << FIELD_BITS * (n - m + trailing)  # the key of x_m^e
         if acc is None:

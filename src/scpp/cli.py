@@ -34,12 +34,11 @@ a ``--set`` overrides the same key in the config file, and giving one
 parameter twice in either is a usage error.
 
 ``--budget`` caps the work units that enumeration and expansion charge:
-the brute-force ``count`` targets, ``verify`` and ``sweep`` of every
-identity but ``bridge`` (a sweep caps each tuple on its own), and the
-Schur descent of ``schur evaluate`` and ``alternating``.  Leaving it out
-means the default cap, ``DEFAULT_NODE_CAP`` units.  The closed-form
-``count`` targets, ``schur hook-content``, ``pfaffian`` and the ``bridge``
-identity accept the flag and reject a value below 1, but charge nothing.
+the brute-force ``count`` targets, ``verify`` and ``sweep`` (a sweep caps
+each tuple on its own, a Schur identity check each Schur build apart), and
+``schur evaluate`` and ``alternating``; by default ``DEFAULT_NODE_CAP``
+units.  The closed-form ``count`` targets, ``schur hook-content`` and
+``pfaffian`` take the flag and reject a value below 1, but charge nothing.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from scpp.plane_partitions import (
     count_scpp_middle_line,
     count_scpp_signed,
 )
-from scpp.polynomials import MPoly
 from scpp.products import (
     ParityError,
     box_count,
@@ -78,7 +76,7 @@ from scpp.products import (
 from scpp.schur import (
     checked_shape,
     hook_content_rectangular,
-    schur_combination,
+    schur_tableau_sum,
     schur_value,
     specialize_alternating,
 )
@@ -195,7 +193,7 @@ def _handle_schur(args, budget: WorkBudget) -> tuple[dict, int]:
         shape = partition(_parsed(int, "--shape part", i, x) for i, x in parts if x != "")
         shape = checked_shape(shape, args.n)  # before the point is read
         if args.at is None:
-            poly = MPoly(args.n, schur_combination({shape: {0: 1}}, args.n, budget=budget))
+            poly = schur_tableau_sum(shape, args.n, budget)
             terms = [[list(e), str(c)] for e, c in poly.sorted_terms()]
             return {"nvars": args.n, "terms": terms}, 0
         coords = args.at.split(",") if args.at else []
@@ -360,7 +358,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget", type=int, default=DEFAULT_NODE_CAP,
         help="work-unit cap on enumeration and expansion (default %(default)s); "
-        "closed-form counts, schur hook-content, pfaffian and the bridge identity charge nothing",
+        "closed-form counts, schur hook-content and pfaffian charge nothing",
     )
     parser.add_argument("--out", default=None, help="write output to a file")
 

@@ -77,8 +77,7 @@ def partitions_in_rectangle(alpha: int, gamma: int) -> Iterator[Partition]:
 
 
 def strip_ranges(lam: Partition, rows: int | None = None) -> list[range]:
-    """For lam a partition, the range of each row of pi: [lam_{i+1}, lam_i],
-    or [lam_{i+1}, 0] from row ``rows`` on.  The rows vary independently."""
+    """Row ranges of the strips of lam: [lam_{i+1}, lam_i], or [lam_{i+1}, 0] from row ``rows``."""
     return [
         range(part_at(lam, i + 1), (0 if rows is not None and i >= rows else lam[i]) + 1)
         for i in range(len(lam))
@@ -86,8 +85,11 @@ def strip_ranges(lam: Partition, rows: int | None = None) -> list[range]:
 
 
 def horizontal_strips_within(lam: Iterable[int], rows: int | None = None) -> Iterator[Partition]:
-    """All pi inside lam such that lam/pi is a horizontal strip, with at
-    most ``rows`` rows when that is given: the tuples of the product of
-    ``strip_ranges``, which are partitions, with a last row of zero cut."""
-    for choice in _cartesian(*strip_ranges(partition(lam), rows)):
+    """All pi inside lam with lam/pi a horizontal strip, of at most ``rows`` rows if given."""
+    return strips_of(strip_ranges(partition(lam), rows))
+
+
+def strips_of(ranges: list[range]) -> Iterator[Partition]:
+    """The partitions in the product of ``strip_ranges``, a last zero cut."""
+    for choice in _cartesian(*ranges) if all(ranges) else ():  # product() copies ranges first
         yield choice[:-1] if choice and not choice[-1] else choice

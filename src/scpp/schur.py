@@ -10,9 +10,8 @@ per level.  The weights are term maps (``schur_combination``, which
 ``schur_tableau_sum`` starts from {lam: 1} and the gluing sum of
 ``scpp.verify`` from its multiset) or numbers (``schur_value``: the bridge,
 ``specialize_alternating`` and ``schur evaluate --at`` build no term map).
-Each shape's strips are charged before they are listed.  Whole
-polynomials are cached by ``schur_tableau_sum``, ``CACHE_SIZE`` of them.
-The tableau walk and a determinant in ``tests/oracles.py`` check them.
+Each shape's strip count is charged before its strips are listed.  The
+tableau walk and a determinant in ``tests/oracles.py`` check both.
 
 The rectangular principal specialization in a formal variable q is
 MacMahon's box product (EC2 7.21), computed on one coefficient list by
@@ -22,18 +21,15 @@ dividing by it adds the shifted list back, bottom up.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product as _cartesian
 from math import prod
 from typing import Callable, Iterable, Sequence
 
 from scpp.budget import WorkBudget
-from scpp.partitions import Partition, partition, rectangle, strip_ranges
+from scpp.partitions import Partition, partition, rectangle, strip_ranges, strips_of
 from scpp.polynomials import EXPONENT_LIMIT, FIELD_BITS, MPoly, Value
 
-# whole polynomials kept by ``schur_tableau_sum``: a verify_schurid call asks
-# for two, and one pass of the schur benchmark 159 times for 51 distinct ones
-CACHE_SIZE = 192
+CACHE_SIZE = 192  # one pass of the schur benchmark builds 51 distinct polynomials
+_kept: dict[tuple[Partition, int], tuple[MPoly, int]] = {}  # least recently used first
 
 
 def checked_shape(lam: Iterable[int], n: int) -> Partition:
@@ -48,22 +44,19 @@ def checked_shape(lam: Iterable[int], n: int) -> Partition:
 
 
 def _descend(states: dict, n: int, shift: Callable, budget: WorkBudget | None):
-    """The weight of the empty shape after levels n..1, 0 if no shape
-    reaches it; shift(acc, weight, m, e) is acc + weight * x_m^e, with acc
-    None for a shape new to the level."""
+    """The weight of the empty shape after levels n..1, 0 if none reaches it;
+    shift(acc, weight, m, e) is acc + weight * x_m^e, acc None for a shape new
+    to the level.  Each shape charges its strips (0 past m rows) before listing."""
     budget = budget or WorkBudget()
     for m in range(n, 0, -1):
         below: dict = {}
         get = below.get
         for mu, weight in states.items():
             ranges = strip_ranges(mu, m - 1)
-            budget.charge(prod(map(len, ranges)))  # before the strips are listed
+            budget.charge(prod(map(len, ranges)))
             mu_size = sum(mu)
-            for nu in _cartesian(*ranges):
-                e = mu_size - sum(nu)
-                if nu and not nu[-1]:  # only the last row can be zero
-                    nu = nu[:-1]
-                below[nu] = shift(get(nu), weight, m, e)
+            for nu in strips_of(ranges):
+                below[nu] = shift(get(nu), weight, m, mu_size - sum(nu))
         states = below
     return states.get((), 0)
 
@@ -72,9 +65,8 @@ def schur_combination(
     states: dict[Partition, dict], n: int, trailing: int = 0, budget: WorkBudget | None = None
 ) -> dict[int, int]:
     """The term map in x_1..x_{n+trailing} of the sum of w * s_mu(x_1..x_n)
-    over the (mu, w) of ``states``: mu a partition, w a term map in the
-    ``trailing`` variables after x_n with positive coefficients (no sum
-    cancels).  The weights are read, not changed."""
+    over the (mu, w) of ``states``, w a term map in the ``trailing`` variables
+    after x_n with positive coefficients (no sum cancels), read, not changed."""
     def shift(acc: dict | None, terms: dict[int, int], m: int, e: int) -> dict[int, int]:
         offset = e << FIELD_BITS * (n - m + trailing)  # the key of x_m^e
         if acc is None:
@@ -88,18 +80,25 @@ def schur_combination(
     return _descend(states, n, shift, budget) or {}
 
 
-def schur_tableau_sum(lam: Iterable[int], n: int) -> MPoly:
+def schur_tableau_sum(lam: Iterable[int], n: int, budget: WorkBudget | None = None) -> MPoly:
     """Schur polynomial of shape lam in n variables, zero when lam has more
-    than n rows, kept in a cache of ``CACHE_SIZE`` polynomials.  Benchmark
-    tracing looks the Schur layer up by this name.  A part of at least 2^31
-    is refused: no exponent of s_lam exceeds its first part, and packed
-    keys hold exponents below 2^31."""
-    return _cached_schur(checked_shape(lam, n), n)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _cached_schur(lam: Partition, n: int) -> MPoly:
-    return MPoly(n, schur_combination({lam: {0: 1}}, n))
+    than n rows; benchmark tracing finds the Schur layer by this name.  A
+    part of 2^31 or more is refused: packed keys hold exponents below 2^31,
+    and no exponent of s_lam exceeds its first part.  ``CACHE_SIZE`` results
+    are kept with the strips their descent listed, which a hit charges again,
+    so no charge depends on what earlier calls built."""
+    budget = budget or WorkBudget()
+    key = (checked_shape(lam, n), n)
+    if key in _kept:
+        poly, listed = _kept[key] = _kept.pop(key)
+        budget.charge(listed)
+        return poly
+    before = budget.used
+    poly = MPoly(n, schur_combination({key[0]: {0: 1}}, n, budget=budget))
+    if len(_kept) == CACHE_SIZE:
+        del _kept[next(iter(_kept))]
+    _kept[key] = poly, budget.used - before
+    return poly
 
 
 def schur_value(
@@ -166,12 +165,9 @@ def alternating_point(m: int) -> tuple[int, ...]:
 
 
 def specialize_alternating(gamma: int, alpha: int, m: int, budget: WorkBudget | None = None) -> int:
-    """Rectangular Schur polynomial evaluated at alternating signs.
-
-    The value ``schur_value`` gives at (1, -1, ..., (-1)^(m-1)), charged to
-    ``budget`` when one is given; the product formula at q -> -1 in
-    ``tests/oracles.py`` checks it.
-    """
+    """Rectangular Schur polynomial at (1, -1, ..., (-1)^(m-1)), the value
+    ``schur_value`` gives, charged to ``budget``; the product formula at
+    q -> -1 in ``tests/oracles.py`` checks it."""
     if gamma < 0 or alpha < 0 or m < 0:
         raise ValueError("parameters must be nonnegative")
     return schur_value(rectangle(alpha, gamma), alternating_point(m), budget)

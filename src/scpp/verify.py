@@ -122,19 +122,21 @@ def _glued_terms(
     return out
 
 
-def _glue_sum(terms: list[tuple[Partition, int]], n: int) -> MPoly:
+def _glue_sum(terms: list[tuple[Partition, int]], n: int, budget: WorkBudget | None = None) -> MPoly:
     """The sum of s_shape(x_1..x_n) * x_{n+1}^strip over the terms, in one descent."""
     states: dict[Partition, dict[int, int]] = {}
     for shape, strip in terms:
         weight = states.setdefault(shape, {})
         weight[strip] = weight.get(strip, 0) + 1
-    return MPoly(n + 1, schur_combination(states, n, trailing=1))
+    return MPoly(n + 1, schur_combination(states, n, trailing=1, budget=budget))
 
 
-def _lhs_factors(which: int, gamma1: int, gamma2: int, alpha: int, n: int) -> tuple[MPoly, MPoly]:
-    first = schur_tableau_sum(rectangle(alpha, gamma1), n)
+def _lhs_factors(
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None = None
+) -> tuple[MPoly, MPoly]:
+    first = schur_tableau_sum(rectangle(alpha, gamma1), n, budget)
     second_rows = alpha if which == 1 else alpha + 1
-    second = schur_tableau_sum(rectangle(second_rows, gamma2), n + 1)
+    second = schur_tableau_sum(rectangle(second_rows, gamma2), n + 1, budget)
     return first, second
 
 
@@ -156,7 +158,7 @@ def verify_schurid(
     lists prefix by prefix and hashes their values "v;" in lexicographic
     order of the points, one hash update per prefix and side.  Charges the
     glued terms, and for the sweep one unit per grid point, all before it
-    builds any polynomial.
+    builds any polynomial; each Schur build charges a budget of that cap.
     """
     budget = budget or WorkBudget()
     identity = f"schurid{which}"
@@ -167,8 +169,8 @@ def verify_schurid(
         budget.charge((bound + 1) ** (n + 1))
     elif method != FULL_EXPANSION:
         raise ValueError(f"unknown method {method!r}")
-    rhs = _glue_sum(terms, n)
-    first, second = _lhs_factors(which, gamma1, gamma2, alpha, n)
+    rhs = _glue_sum(terms, n, WorkBudget(budget.cap))
+    first, second = _lhs_factors(which, gamma1, gamma2, alpha, n, WorkBudget(budget.cap))
 
     if method == FULL_EXPANSION:
         return _expansion_report(identity, params, first.lift(n + 1) * second, rhs)
@@ -240,11 +242,13 @@ def verify_square_reduction(
 ) -> VerificationReport:
     """Setting the extra variable to zero with equal widths must reduce the
     gluing sum to the square of a single rectangular Schur polynomial, so
-    only the strip-free glued terms are built; all of them are charged."""
+    only the strip-free glued terms are built, charged as in ``verify_schurid``."""
     params = {"gamma": gamma, "alpha": alpha, "n": n}
-    terms = _glued_terms(1, gamma, gamma, alpha, n, budget or WorkBudget())
-    reduced = _glue_sum([term for term in terms if term[1] == 0], n).restrict_last_zero()
-    root = schur_tableau_sum(rectangle(alpha, gamma), n)
+    budget = budget or WorkBudget()
+    terms = _glued_terms(1, gamma, gamma, alpha, n, budget)
+    free = [term for term in terms if term[1] == 0]
+    reduced = _glue_sum(free, n, WorkBudget(budget.cap)).restrict_last_zero()
+    root = schur_tableau_sum(rectangle(alpha, gamma), n, WorkBudget(budget.cap))
     return _expansion_report("square-reduction", params, reduced, root * root)
 
 
@@ -342,8 +346,8 @@ def verify_specialization_bridge(
     if m < alpha:
         raise ValueError("argument count must be at least the number of rows")
     params = {"gamma": gamma, "alpha": alpha, "m": m}
-    ones = schur_value(rectangle(alpha, gamma), (1,) * m)
-    alt = specialize_alternating(gamma, alpha, m)
+    ones = schur_value(rectangle(alpha, gamma), (1,) * m, budget)
+    alt = specialize_alternating(gamma, alpha, m, budget)
     box = box_count(alpha, m - alpha, gamma)
     sign = -1 if (gamma * alpha * (alpha + 3) // 2) % 2 else 1
     sc = sign * sc_count(alpha, m - alpha, gamma)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from scpp import schur
+from scpp import partitions
 from scpp.cli import build_parser, main
 from scpp.verify import IDENTITIES
 
@@ -98,12 +98,34 @@ def test_schur_charges_the_strips_before_listing_them(monkeypatch, capsys, flags
     def listing(*ranges):
         raise AssertionError("listed strips past the cap")
 
-    monkeypatch.setattr(schur, "_cartesian", listing)
+    monkeypatch.setattr(partitions, "_cartesian", listing)
     code, out = run_cli(capsys, "schur", *flags, "--budget", "1000")
     assert code == 2
     assert json.loads(out) == {
         "error": {"code": "budget-exceeded", "message": "work budget exceeded: 1001 nodes > cap 1000"}
     }
+
+
+@pytest.mark.parametrize(
+    ("flags", "expected"),
+    [
+        (("--n", "2"), {"nvars": 2, "terms": []}),
+        (("--n", "2", "--at", "1,1"), {"value": "0"}),
+    ],
+)
+def test_schur_lists_no_strips_of_a_shape_with_too_many_rows(monkeypatch, capsys, flags, expected):
+    # (2*10^9, 1, 1) has no strips in 2 variables, and its charge is 0: listing
+    # them anyway would copy its first row range, 2*10^9 values, into a tuple
+    real = partitions._cartesian
+
+    def listing(*ranges):
+        assert all(ranges) and sum(map(len, ranges)) < 1000, "listed the strips of an empty range"
+        return real(*ranges)
+
+    monkeypatch.setattr(partitions, "_cartesian", listing)
+    code, out = run_cli(capsys, "schur", "evaluate", "--shape", "2000000000,1,1", *flags)
+    assert code == 0
+    assert json.loads(out) == expected
 
 
 def test_pfaffian_check(capsys):

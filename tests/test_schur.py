@@ -24,11 +24,11 @@ from oracles import (
     to_q_coeffs,
     tuple_terms,
 )
+from scpp import schur
 from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import partitions_in_rectangle, rectangle, size
 from scpp.schur import (
     CACHE_SIZE,
-    _cached_schur,
     _stride_quotient,
     alternating_point,
     hook_content_rectangular,
@@ -112,12 +112,30 @@ def test_shape_parts_stay_below_the_exponent_limit():
 
 
 def test_polynomial_caches_are_bounded():
-    # the one cache holds whole polynomials; the descent keeps nothing between calls
-    assert _cached_schur.cache_info().maxsize == CACHE_SIZE
-    _cached_schur.cache_clear()
-    schur_tableau_sum((3, 2, 1), 4)
-    info = _cached_schur.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    # the one cache keeps CACHE_SIZE whole polynomials and drops the least
+    # recently used; the descent keeps nothing between calls
+    schur._kept.clear()
+    for k in range(1, CACHE_SIZE + 1):
+        schur_tableau_sum((k,), 1)
+    schur_tableau_sum((1,), 1)  # now the most recently used
+    schur_tableau_sum((CACHE_SIZE + 1,), 1)
+    assert len(schur._kept) == CACHE_SIZE
+    assert ((1,), 1) in schur._kept and ((2,), 1) not in schur._kept
+    schur._kept.clear()
+
+
+def test_a_kept_polynomial_charges_the_strips_of_its_build():
+    # so no charge, and no budget-exceeded outcome, depends on earlier calls
+    listed = descent_strip_count((3, 2, 1), 4)
+    schur._kept.clear()
+    built, kept = WorkBudget(), WorkBudget()
+    assert schur_tableau_sum((3, 2, 1), 4, built) is schur_tableau_sum((3, 2, 1), 4, kept)
+    assert built.used == kept.used == listed
+    with pytest.raises(BudgetExceededError, match=f"{listed} nodes > cap {listed - 1}"):
+        schur_tableau_sum((3, 2, 1), 4, WorkBudget(listed - 1))
+    schur._kept.clear()
+    with pytest.raises(BudgetExceededError, match=f"{listed} nodes > cap {listed - 1}"):
+        schur_tableau_sum((3, 2, 1), 4, WorkBudget(listed - 1))
 
 
 def test_combination_is_the_weighted_sum_of_its_shapes():

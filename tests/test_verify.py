@@ -2,11 +2,12 @@ from itertools import product
 
 import pytest
 
-from oracles import TupleMPoly, constant, glue_sum_by_shapes, tuple_terms
+from oracles import TupleMPoly, constant, descent_strip_count, glue_sum_by_shapes, tuple_terms
 from scpp import schur, verify
-from scpp.budget import BudgetExceededError, WorkBudget
+from scpp.budget import DEFAULT_NODE_CAP, BudgetExceededError, WorkBudget
 from scpp.cli import main
 from scpp.polynomials import MPoly
+from scpp.partitions import rectangle
 from scpp.products import sc_count
 from scpp.schur import schur_tableau_sum, specialize_alternating
 from scpp.verify import (
@@ -137,7 +138,7 @@ def test_sweep_walk_matches_pointwise_evaluation(which, gamma1, gamma2, alpha, n
     assert [pair for lvals, rvals in swept for pair in zip(lvals, rvals)] == expected
 
 
-def _refuse(*args):
+def _refuse(*args, **kwargs):
     raise AssertionError("called")
 
 
@@ -170,8 +171,8 @@ def test_sweep_catches_a_right_side_above_the_degree_bound(monkeypatch, which, g
     glue = verify._glue_sum
     bound = alpha * gamma1 + (alpha + 1) * gamma2
 
-    def with_extra_term(terms, n):
-        rhs = glue(terms, n)
+    def with_extra_term(terms, n, budget):
+        rhs = glue(terms, n, budget)
         return MPoly(rhs.nvars, {**rhs.terms, bound + 1: 1})  # + x_{n+1}^(bound+1)
 
     monkeypatch.setattr(verify, "_glue_sum", with_extra_term)
@@ -284,9 +285,40 @@ def test_bridge_and_alternating_build_no_polynomial(monkeypatch, capsys):
     assert specialize_alternating(3, 2, 6) == -sc_count(2, 4, 3) == -18
     assert main(["schur", "evaluate", "--shape", "2,2", "--n", "3", "--at", "1,1/2,-1"]) == 0
     assert capsys.readouterr().out == '{"value": "5/4"}\n'
-    schur._cached_schur.cache_clear()
+    schur._kept.clear()
     with pytest.raises(AssertionError):  # the patch is live for the polynomial route
         schur_tableau_sum((3, 3), 3)
+
+
+@pytest.mark.parametrize(
+    ("run", "charged"),
+    [
+        (lambda budget: verify_schurid(2, 2, 1, 2, 3, budget=budget), 6),
+        (lambda budget: verify_schurid(2, 2, 1, 2, 3, "evaluation-sweep", budget), 6 + 8**4),
+        (lambda budget: verify_square_reduction(2, 2, 3, budget), 15),
+        (lambda budget: verify_specialization_bridge(2, 2, 4, budget), None),
+    ],
+)
+def test_schur_descents_are_capped_by_the_given_cap(monkeypatch, run, charged):
+    # a check given a budget makes no budget with another cap, so no default
+    # cap stops its Schur descents; a Schur identity check charges its own
+    # budget only the glued terms and grid points, and the bridge its strips
+    made = []
+    init = WorkBudget.__init__
+
+    def recorded(self, cap=DEFAULT_NODE_CAP):
+        made.append(cap)
+        init(self, cap)
+
+    cap = 10 * DEFAULT_NODE_CAP
+    budget = WorkBudget(cap)
+    monkeypatch.setattr(WorkBudget, "__init__", recorded)
+    assert run(budget).match
+    assert set(made) <= {cap}
+    if charged is None:
+        assert budget.used == 2 * descent_strip_count(rectangle(2, 2), 4)
+    else:
+        assert budget.used == charged
 
 
 def test_budget_threads_through_verifiers():

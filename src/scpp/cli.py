@@ -37,8 +37,10 @@ parameter twice in either is a usage error.
 the brute-force ``count`` targets, ``verify`` and ``sweep`` (a sweep caps
 each tuple on its own, a Schur identity check each Schur build apart), and
 ``schur evaluate`` and ``alternating``; by default ``DEFAULT_NODE_CAP``
-units.  The closed-form ``count`` targets, ``schur hook-content`` and
-``pfaffian`` take the flag and reject a value below 1, but charge nothing.
+units.  ``pfaffian`` charges dim^3 units for its elimination before it
+builds the matrix.  The closed-form ``count`` targets and ``schur
+hook-content`` take the flag and reject a value below 1, but charge
+nothing.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def _handle_schur(args, budget: WorkBudget) -> tuple[dict, int]:
 
 
 def _handle_pfaffian(args, budget: WorkBudget) -> tuple[dict, int]:
-    check = pfaffian_check(*_values(args, ("case", *_LINE), "pfaffian"))
+    check = pfaffian_check(*_values(args, ("case", *_LINE), "pfaffian"), budget)
     payload = {
         "match": check.match,
         "pfaffian": str(check.pfaffian),
@@ -357,8 +359,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument(
         "--budget", type=int, default=DEFAULT_NODE_CAP,
-        help="work-unit cap on enumeration and expansion (default %(default)s); "
-        "closed-form counts, schur hook-content and pfaffian charge nothing",
+        help="work-unit cap on enumeration, expansion and pfaffian elimination "
+        "(default %(default)s); closed-form counts and schur hook-content charge nothing",
     )
     parser.add_argument("--out", default=None, help="write output to a file")
 

@@ -4,18 +4,27 @@ Both kernels take integer entries and return an ``int``, in O(n^3) steps
 of exact integer arithmetic: the Pfaffian by fraction-free skew
 elimination over index pairs (Parlett-Reid, as in Wimmer, ACM TOMS 2012),
 and the determinant for the Pf(M)^2 = det(M) cross-check by Bareiss
-elimination, a second and separate elimination.  Each rejects a
-non-integer entry before it eliminates, since its exact divisions are
-floor divisions, which would silently round a rational entry.
+elimination, a second and separate elimination over the full matrix.
+Each rejects a non-integer entry before it eliminates, since its exact
+divisions are floor divisions, which would silently round a rational
+entry.
+
+The Pfaffian keeps only the strict upper triangle: row i holds
+m[i][i+1:], and m[i][0], m[i][1] are read as -m[0][i], -m[1][i].  That
+suffices because each step's update maps a skew-symmetric block to a
+skew-symmetric one: exchanging i and j negates p*m[i][j] and turns each
+product term into minus the other.  The
+core block of a bordered binomial matrix is built one big-integer product
+per row (Kronecker substitution; see ``_core_rows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from scpp.budget import WorkBudget
 from scpp.products import ParityError, check_line_lengths, middle_line_product
 
 
@@ -43,12 +52,24 @@ class SkewSymmetricMatrix:
         return len(self.entries)
 
 
-def _integer_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+def _integer_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     """The rows as lists, to eliminate in place; every entry must be an int."""
     m = [list(row) for row in rows]
     if not all(isinstance(v, int) for row in m for v in row):
         raise ValueError("matrix entries must be integers")
     return m
+
+
+def _swap_second(m: list[list[int]], j: int) -> None:
+    """Exchange indices 1 and j > 1 of the skew matrix whose strict upper
+    triangle is m, in place, touching only the entries that move."""
+    r0, r1, rj = m[0], m[1], m[j]
+    r0[0], r0[j - 1] = r0[j - 1], r0[0]
+    for i in range(2, j):
+        ri = m[i]
+        ri[j - i - 1], r1[i - 2] = -r1[i - 2], -ri[j - i - 1]
+    r1[j - 2] = -r1[j - 2]
+    r1[j - 1:], m[j] = rj, r1[j - 1:]
 
 
 def pfaffian(matrix: SkewSymmetricMatrix) -> int:
@@ -62,22 +83,34 @@ def pfaffian(matrix: SkewSymmetricMatrix) -> int:
     principal minors of M, so the division is exact (the Pfaffian form of
     Sylvester's identity), and the last pivot is Pf(M) up to the swaps'
     sign.
+
+    Only the strict upper triangle is kept and updated, with m[i][0] and
+    m[i][1] read as -m[0][i] and -m[1][i]: exchanging i and j negates
+    p*m[i][j] and turns each product term into minus the other, so the new
+    block is skew-symmetric too.  A
+    row whose two multipliers are 0 is only scaled by p/q, and kept as it
+    is when p == q.
     """
-    m = _integer_rows(matrix.entries)
+    m = _integer_rows(row[i + 1:] for i, row in enumerate(matrix.entries))
     sign, prev = 1, 1
     while m:
-        j = next((j for j, v in enumerate(m[0]) if v), None)
+        j = next((j for j, v in enumerate(m[0], 1) if v), None)
         if j is None:
             return 0
         if j != 1:
-            m[1], m[j] = m[j], m[1]
-            for row in m:
-                row[1], row[j] = row[j], row[1]
+            _swap_second(m, j)
             sign = -sign
-        p, first, second = m[0][1], m[0][2:], m[1][2:]
-        m = [[(p * x - row[1] * y + row[0] * z) // prev for x, y, z in zip(row[2:], first, second)]
-             for row in m[2:]]
-        prev = p
+        p, first, second = m[0][0], m[0][1:], m[1]
+        rest = []
+        for r, row in enumerate(m[2:]):
+            y, z = second[r], first[r]
+            if y or z:
+                row = [(p * x + y * f - z * s) // prev
+                       for x, f, s in zip(row, first[r + 1:], second[r + 1:])]
+            elif p != prev:
+                row = [p * x // prev for x in row]
+            rest.append(row)
+        m, prev = rest, p
     return sign * prev
 
 
@@ -87,7 +120,8 @@ def exact_determinant(rows: Sequence[Sequence[int]]) -> int:
     Eliminates column by column, replacing the trailing block by
     (p*m[i][j] - m[i][0]*m[0][j]) // q, for p the pivot and q the one
     before; the entries are then minors of M, so the division is exact, and
-    det(M) is the last pivot up to the swaps' sign.
+    det(M) is the last pivot up to the swaps' sign.  A row whose multiplier
+    m[i][0] is 0 is only scaled by p/q, and kept as it is when p == q.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -101,9 +135,14 @@ def exact_determinant(rows: Sequence[Sequence[int]]) -> int:
         if r:
             m[0], m[r] = m[r], m[0]
             sign = -sign
-        (p, *top), rest = m[0], m[1:]
-        m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
-        prev = p
+        (p, *top), rest = m[0], []
+        for y, *row in m[1:]:
+            if y:
+                row = [(p * x - y * t) // prev for x, t in zip(row, top)]
+            elif p != prev:
+                row = [p * x // prev for x in row]
+            rest.append(row)
+        m, prev = rest, p
     return sign * prev
 
 
@@ -138,11 +177,29 @@ def _core_rows(
     a: int, b: int, kmax: int, top_row: int, top_col: int
 ) -> list[tuple[int, ...]]:
     """The a x a core block P - P^T, where P[i][j] sums over k = 1..kmax the
-    products C(top_row, b+i-k) * C(top_col, j+k-a-1) (i, j from 1)."""
-    ks = range(1, kmax + 1)
-    rows = [[binomial_safe(top_row, b + i - k) for k in ks] for i in range(1, a + 1)]
-    cols = [[binomial_safe(top_col, j + k - a - 1) for k in ks] for j in range(1, a + 1)]
-    p = [[sum(map(mul, r, c)) for c in cols] for r in rows]
+    products C(top_row, b+i-k) * C(top_col, j+k-a-1) (i, j from 1).
+
+    Each row of P is one big-integer product (Kronecker substitution), in
+    fields of w = top_row + top_col + 1 bits.  The window of row i holds
+    C(top_row, b+i-k) in field kmax-k; the next row's window is it shifted
+    down one field with C(top_row, b+i) on top.  The packed columns hold
+    C(top_col, t) in field t+a, so field kmax+j-1 of window times columns
+    is P[i][j].  No field carries into the next: each is a sum of
+    nonnegative terms C(top_row, u) * C(top_col, v) with u + v fixed, at
+    most C(top_row + top_col, u + v) < 2^w by Vandermonde's identity.
+    """
+    if not kmax:
+        return [(0,) * a] * a
+    w = top_row + top_col + 1
+    mask, top = (1 << w) - 1, w * (kmax - 1)
+    cols = sum(comb(top_col, t) << w * (t + a) for t in range(top_col + 1))
+    fields = range(w * kmax, w * (kmax + a), w)
+    p, window = [], 0
+    for s in range(b + 1 - kmax, b + a):
+        window = window >> w | binomial_safe(top_row, s) << top
+        if s >= b:
+            x = window * cols
+            p.append([x >> f & mask for f in fields])
     return [tuple(p[i][j] - p[j][i] for j in range(a)) for i in range(a)]
 
 
@@ -197,8 +254,16 @@ class PfaffianCheck:
     match: bool
 
 
-def pfaffian_check(case: str, a: int, b: int, c1: int, c2: int) -> PfaffianCheck:
-    """Evaluate the case's Pfaffian and compare with the middle-line product."""
+def pfaffian_check(
+    case: str, a: int, b: int, c1: int, c2: int, budget: WorkBudget | None = None
+) -> PfaffianCheck:
+    """Evaluate the case's Pfaffian and compare with the middle-line product.
+
+    After the parameter checks, charges dim^3 units for the elimination,
+    dim the matrix's dimension, before it builds the matrix.
+    """
+    _check_case(case, a, b, c1, c2)
+    (budget or WorkBudget()).charge((a + a % 2) ** 3)
     matrix, prefactor = corollary_matrix(case, a, b, c1, c2)
     value = prefactor * pfaffian(matrix)
     product = middle_line_product(a, b, c1, c2)

@@ -13,7 +13,9 @@ walk, ``flipped_pair_count`` of the half-full array against the
 arithmetic reference parity, the tuple-keyed polynomial against the
 packed ``MPoly`` and against the fold of ``substitute_first``,
 ``substitute_first`` against the grouped substitution of the evaluation
-sweep (``group_by_first`` and ``substitute_groups``), and so on.
+sweep (``group_by_first`` and ``substitute_groups``), the binomial inner
+products of ``core_rows_oracle`` against the packed core build of
+``scpp.pfaffian``, and so on.
 
 ``pack`` and ``unpack_key`` convert between exponent tuples and packed
 ``MPoly`` keys.  They are written from the key layout (x_1 in the most
@@ -27,7 +29,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
@@ -40,6 +42,7 @@ from scpp.partitions import (
     rectangle,
     size,
 )
+from scpp.pfaffian import binomial_safe
 from scpp.plane_partitions import MoveGraphReport, Row, _closing_row, _decreasing_rows
 from scpp.polynomials import FIELD_BITS, MPoly, Value
 from scpp.products import ParityError, check_box_sides
@@ -389,6 +392,20 @@ def schur_determinant_oracle(lam: Iterable[int], n: int) -> MPoly:
         for i in range(rows)
     ]
     return _poly_det(matrix, n)
+
+
+def core_rows_oracle(
+    a: int, b: int, kmax: int, top_row: int, top_col: int
+) -> list[tuple[int, ...]]:
+    """The a x a core block P - P^T of a bordered binomial matrix, where
+    P[i][j] sums over k = 1..kmax the products C(top_row, b+i-k) *
+    C(top_col, j+k-a-1) (i, j from 1), as a^2 inner products of binomial
+    lists."""
+    ks = range(1, kmax + 1)
+    rows = [[binomial_safe(top_row, b + i - k) for k in ks] for i in range(1, a + 1)]
+    cols = [[binomial_safe(top_col, j + k - a - 1) for k in ks] for j in range(1, a + 1)]
+    p = [[sum(map(mul, r, c)) for c in cols] for r in rows]
+    return [tuple(p[i][j] - p[j][i] for j in range(a)) for i in range(a)]
 
 
 def lr_coefficient(mu: Iterable[int], nu: Iterable[int], rho: Iterable[int]) -> int:

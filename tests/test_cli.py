@@ -338,6 +338,8 @@ def test_text_format(capsys):
 # was, and a --shape part that is not an integer began to be named.
 # The last two were recorded when an argument argparse rejects (a flag
 # value it cannot parse, a missing positional) became a JSON usage line.
+# The two pfaffian --budget lines were recorded when pfaffian began to
+# charge dim^3 units (64 at dimension 4) before it builds the matrix.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -418,6 +420,8 @@ GOLDEN = [
     ('schur evaluate --shape 1,x --n 2', 2, '{"error": {"code": "invalid-parameter", "message": "--shape part 2 (x) is not an integer"}}\n'),
     ('count box --a x --b 1 --c 1', 2, '{"error": {"code": "usage", "message": "argument --a: invalid int value: \'x\'"}}\n'),
     ('verify', 2, '{"error": {"code": "usage", "message": "the following arguments are required: identity"}}\n'),
+    ('pfaffian --case a-odd --a 3 --b 2 --c1 4 --c2 2 --budget 63', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 64 nodes > cap 63"}}\n'),
+    ('pfaffian --case a-odd --a 3 --b 2 --c1 4 --c2 2 --budget 64', 0, '{"match": true, "pfaffian": "9", "product": "9"}\n'),
 ]
 
 

@@ -2,13 +2,17 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations, product
 from math import prod
 
 import pytest
 
+import scpp.pfaffian
+from oracles import core_rows_oracle
+from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.pfaffian import (
     SkewSymmetricMatrix,
+    _core_rows,
     binomial_safe,
     corollary_matrix,
     exact_determinant,
@@ -16,6 +20,10 @@ from scpp.pfaffian import (
     pfaffian_check,
 )
 from scpp.products import ParityError, middle_line_product
+from scpp.verify import PFAFFIAN_GRID
+
+# tuples whose matrices reach dimension 40
+DIMENSION_40 = [("even-even", 40, 40, 8, 4), ("a-odd", 41, 40, 8, 2), ("ab-odd", 41, 41, 8, 4)]
 
 
 @pytest.mark.parametrize(
@@ -154,6 +162,12 @@ def test_determinant_matches_permutation_expansion():
                 repeated = [list(r) for r in rows]
                 repeated[-1] = list(repeated[0])  # singular
                 cases.append(repeated)
+                # rows whose multiplier is 0: kept when the pivot is 1, and
+                # scaled at later steps of a sparse matrix
+                kept = [list(r) for r in rows]
+                kept[0][0], kept[-1][0] = 1, 0
+                cases.append(kept)
+                cases.append([[v if rng.random() < 0.4 else 0 for v in r] for r in rows])
             for m in cases:
                 assert exact_determinant(m) == _det_by_permutations(m), m
     assert exact_determinant([[0, 0], [0, 5]]) == 0
@@ -161,10 +175,65 @@ def test_determinant_matches_permutation_expansion():
         exact_determinant([[1, 2], [3]])
 
 
-@pytest.mark.parametrize(
-    ("case", "a", "b", "c1", "c2"),
-    [("even-even", 40, 40, 8, 4), ("a-odd", 41, 40, 8, 2), ("ab-odd", 41, 41, 8, 4)],
-)
+def _first_step_entry(rows, i, j):
+    """Entry (i, j) once the pair (0, 1) is eliminated, up to the division
+    by 1: the Pfaffian of the minor on {0, 1, i, j}."""
+    return rows[0][1] * rows[i][j] - rows[0][i] * rows[1][j] + rows[0][j] * rows[1][i]
+
+
+def _set_first_step_entry(rows, i, j, target):
+    """Choose entries (i, j) and (j, i) so that _first_step_entry is target."""
+    v, r = divmod(target + rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i], rows[0][1])
+    assert not r
+    rows[i][j], rows[j][i] = v, -v
+
+
+def _later_step_matrices(rng, dim):
+    """Random skew matrices whose zeros meet the second elimination step:
+    a zero pivot, a zero first row, a zero row further down, p == q with a
+    row whose multipliers are both 0, and such a row scaled by p/q with p
+    not a multiple of q."""
+    for kind in ("pivot", "first-row", "later-row", "kept", "scaled"):
+        rows = [list(r) for r in _random_skew(rng, dim).entries]
+        rows[0][1], rows[1][0] = (2, -2) if kind == "scaled" else (1, -1)
+        if kind == "pivot":
+            _set_first_step_entry(rows, 2, 3, 0)
+        elif kind in ("first-row", "later-row"):
+            i = 2 if kind == "first-row" else dim - 2
+            for j in range(2, dim):
+                if j != i:
+                    _set_first_step_entry(rows, i, j, 0)
+            assert not any(_first_step_entry(rows, i, j) for j in range(2, dim))
+        else:
+            pivot = 1 if kind == "kept" else 3
+            if kind == "scaled":
+                # even entries in column 4 keep the divisions by 2 exact
+                for r, j, v in ((0, 2, 1), (1, 3, 1), (0, 3, 0), (0, 4, 2), (1, 4, -4)):
+                    rows[r][j], rows[j][r] = v, -v
+            _set_first_step_entry(rows, 2, 3, pivot)
+            _set_first_step_entry(rows, 2, 4, 0)
+            _set_first_step_entry(rows, 3, 4, 0)
+            assert _first_step_entry(rows, 2, 3) == pivot
+        yield kind, _skew(rows)
+
+
+def test_pfaffian_with_zeros_at_later_steps():
+    rng = random.Random(97)
+    kinds = set()
+    for dim in (6, 8, 10):
+        for _ in range(4):
+            for kind, m in _later_step_matrices(rng, dim):
+                expected = _pf_by_expansion(m.entries)
+                assert pfaffian(m) == expected, (kind, m)
+                if kind.endswith("row"):
+                    assert expected == 0
+                det = _det_by_permutations(m.entries) if dim == 6 else expected * expected
+                assert exact_determinant(m.entries) == det, (kind, m)
+                kinds.add(kind)
+    assert len(kinds) == 5
+
+
+@pytest.mark.parametrize(("case", "a", "b", "c1", "c2"), DIMENSION_40)
 def test_pfaffian_reaches_dimension_40(case, a, b, c1, c2):
     # far past any enumeration: the Pfaffian is the independent route here
     check = pfaffian_check(case, a, b, c1, c2)
@@ -293,3 +362,47 @@ def test_pfaffian_check_small_grid():
                     for c2 in range(0, c1 + 1, 2):
                         check = pfaffian_check(case, a, b, c1, c2)
                         assert check.match, check
+
+
+def test_packed_core_build_matches_inner_products(monkeypatch):
+    tuples = list(PFAFFIAN_GRID) + DIMENSION_40
+    packed = [corollary_matrix(*t) for t in tuples]
+    monkeypatch.setattr(scpp.pfaffian, "_core_rows", core_rows_oracle)
+    assert packed == [corollary_matrix(*t) for t in tuples]
+
+
+def _core_args_near_field_width():
+    """(a, b, kmax, top_row, top_col) where an entry of P - P^T, and so of
+    P, is at least 2^(w-2), for w = top_row + top_col + 1 the field width."""
+    for args in product(range(1, 6), range(4), range(1, 5), range(3), range(3)):
+        entries = chain.from_iterable(core_rows_oracle(*args))
+        if 4 * max(map(abs, entries)) >= 2 ** (args[3] + args[4] + 1):
+            yield args
+
+
+def test_packed_core_rows_at_the_edges():
+    edges = list(product((0, 1, 2), range(3), (0, 1), range(4), range(4)))
+    edges += list(product(range(6), (0,), range(5), range(5), range(5)))
+    near = list(_core_args_near_field_width())
+    assert len(near) >= 100
+    for args in edges + near:
+        assert _core_rows(*args) == core_rows_oracle(*args), args
+
+
+def test_pfaffian_check_charges_cube_of_dimension_before_building(monkeypatch):
+    budget = WorkBudget(64)
+    assert pfaffian_check("a-odd", 3, 2, 4, 2, budget).match
+    assert budget.used == 64  # dimension 4
+
+    def unbuilt(*args):
+        raise AssertionError("matrix built past the cap")
+
+    monkeypatch.setattr(scpp.pfaffian, "corollary_matrix", unbuilt)
+    with pytest.raises(BudgetExceededError, match="64 nodes > cap 63"):
+        pfaffian_check("a-odd", 3, 2, 4, 2, WorkBudget(63))
+    # dimension 1000 passes the default cap before anything is built
+    with pytest.raises(BudgetExceededError):
+        pfaffian_check("even-even", 1000, 2, 2, 0)
+    # the parameter checks come first
+    with pytest.raises(ParityError):
+        pfaffian_check("even-even", 1001, 2, 2, 0)

@@ -87,9 +87,8 @@ def pfaffian(matrix: SkewSymmetricMatrix) -> int:
     Only the strict upper triangle is kept and updated, with m[i][0] and
     m[i][1] read as -m[0][i] and -m[1][i]: exchanging i and j negates
     p*m[i][j] and turns each product term into minus the other, so the new
-    block is skew-symmetric too.  A
-    row whose two multipliers are 0 is only scaled by p/q, and kept as it
-    is when p == q.
+    block is skew-symmetric too.  A row whose two multipliers are 0 is only
+    scaled by p/q, and kept as it is when p == q.
     """
     m = _integer_rows(row[i + 1:] for i, row in enumerate(matrix.entries))
     sign, prev = 1, 1

@@ -13,15 +13,17 @@ The Pfaffian keeps only the strict upper triangle: row i holds
 m[i][i+1:], and m[i][0], m[i][1] are read as -m[0][i], -m[1][i].  That
 suffices because each step's update maps a skew-symmetric block to a
 skew-symmetric one: exchanging i and j negates p*m[i][j] and turns each
-product term into minus the other.  The
-core block of a bordered binomial matrix is built one big-integer product
-per row (Kronecker substitution; see ``_core_rows``).
+product term into minus the other.  The core block of a bordered binomial
+matrix is built from big-integer products, one per row and block of
+min(a, kmax) summands (Kronecker substitution; see ``_core_rows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import sub
+from struct import Struct
 from typing import Iterable, Sequence
 
 from scpp.budget import WorkBudget
@@ -119,8 +121,7 @@ def exact_determinant(rows: Sequence[Sequence[int]]) -> int:
     Eliminates column by column, replacing the trailing block by
     (p*m[i][j] - m[i][0]*m[0][j]) // q, for p the pivot and q the one
     before; the entries are then minors of M, so the division is exact, and
-    det(M) is the last pivot up to the swaps' sign.  A row whose multiplier
-    m[i][0] is 0 is only scaled by p/q, and kept as it is when p == q.
+    det(M) is the last pivot up to the swaps' sign.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -134,14 +135,9 @@ def exact_determinant(rows: Sequence[Sequence[int]]) -> int:
         if r:
             m[0], m[r] = m[r], m[0]
             sign = -sign
-        (p, *top), rest = m[0], []
-        for y, *row in m[1:]:
-            if y:
-                row = [(p * x - y * t) // prev for x, t in zip(row, top)]
-            elif p != prev:
-                row = [p * x // prev for x in row]
-            rest.append(row)
-        m, prev = rest, p
+        (p, *top), rest = m[0], m[1:]
+        m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
+        prev = p
     return sign * prev
 
 
@@ -178,28 +174,45 @@ def _core_rows(
     """The a x a core block P - P^T, where P[i][j] sums over k = 1..kmax the
     products C(top_row, b+i-k) * C(top_col, j+k-a-1) (i, j from 1).
 
-    Each row of P is one big-integer product (Kronecker substitution), in
-    fields of w = top_row + top_col + 1 bits.  The window of row i holds
-    C(top_row, b+i-k) in field kmax-k; the next row's window is it shifted
-    down one field with C(top_row, b+i) on top.  The packed columns hold
-    C(top_col, t) in field t+a, so field kmax+j-1 of window times columns
-    is P[i][j].  No field carries into the next: each is a sum of
-    nonnegative terms C(top_row, u) * C(top_col, v) with u + v fixed, at
-    most C(top_row + top_col, u + v) < 2^w by Vandermonde's identity.
+    Each row of P is a sum of big-integer products (Kronecker substitution),
+    one per block of h = min(a, kmax) consecutive k, the last block ending
+    at kmax; terms with k < 1 vanish, as j+k-a-1 < 0 there.  Integers are
+    packed in little-endian fields of wb bytes, and each row of P is read
+    from the bytes of its sum in one pass: for the block from k0 the
+    window holds C(top_row, b+i-k0-d) in field h-1-d and the columns hold
+    C(top_col, k0-a+e) in field e, so field h+j-2 of their product is the
+    block's part of P[i][j].  Only binomials that some entry reads are
+    packed, so the work grows with a, kmax and the entries' size, not with
+    top_row or top_col.  No field read, nor one below it, carries: each sums
+    at most kmax products of a row and a column binomial, so stays below
+    2^w, w the bit lengths of the largest of each plus that of kmax.
     """
-    if not kmax:
+    if not (a and kmax):
         return [(0,) * a] * a
-    w = top_row + top_col + 1
-    mask, top = (1 << w) - 1, w * (kmax - 1)
-    cols = sum(comb(top_col, t) << w * (t + a) for t in range(top_col + 1))
-    fields = range(w * kmax, w * (kmax + a), w)
-    p, window = [], 0
-    for s in range(b + 1 - kmax, b + a):
-        window = window >> w | binomial_safe(top_row, s) << top
-        if s >= b:
-            x = window * cols
-            p.append([x >> f & mask for f in fields])
-    return [tuple(p[i][j] - p[j][i] for j in range(a)) for i in range(a)]
+    r = [binomial_safe(top_row, b + m) for m in range(1 - kmax, a)]
+    c = [binomial_safe(top_col, t) for t in range(kmax)]
+    wb = (max(r).bit_length() + max(c).bit_length() + kmax.bit_length() + 7) // 8
+    if wb <= 8:  # fields of 1, 2, 4 or 8 bytes, so that struct reads a row at once
+        wb = 1 << (wb - 1).bit_length()
+        read = Struct(f"<{a}{'BHIQ'[wb.bit_length() - 1]}").unpack_from
+    else:
+        def read(x: bytes, at: int) -> list[int]:
+            return [int.from_bytes(x[f:f + wb], "little") for f in range(at, at + a * wb, wb)]
+    h = min(a, kmax)
+    blocks = -(-kmax // h)
+    pad = blocks * h - kmax  # the first block starts at k = 1 - pad
+    r = b"".join(v.to_bytes(wb, "little") for v in r) + bytes(pad * wb)
+    c = bytes((a - 1 + pad) * wb) + b"".join(v.to_bytes(wb, "little") for v in c)
+    # block B (from k = kmax - h + 1 - B*h) reads columns from field (blocks-1-B)*h
+    cols = [int.from_bytes(c[s * wb:(s + a + h - 1) * wb], "little")
+            for s in range((blocks - 1) * h, -1, -h)]
+    p = []
+    for i in range(a):
+        x = sum(int.from_bytes(r[s * wb:(s + h) * wb], "little") * col
+                for s, col in zip(range(i, i + blocks * h, h), cols))
+        x = x.to_bytes(max((x.bit_length() + 7) // 8, (h + a - 1) * wb), "little")
+        p.append(read(x, (h - 1) * wb))
+    return [tuple(map(sub, row, col)) for row, col in zip(p, zip(*p))]
 
 
 def corollary_matrix(

@@ -3,13 +3,14 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, permutations, product
-from math import prod
+from math import comb, prod
 
 import pytest
 
 import scpp.pfaffian
 from oracles import core_rows_oracle
 from scpp.budget import BudgetExceededError, WorkBudget
+from scpp.cli import main
 from scpp.pfaffian import (
     SkewSymmetricMatrix,
     _core_rows,
@@ -162,8 +163,8 @@ def test_determinant_matches_permutation_expansion():
                 repeated = [list(r) for r in rows]
                 repeated[-1] = list(repeated[0])  # singular
                 cases.append(repeated)
-                # rows whose multiplier is 0: kept when the pivot is 1, and
-                # scaled at later steps of a sparse matrix
+                # rows whose multiplier is 0, under a pivot of 1 and at
+                # later steps of a sparse matrix
                 kept = [list(r) for r in rows]
                 kept[0][0], kept[-1][0] = 1, 0
                 cases.append(kept)
@@ -371,22 +372,62 @@ def test_packed_core_build_matches_inner_products(monkeypatch):
     assert packed == [corollary_matrix(*t) for t in tuples]
 
 
-def _core_args_near_field_width():
+def _field_bytes(a, b, kmax, top_row, top_col):
+    """The field width of the packed core build, in bytes, as _core_rows
+    states it: the bit lengths of the largest row and column binomial plus
+    that of kmax, rounded up to whole bytes, and up to 1, 2, 4 or 8 bytes
+    below 9."""
+    r = max(binomial_safe(top_row, b + m) for m in range(1 - kmax, a))
+    c = max(binomial_safe(top_col, t) for t in range(kmax))
+    wb = (r.bit_length() + c.bit_length() + kmax.bit_length() + 7) // 8
+    return 1 << (wb - 1).bit_length() if wb <= 8 else wb
+
+
+def _core_args_filling_top_byte():
     """(a, b, kmax, top_row, top_col) where an entry of P - P^T, and so of
-    P, is at least 2^(w-2), for w = top_row + top_col + 1 the field width."""
-    for args in product(range(1, 6), range(4), range(1, 5), range(3), range(3)):
+    P, reaches the top byte of its field, with fields of 2 bytes or more."""
+    for args in product(range(1, 6), range(4), range(1, 5), range(0, 24, 3), range(0, 24, 3)):
+        wb = _field_bytes(*args)
         entries = chain.from_iterable(core_rows_oracle(*args))
-        if 4 * max(map(abs, entries)) >= 2 ** (args[3] + args[4] + 1):
+        if wb >= 2 and max(map(abs, entries)) >> 8 * (wb - 1):
             yield args
 
 
 def test_packed_core_rows_at_the_edges():
     edges = list(product((0, 1, 2), range(3), (0, 1), range(4), range(4)))
     edges += list(product(range(6), (0,), range(5), range(5), range(5)))
-    near = list(_core_args_near_field_width())
-    assert len(near) >= 100
+    # a < kmax splits k into several blocks, the first padded below k = 1
+    edges += list(product((1, 2, 3), range(3), range(4, 12), (5, 9), (4, 11)))
+    # fields wider than 8 bytes, read without struct
+    edges += list(product((1, 4, 7), (0, 5), (2, 9), (40, 97), (61, 200)))
+    # sums of kmax products that need the bits of kmax in the field width
+    edges += [(4, 5, 4, 9, 15), (4, 5, 5, 9, 12), (4, 5, 5, 11, 9), (5, 4, 4, 9, 15)]
+    near = list(_core_args_filling_top_byte())
+    assert len(near) >= 500
     for args in edges + near:
         assert _core_rows(*args) == core_rows_oracle(*args), args
+
+
+@pytest.mark.parametrize(
+    ("argv", "out"),
+    [
+        ("--case even-even --a 2 --b 2 --c1 1000000 --c2 1000000",
+         '{"match": true, "pfaffian": "250001000001", "product": "250001000001"}\n'),
+        ("--case a-odd --a 3 --b 0 --c1 1000000 --c2 0",
+         '{"match": true, "pfaffian": "1", "product": "1"}\n'),
+    ],
+)
+def test_core_build_packs_only_the_binomials_it_reads(monkeypatch, capsys, argv, out):
+    # a long middle line gives binomial tops near 500000, but a small matrix
+    # reads only C(top, t) for t below a + kmax; packing every column would
+    # allocate fields of about 10^6 bits each for 500000 columns
+    def short_comb(n, k):
+        assert k < 64, f"C({n}, {k}) is read by no entry"
+        return comb(n, k)
+
+    monkeypatch.setattr(scpp.pfaffian, "comb", short_comb)
+    assert main(["pfaffian", *argv.split()]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_pfaffian_check_charges_cube_of_dimension_before_building(monkeypatch):

@@ -84,9 +84,9 @@ def strip_ranges(lam: Partition, rows: int | None = None) -> list[range]:
     ]
 
 
-def horizontal_strips_within(lam: Iterable[int], rows: int | None = None) -> Iterator[Partition]:
-    """All pi inside lam with lam/pi a horizontal strip, of at most ``rows`` rows if given."""
-    return strips_of(strip_ranges(partition(lam), rows))
+def horizontal_strips_within(lam: Iterable[int]) -> Iterator[Partition]:
+    """All pi inside lam with lam/pi a horizontal strip."""
+    return strips_of(strip_ranges(partition(lam)))
 
 
 def strips_of(ranges: list[range]) -> Iterator[Partition]:

@@ -32,13 +32,14 @@ and makes both on one table.
 
 The move graph joins two self-complementary arrays when one cube moves to
 its 180-degree-opposite position.  ``check_move_graph`` lists the arrays
-as flat tuples, the a*c entries row by row (``_scpp_flats``), finds each
-edge once, by checks at the two cells it changes, and checks that the
-weight, computed for each array from its own entries (``_flipped_parity``),
-flips across every edge.  The object-level oracles (the validated array
-type, every box array, the self-complementary arrays as objects and their
-weight, the bijection with rectangular tableaux, the middle-line condition
-on one array) live in ``tests/oracles.py``.
+as flat tuples, the a*c entries row by row, by a walk whose row bounds
+are the closing condition (``_scpp_flats``).  It finds each edge once, by
+checks at the two cells it changes, and checks that the weight, computed
+for each array from its own entries (``_flipped_parity``), flips across
+every edge.  The object-level oracles (the validated array type, every
+box array, the self-complementary arrays as objects, their weight and
+closing row, the bijection with rectangular tableaux, the middle-line
+condition on one array) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ from functools import cached_property
 from itertools import combinations_with_replacement, compress, repeat
 from math import comb
 from operator import add, and_, eq, ge, mul
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from scpp.budget import WorkBudget
 from scpp.products import check_box_sides, check_middle_line_params
 
 Row = tuple[int, ...]
-RowWeight = Callable[[Row], int]
 
 # rows the row tables hold at once; the enum benchmark draws 26 distinct
 # (b, c) of at most 924 rows each, 24,024 rows in all
@@ -135,8 +135,9 @@ class _RowTable:
 
     def closing(self, a: int) -> list[int]:
         """The rows that close a chain of the upper (a+1)//2 rows of an
-        a x b x c array (see ``_closing_row``): mirrored entries summing to
-        at least b for a even, to exactly b for a odd."""
+        a x b x c array: mirrored entries summing to at least b for a even,
+        where the row below is the reversed complement, and to exactly b
+        for a odd, where the row is central."""
         parity = a % 2
         if parity not in self._closing:
             test = eq if parity else ge
@@ -202,14 +203,15 @@ def _decreasing_rows(
 ) -> Iterator[Row]:
     """The weakly decreasing rows w that begin with ``row``, are bounded
     entrywise by ``bound`` and have w[j] + w[c-1-j] >= ``mirrored`` for
-    each two mirrored columns j != c-1-j, in decreasing lexicographic order.
-    An entry is not tried when its mirror, placed later, cannot lift the
-    pair to ``mirrored``: that mirror is at most the entry and at most its
-    bound.
+    every j, the middle column of an odd c included, in decreasing
+    lexicographic order.  An entry is not tried when its mirror, placed
+    later, cannot lift the pair to ``mirrored``: that mirror is at most the
+    entry and at most its bound.  With ``mirrored`` 0 these are all the
+    decreasing rows under ``bound``.
 
-    ``exact`` asks for w[j] + w[c-1-j] == ``mirrored`` for every j, the
-    middle column of an odd c included: the walk places the left half and
-    tries one value for each later entry, the one that completes its pair.
+    ``exact`` asks for w[j] + w[c-1-j] == ``mirrored`` for every j: the
+    walk places the left half and tries one value for each later entry, the
+    one that completes its pair.
     """
     j, c = len(row), len(bound)
     if j == c:
@@ -222,10 +224,10 @@ def _decreasing_rows(
             hi = min(hi, lo)
     elif 2 * j + 1 < c:  # the mirror comes later
         lo = max(mirrored - bound[c - 1 - j], (mirrored + 1) // 2)
-    elif exact:  # the middle column is its own mirror
-        lo, hi = (mirrored + 1) // 2, min(hi, mirrored // 2)
-    else:
-        lo = 0
+    else:  # the middle column is its own mirror
+        lo = (mirrored + 1) // 2
+        if exact:
+            hi = min(hi, mirrored // 2)
     for v in range(hi, max(lo, 0) - 1, -1):
         yield from _decreasing_rows(bound, mirrored, exact, row + (v,))
 
@@ -248,19 +250,6 @@ class SignedCount:
 
 # ---------------------------------------------------------------------------
 # self-complementary arrays through the determining half
-
-def _closing_row(a: int, b: int, c: int) -> RowWeight:
-    """The condition on the last of the upper (a+1)//2 rows.
-
-    With a even it is the last upper row, and the row below it is its
-    reversed complement, so mirrored entries sum to at least b.  With a odd
-    it is the central row, which is its own reversed complement.  The
-    closing tables (``_RowTable.closing``) list the rows that meet it.
-    """
-    if a % 2:
-        return lambda w: all(w[j] + w[c - 1 - j] == b for j in range(c))
-    return lambda w: all(w[j] + w[c - 1 - j] >= b for j in range(c))
-
 
 def _upper_chains(
     a: int, b: int, c: int, budget: WorkBudget, runs: int = 1
@@ -397,21 +386,18 @@ def _scpp_flats(a: int, b: int, c: int, budget: WorkBudget) -> Iterator[Row]:
     """Every self-complementary array of the box exactly once, as a flat
     tuple of its a*c entries read row by row.
 
-    Walks the free upper rows, then the closing row below them.  For a
-    even that is the last upper row, whose mirrored entries sum to at least
-    b; the walk tries the rows whose pairs j != c-1-j do, and keeps those
-    whose middle entry, for c odd, does too.  For a odd it is the central
-    row, whose mirrored entries sum to exactly b: the walk places its left
-    half and tries only the value that completes each pair, so every
-    central row it tries closes.  The lower rows are the reversed
-    complements of the upper ones, which flattened is the reversed
-    complement of the flat upper half.  Charges one unit per node of the
-    free-row tree and one per closing row it tries.
+    Walks the free upper rows, then the closing row below them, whose
+    bounds are the closing rule: for a even the last upper row, whose
+    mirrored entries sum to at least b, and for a odd the central row,
+    whose mirrored entries sum to exactly b (``_decreasing_rows`` with
+    ``mirrored`` b).  Every closing row the walk tries closes.  The lower
+    rows are the reversed complements of the upper ones, which flattened
+    is the reversed complement of the flat upper half.  Charges one unit
+    per node of the free-row tree and one per array.
     """
     if a == 0:
         yield ()
         return
-    closes = _closing_row(a, b, c)
     exact = a % 2 == 1
     free = (a - 1) // 2
 
@@ -423,9 +409,8 @@ def _scpp_flats(a: int, b: int, c: int, budget: WorkBudget) -> Iterator[Row]:
             return
         for row in _decreasing_rows(bound, b, exact):
             budget.charge()
-            if exact or closes(row):
-                half = upper + row if a % 2 == 0 else upper
-                yield upper + row + tuple(b - v for v in reversed(half))
+            half = upper if exact else upper + row
+            yield upper + row + tuple(b - v for v in reversed(half))
 
     yield from walk(0, (), (b,) * c)
 

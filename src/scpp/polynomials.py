@@ -21,13 +21,13 @@ may reach 2^32 - 2, which its fields still hold exactly, but it cannot be
 multiplied again.
 
 ``MPoly`` has one constructor, which trusts its caller, and only the
-operations that production code uses: product, lifting to more
-variables, setting the last variable to zero and a digest.  The
-evaluation sweep of ``scpp.verify`` groups a term map by the exponent of
-x_1 once (``group_by_first``) and sets x_1 from the groups
-(``substitute_groups``).  Setting x_1 term by term (``substitute_first``)
-and sums are test oracles (``tests/oracles.py``); values at one point
-come from ``scpp.schur.schur_value``.
+operations that production code uses: product, lifting to more variables
+and a digest.  The evaluation sweep of ``scpp.verify`` groups a term map
+by the exponent of x_1 once (``group_by_first``) and sets x_1 from the
+groups (``substitute_groups``).  Setting x_1 term by term
+(``substitute_first``), setting the last variable to zero and sums are
+test oracles (``tests/oracles.py``); values at one point come from
+``scpp.schur.schur_value``.
 """
 
 from __future__ import annotations
@@ -138,15 +138,6 @@ class MPoly:
             raise ValueError("cannot lift to fewer variables")
         shift = FIELD_BITS * (nvars - self.nvars)
         return MPoly(nvars, {k << shift: c for k, c in self.terms.items()})
-
-    def restrict_last_zero(self) -> "MPoly":
-        """Set the last variable to zero and drop its slot."""
-        if self.nvars == 0:
-            raise ValueError("no variable to restrict")
-        return MPoly(
-            self.nvars - 1,
-            {k >> FIELD_BITS: c for k, c in self.terms.items() if not k & FIELD_MASK},
-        )
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """(exponent tuple, coefficient) pairs in lexicographic order, which

@@ -122,13 +122,17 @@ def _glued_terms(
     return out
 
 
-def _glue_sum(terms: list[tuple[Partition, int]], n: int, budget: WorkBudget | None = None) -> MPoly:
-    """The sum of s_shape(x_1..x_n) * x_{n+1}^strip over the terms, in one descent."""
+def _glue_sum(
+    terms: list[tuple[Partition, int]], n: int, budget: WorkBudget | None = None, trailing: int = 1
+) -> MPoly:
+    """The sum of s_shape(x_1..x_n) * x_{n+1}^strip over the terms, in one
+    descent.  With ``trailing`` 0 every strip is 0 and the sum is in
+    x_1..x_n alone."""
     states: dict[Partition, dict[int, int]] = {}
     for shape, strip in terms:
         weight = states.setdefault(shape, {})
         weight[strip] = weight.get(strip, 0) + 1
-    return MPoly(n + 1, schur_combination(states, n, trailing=1, budget=budget))
+    return MPoly(n + trailing, schur_combination(states, n, trailing, budget))
 
 
 def _lhs_factors(
@@ -241,13 +245,14 @@ def verify_square_reduction(
     gamma: int, alpha: int, n: int, budget: WorkBudget | None = None
 ) -> VerificationReport:
     """Setting the extra variable to zero with equal widths must reduce the
-    gluing sum to the square of a single rectangular Schur polynomial, so
-    only the strip-free glued terms are built, charged as in ``verify_schurid``."""
+    gluing sum to the square of a single rectangular Schur polynomial.  The
+    terms with a strip vanish there, so only the strip-free glued terms are
+    summed, in x_1..x_n, charged as in ``verify_schurid``."""
     params = {"gamma": gamma, "alpha": alpha, "n": n}
     budget = budget or WorkBudget()
     terms = _glued_terms(1, gamma, gamma, alpha, n, budget)
     free = [term for term in terms if term[1] == 0]
-    reduced = _glue_sum(free, n, WorkBudget(budget.cap)).restrict_last_zero()
+    reduced = _glue_sum(free, n, WorkBudget(budget.cap), trailing=0)
     root = schur_tableau_sum(rectangle(alpha, gamma), n, WorkBudget(budget.cap))
     return _expansion_report("square-reduction", params, reduced, root * root)
 

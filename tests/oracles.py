@@ -9,7 +9,8 @@ the q-substitution against ``hook_content_rectangular``, the middle-line
 condition on one array against ``count_scpp_middle_line``, the move graph
 built from whole validated neighbour arrays against ``check_move_graph``,
 the validated arrays of ``enumerate_scpp`` against the move graph's flat
-walk, ``flipped_pair_count`` of the half-full array against the
+walk, the closing condition on one row (``_closing_row``) against the
+closing tables, ``flipped_pair_count`` of the half-full array against the
 arithmetic reference parity, the tuple-keyed polynomial against the
 packed ``MPoly`` and against the fold of ``substitute_first``,
 ``substitute_first`` against the grouped substitution of the evaluation
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
 from scpp.partitions import (
@@ -43,7 +44,7 @@ from scpp.partitions import (
     size,
 )
 from scpp.pfaffian import binomial_safe
-from scpp.plane_partitions import MoveGraphReport, Row, _closing_row, _decreasing_rows
+from scpp.plane_partitions import MoveGraphReport, Row, _decreasing_rows
 from scpp.polynomials import FIELD_BITS, MPoly, Value
 from scpp.products import ParityError, check_box_sides
 from scpp.schur import schur_tableau_sum
@@ -331,7 +332,7 @@ def descent_strip_count(lam: Iterable[int], n: int) -> int:
     at most m - 1 rows, and passes those on to level m - 1."""
     level, listed = {partition(lam)}, 0
     for m in range(n, 0, -1):
-        strips = [list(horizontal_strips_within(mu, m - 1)) for mu in level]
+        strips = [[nu for nu in horizontal_strips_within(mu) if len(nu) <= m - 1] for mu in level]
         listed += sum(map(len, strips))
         level = {nu for found in strips for nu in found}
     return listed
@@ -622,15 +623,30 @@ def weight(pp: PlanePartition, reference: int | None = None) -> int:
     return -1 if (flipped_pair_count(pp) - reference) % 2 else 1
 
 
+def _closing_row(a: int, b: int, c: int) -> Callable[[Row], int]:
+    """The condition on the last of the upper (a+1)//2 rows.
+
+    With a even it is the last upper row, and the row below it is its
+    reversed complement, so mirrored entries sum to at least b.  With a odd
+    it is the central row, which is its own reversed complement.  The
+    closing tables (``_RowTable.closing``) list the rows that meet it, and
+    the bounds of the move graph's walk (``_scpp_flats``) try only those.
+    """
+    if a % 2:
+        return lambda w: all(w[j] + w[c - 1 - j] == b for j in range(c))
+    return lambda w: all(w[j] + w[c - 1 - j] >= b for j in range(c))
+
+
 def enumerate_scpp(
     a: int, b: int, c: int, budget: WorkBudget | None = None
 ) -> Iterator[PlanePartition]:
     """Every self-complementary plane partition of the box, exactly once.
 
-    Walks the free upper rows, then the closing row below each (the last
-    upper row for a even, the central row for a odd), whose mirrored
-    entries sum to at least b; the remaining rows are the reversed
-    complements of the upper rows.  Charges one unit per node it walks.
+    Walks the free upper rows, then the rows below each whose mirrored
+    entries sum to at least b, and keeps those that meet the closing
+    condition (``_closing_row``): the last upper row for a even, the
+    central row for a odd.  The remaining rows are the reversed complements
+    of the upper rows.  Charges one unit per node it walks.
     """
     budget = budget or WorkBudget()
     check_box_sides(a, b, c)

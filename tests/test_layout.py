@@ -7,15 +7,20 @@ as read from another file only where that file imports it and then reads
 it.  The same holds one level down: every method, property and
 classmethod of a class in ``src/scpp``, dunders aside, is read as an
 attribute (``x.name``) in ``src/`` or ``scripts/`` outside its own body,
-or is listed as read by the benchmark or the standard library.  No
-``src/scpp`` code compares a budget with ``None``.
+or is listed as read by the benchmark or the standard library.  Every
+defaulted parameter of a ``src/scpp`` function or method is passed by some
+call in ``src/`` or ``scripts/``.  No ``src/scpp`` code compares a budget
+with ``None``.
 """
 
 import ast
 import importlib
 import types
 from collections import Counter
+from functools import partial
 from pathlib import Path
+
+from scpp.verify import IDENTITIES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "scpp").glob("*.py"))
@@ -118,6 +123,87 @@ def test_every_class_member_is_read_outside_the_tests():
             if everywhere[key] == _reads(node)[key]:
                 unused.append(f"{path.stem}.{member}")
     assert unused == []
+
+
+def _functions(body, in_class=False):
+    """(qualified name, node, is a method) for each function defined in
+    ``body``, nested ones included."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            for name, fn, method in _functions(node.body, True):
+                yield f"{node.name}.{name}", fn, method
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node, in_class
+            for name, fn, _ in _functions(node.body):
+                yield f"{node.name}.{name}", fn, False
+
+
+def _defaulted(fn) -> list[tuple[int | None, str]]:
+    """(position, name) of each defaulted parameter; None for keyword-only."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+
+
+def _calls() -> dict[str, list[tuple[bool, int, set[str]]]]:
+    """For each called name, bare or as an attribute, one (as an attribute,
+    positional count, keyword names) triple per call in ``src/`` or
+    ``scripts/``; a starred argument passes every position, a ``**`` every
+    keyword (named "**")."""
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = 1 << 30 if starred else len(node.args)
+            keywords = {k.arg or "**" for k in node.keywords}
+            calls.setdefault(name, []).append((isinstance(func, ast.Attribute), count, keywords))
+    return calls
+
+
+def _identity_arguments() -> dict[tuple[str, str], set[str]]:
+    """What ``Identity.run`` passes each ``verify_*`` function of ``IDENTITIES``
+    by keyword: ``budget``, and ``method`` where the identity takes one."""
+    passed = {}
+    for identity in IDENTITIES.values():
+        verify = identity.verify.func if isinstance(identity.verify, partial) else identity.verify
+        key = (verify.__module__.rpartition(".")[2], verify.__name__)
+        passed[key] = {"budget", "method"} if identity.takes_method else {"budget"}
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant, or a knob nobody turns;
+    # a recursive call counts as a call
+    calls, by_identity = _calls(), _identity_arguments()
+    unpassed = []
+    for path in SRC:
+        module = path.stem
+        for qualname, fn, method in _functions(TREES[path].body):
+            if (module, qualname) in ENTRY_POINTS:
+                continue
+            name = fn.name
+            if name == "__init__":
+                name = qualname.split(".")[-2]  # called as the class
+            elif name.startswith("__") and name.endswith("__"):
+                continue
+            for position, param in _defaulted(fn):
+                if param in by_identity.get((module, qualname), ()):
+                    continue
+                for attribute, count, keywords in calls.get(name, []):
+                    offset = 1 if method and (attribute or fn.name == "__init__") else 0
+                    if param in keywords or "**" in keywords:
+                        break
+                    if position is not None and position - offset < count:
+                        break
+                else:
+                    unpassed.append(f"{module}.{qualname}({param})")
+    assert unpassed == []
 
 
 def _is_budget(node) -> bool:

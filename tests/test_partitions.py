@@ -15,6 +15,7 @@ from scpp.partitions import (
     rotated_complement,
     size,
     strip_ranges,
+    strips_of,
 )
 
 
@@ -157,7 +158,7 @@ def test_horizontal_strips_within_a_row_limit_are_the_filtered_strips():
     for lam in partitions_in_rectangle(4, 4):
         every = list(horizontal_strips_within(lam))
         for rows in range(6):
-            limited = list(horizontal_strips_within(lam, rows))
+            limited = list(strips_of(strip_ranges(lam, rows)))
             assert limited == [pi for pi in every if len(pi) <= rows], (lam, rows)
 
 
@@ -166,7 +167,7 @@ def test_strip_range_lengths_multiply_to_the_strip_count():
     for lam in partitions_in_rectangle(4, 4):
         for rows in [None, *range(6)]:
             count = prod(map(len, strip_ranges(lam, rows)))
-            assert count == len(list(horizontal_strips_within(lam, rows))), (lam, rows)
+            assert count == len(list(strips_of(strip_ranges(lam, rows)))), (lam, rows)
     assert prod(map(len, strip_ranges((2**31 - 1, 5), 1))) == (2**31 - 1 - 5 + 1) * 1
 
 

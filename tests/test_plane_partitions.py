@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from oracles import (
+    _closing_row,
     enumerate_pp,
     enumerate_scpp,
     enumerate_ssyt,
@@ -29,7 +30,6 @@ from scpp.plane_partitions import (
     count_scpp,
     count_scpp_middle_line,
     count_scpp_signed,
-    _closing_row,
 )
 from scpp.products import (
     ParityError,
@@ -376,14 +376,15 @@ def test_move_graph_matches_the_oracle():
 
 def test_decreasing_rows_are_the_filtered_rows_under_the_bound():
     # brute force over [0, b]^c: the walk skips prefixes that cannot meet
-    # the mirrored sums, and no row may be lost with them; the exact walk
-    # places the left half and completes each pair
+    # the mirrored sums, the middle column of an odd c included, and no row
+    # may be lost with them; the exact walk places the left half and
+    # completes each pair
     for b, c in product(range(4), range(6)):
         decreasing = [w for w in product(range(b, -1, -1), repeat=c) if list(w) == sorted(w, reverse=True)]
         for bound in decreasing:
             under = [w for w in decreasing if all(v <= u for v, u in zip(w, bound))]
             for mirrored in range(2 * b + 2):
-                expected = [w for w in under if all(w[j] + w[c - 1 - j] >= mirrored for j in range(c // 2))]
+                expected = [w for w in under if all(w[j] + w[c - 1 - j] >= mirrored for j in range((c + 1) // 2))]
                 assert list(plane_partitions._decreasing_rows(bound, mirrored)) == expected, (bound, mirrored)
                 expected = [w for w in under if all(w[j] + w[c - 1 - j] == mirrored for j in range(c))]
                 assert list(plane_partitions._decreasing_rows(bound, mirrored, True)) == expected, (bound, mirrored)
@@ -399,6 +400,18 @@ def test_flat_walk_lists_the_oracle_arrays():
         flats = list(plane_partitions._scpp_flats(a, b, c, WorkBudget()))
         assert len(set(flats)) == len(flats), (a, b, c)
         assert flats == [_flat(pp) for pp in enumerate_scpp(a, b, c)], (a, b, c)
+
+
+def test_flat_walk_keeps_every_closing_row_it_tries():
+    # a even, c odd: the middle entry's bound closes the last upper row, so
+    # the walk charges its root, the free upper rows (a = 4) and one unit
+    # per array
+    for a, b, c in [(2, 3, 3), (2, 4, 5), (4, 3, 5), (4, 4, 5)]:
+        budget = WorkBudget()
+        vertices = len(list(plane_partitions._scpp_flats(a, b, c, budget)))
+        assert vertices == sc_count(a, b, c), (a, b, c)
+        free = comb(b + c, c) if a == 4 else 0
+        assert budget.used == 1 + free + vertices, (a, b, c)
 
 
 def test_reference_parity_is_the_half_full_flipped_pair_count():

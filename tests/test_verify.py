@@ -60,7 +60,9 @@ def test_glue_descent_on_the_strip_free_terms_of_square_reduction():
     for gamma, alpha, n in product(range(4), range(4), range(6)):
         terms = verify._glued_terms(1, gamma, gamma, alpha, n, WorkBudget())
         free = [term for term in terms if term[1] == 0]
-        assert verify._glue_sum(free, n) == glue_sum_by_shapes(free, n), (gamma, alpha, n)
+        # square reduction sums them in x_1..x_n; x_{n+1} enters with exponent 0
+        reduced = verify._glue_sum(free, n, trailing=0)
+        assert reduced.lift(n + 1) == glue_sum_by_shapes(free, n), (gamma, alpha, n)
 
 
 def test_schurid_in_full_expansion_at_reach():
@@ -207,6 +209,18 @@ def test_verify_schurid_zero_when_fewer_variables_than_rows():
 def test_verify_schurid_unknown_method():
     with pytest.raises(ValueError):
         verify_schurid(1, 1, 1, 1, 2, method="monte-carlo")
+
+
+def test_square_reduction_sums_what_the_whole_glued_sum_restricts_to():
+    # the strip-free terms in n variables against every glued term in n + 1,
+    # summed shape by shape, with x_{n+1} set to zero by the tuple oracle
+    grid = list(verify.IDENTITIES["square-reduction"].grid)
+    assert len(grid) == 36
+    for gamma, alpha, n in grid:
+        terms = verify._glued_terms(1, gamma, gamma, alpha, n, WorkBudget())
+        whole = TupleMPoly(n + 1, tuple_terms(glue_sum_by_shapes(terms, n)))
+        expected = whole.restrict_last_zero().digest()
+        assert verify_square_reduction(gamma, alpha, n).lhs == expected, (gamma, alpha, n)
 
 
 def test_square_reduction_grid():

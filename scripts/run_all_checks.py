@@ -11,9 +11,9 @@ Exits 0 when every tuple matches and 1 otherwise.
 
 import sys
 import time
-from dataclasses import replace
 
-from scpp.pfaffian import corollary_matrix, exact_determinant, pfaffian_check
+from scpp.pfaffian import PfaffianCheck, corollary_matrix, exact_determinant, pfaffian
+from scpp.products import middle_line_product
 from scpp.verify import IDENTITIES, PFAFFIAN_GRID
 
 
@@ -31,11 +31,13 @@ def sweep(label, check, tuples):
 
 
 def pfaffian_and_determinant(values):
-    """``pfaffian_check``, matching only if also Pf(M)^2 = det(M); the
-    prefactor is a sign, so the checked value squares to Pf(M)^2."""
-    check = pfaffian_check(*values)
-    det = exact_determinant(corollary_matrix(*values)[0].entries)
-    return replace(check, match=check.match and check.pfaffian**2 == det)
+    """The sign-adjusted Pfaffian of one build of M against the product,
+    matching only if also Pf(M)^2 = det(M)."""
+    matrix, prefactor = corollary_matrix(*values)
+    pf = pfaffian(matrix)
+    product = middle_line_product(*values[1:])
+    match = prefactor * pf == product and pf * pf == exact_determinant(matrix.entries)
+    return PfaffianCheck(*values, prefactor * pf, product, match)
 
 
 def main() -> int:

@@ -224,7 +224,7 @@ def _identity(args) -> Identity:
     """The table row of ``args.identity``, after checking that ``--method``
     applies to it."""
     row = IDENTITIES[args.identity]
-    if args.method is not None and not row.takes_method:
+    if args.method is not None and row.sweep is None:
         raise UsageError(f"--method does not apply to identity {args.identity}")
     return row
 

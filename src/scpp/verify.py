@@ -1,24 +1,27 @@
 """End-to-end verification of every identity the package implements.
 
-Each verifier computes both sides by independent routes (brute-force
-enumeration vs. closed form, or full polynomial expansion vs. a gluing
-construction) and returns a report with deterministic digests of the two
-sides.
-
-The Schur product identities have two methods.  Full expansion multiplies
-the left-hand factors with ``MPoly.__mul__``; the evaluation sweep compares
-values on an integer grid and never multiplies two polynomials, so it is
-the one route whose verdict does not depend on ``MPoly.__mul__``.
-
 ``IDENTITIES`` is the one table of the checkable identities.  Each row,
-keyed by its CLI name, gives the ordered parameter names, the ``verify_*``
-function that runs both routes, the standard grid (ranges plus an
-admissibility filter) and whether a ``--method`` applies.  The CLI
-``verify`` and ``sweep`` commands, ``scripts/run_all_checks.py`` and the
-acceptance suite all read it.  To add an identity, write a ``verify_*``
-function that takes the parameters in order plus ``budget`` (and
-``method`` if it has more than one route), then add one row.
-``PFAFFIAN_GRID`` beside it is the standard grid of ``pfaffian_check``.
+keyed by its CLI name, names the two sides of its identity: two routes,
+such as an exhaustive count and a closed form, or a full polynomial
+expansion and a gluing construction.  A side is a callable of
+``(*values, budget=...)``.  A row also gives the ordered parameter names,
+the method its report names, ``shares`` (the ``scpp`` functions both sides
+may call) and the standard grid.  The CLI ``verify`` and ``sweep``
+commands, ``scripts/run_all_checks.py`` and the acceptance suite all read
+it.  To add an identity, add one row.
+
+``tests/test_layout.py`` traces each row's sides on a few grid tuples and
+fails unless the functions both call are the ones ``shares`` lists.  The
+enumeration rows share only their parameter checks, the bridge nothing,
+and the Schur rows the branching descent of ``scpp.schur``, until one
+side gets a route without it (a Littlewood-Richardson product, say).
+
+The Schur product identities have a second method, the evaluation sweep
+(``verify_by_sweep``): it compares values on an integer grid and never
+multiplies two polynomials, so it is the one route whose verdict does not
+depend on ``MPoly.__mul__``.  It never forms the left side, so it is a
+function, not a pair of sides.  ``PFAFFIAN_GRID`` is the standard grid of
+``pfaffian_check``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product as _cartesian, repeat
 from operator import add, mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
 from scpp.partitions import (
@@ -76,50 +79,57 @@ class VerificationReport:
 
 
 def _report(identity, parameters, lhs, rhs, match, method) -> VerificationReport:
-    return VerificationReport(
-        identity=identity,
-        parameters=dict(parameters),
-        lhs=str(lhs),
-        rhs=str(rhs),
-        match=bool(match),
-        method=method,
-    )
+    return VerificationReport(identity, dict(parameters), str(lhs), str(rhs), bool(match), method)
 
 
 # ---------------------------------------------------------------------------
 # the two rectangular Schur product identities
 
-def _glued_terms(
-    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
-) -> list[tuple[Partition, int]]:
-    """(shape, strip size) pairs for the gluing sum of identity 1 or 2 in
-    n + 1 variables.
-
-    Both identities sum over mu inside the alpha x gamma2 rectangle.
-    Identity 1 takes lam = mu; identity 2 puts a full first row of length
-    gamma2 on top of mu.  In both, pi runs over horizontal strips inside lam
-    and the glued shape puts the complement of mu in the alpha x
-    (gamma1+gamma2) rectangle, rotated 180 degrees, on top of pi.  Shapes
-    with more than n rows are left out, as their Schur polynomial in n
-    variables vanishes.  Each term is charged one unit as it is listed,
-    kept or not, so a cap stops the listing itself.
-    """
+def _check_widths(gamma1: int, gamma2: int, n: int) -> None:
+    """The checks both sides of a Schur identity make before any work."""
     if n < 0:
         raise ValueError("variable count must be nonnegative")
     if gamma1 < gamma2:
         raise ValueError("gamma1 must be at least gamma2")
-    if which not in (1, 2):
-        raise ValueError("identity selector must be 1 or 2")
+
+
+def _glue(
+    alpha: int, gamma1: int, gamma2: int, n: int, budget: WorkBudget,
+    strips: Callable[[Partition], tuple[Partition, Iterable[Partition]]],
+) -> list[tuple[Partition, int]]:
+    """(shape, strip size) pairs of a gluing sum in n + 1 variables.
+
+    For each mu in the alpha x gamma2 rectangle, ``strips(mu)`` gives lam
+    and the pi inside it, of strip size |lam| - |pi|.  The glued shape puts
+    the complement of mu in the alpha x (gamma1+gamma2) rectangle, rotated
+    180 degrees, on top of pi.  Shapes with more than n rows are left out,
+    as their Schur polynomial in n variables vanishes.  Each pi is charged
+    one unit as it is listed, kept or not, so a cap stops the listing itself.
+    """
+    _check_widths(gamma1, gamma2, n)
     out: list[tuple[Partition, int]] = []
     for mu in partitions_in_rectangle(alpha, gamma2):
         top = rotated_complement(mu, alpha, gamma1 + gamma2)
-        lam = mu if which == 1 else rectangle(1, gamma2) + mu
+        lam, pis = strips(mu)
         lam_size = size(lam)
-        for pi in horizontal_strips_within(lam):
+        for pi in pis:
             budget.charge()
             if len(top) + len(pi) <= n:
                 out.append((top + pi, lam_size - size(pi)))
     return out
+
+
+def _glued_terms(
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
+) -> list[tuple[Partition, int]]:
+    """The glued terms of identity 1 or 2: pi runs over the horizontal
+    strips inside lam, where identity 1 takes lam = mu and identity 2 puts
+    a full first row of length gamma2 on top of mu."""
+    def strips(mu: Partition) -> tuple[Partition, Iterator[Partition]]:
+        lam = mu if which == 1 else rectangle(1, gamma2) + mu
+        return lam, horizontal_strips_within(lam)
+
+    return _glue(alpha, gamma1, gamma2, n, budget, strips)
 
 
 def _glue_sum(
@@ -144,41 +154,44 @@ def _lhs_factors(
     return first, second
 
 
-def verify_schurid(
-    which: int,
-    gamma1: int,
-    gamma2: int,
-    alpha: int,
-    n: int,
-    method: str = FULL_EXPANSION,
-    budget: WorkBudget | None = None,
-) -> VerificationReport:
-    """Check one of the two Schur product identities at one parameter tuple.
+def _factor_product(
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
+) -> MPoly:
+    """The left side of identity 1 or 2, expanded: s_{alpha x gamma1} in
+    x_1..x_n times s_{alpha x gamma2} (identity 1) or s_{(alpha+1) x gamma2}
+    (identity 2) in x_1..x_{n+1}.  Both factors are built under one fresh
+    budget of the cap, so ``budget`` pays only for the right side's glued
+    terms, whichever side runs first."""
+    _check_widths(gamma1, gamma2, n)
+    first, second = _lhs_factors(which, gamma1, gamma2, alpha, n, WorkBudget(budget.cap))
+    return first.lift(n + 1) * second
 
-    full-expansion compares exact term maps; evaluation-sweep compares
-    values on an integer grid larger than the per-variable degree bound,
-    which by the polynomial identity theorem is also a proof.  The sweep
-    specializes by prefix (``_swept_values``), compares the two sides' value
-    lists prefix by prefix and hashes their values "v;" in lexicographic
-    order of the points, one hash update per prefix and side.  Charges the
-    glued terms, and for the sweep one unit per grid point, all before it
-    builds any polynomial; each Schur build charges a budget of that cap.
-    """
-    budget = budget or WorkBudget()
-    identity = f"schurid{which}"
-    params = {"gamma1": gamma1, "gamma2": gamma2, "alpha": alpha, "n": n}
+
+def _glued_sum(
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
+) -> MPoly:
+    """The right side of identity 1 or 2: its glued terms, charged to
+    ``budget``, summed under a fresh budget of the cap."""
+    terms = _glued_terms(which, gamma1, gamma2, alpha, n, budget)
+    return _glue_sum(terms, n, WorkBudget(budget.cap))
+
+
+def verify_by_sweep(
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
+) -> VerificationReport:
+    """Check one of the two Schur product identities by the evaluation
+    sweep: compare values on an integer grid larger than the per-variable
+    degree bound, which by the polynomial identity theorem is also a proof.
+    The sweep specializes by prefix (``_swept_values``), compares the two
+    sides' value lists prefix by prefix and hashes their values "v;" in
+    lexicographic order of the points, one hash update per prefix and side.
+    Charges the glued terms and one unit per grid point before it builds
+    any polynomial; each Schur build charges a budget of that cap."""
     terms = _glued_terms(which, gamma1, gamma2, alpha, n, budget)
     bound = alpha * gamma1 + (alpha + 1) * gamma2  # safe per-variable degree bound
-    if method == EVALUATION_SWEEP:
-        budget.charge((bound + 1) ** (n + 1))
-    elif method != FULL_EXPANSION:
-        raise ValueError(f"unknown method {method!r}")
+    budget.charge((bound + 1) ** (n + 1))
     rhs = _glue_sum(terms, n, WorkBudget(budget.cap))
     first, second = _lhs_factors(which, gamma1, gamma2, alpha, n, WorkBudget(budget.cap))
-
-    if method == FULL_EXPANSION:
-        return _expansion_report(identity, params, first.lift(n + 1) * second, rhs)
-
     lhs_hash = hashlib.sha256()
     rhs_hash = hashlib.sha256()
     ok = True
@@ -187,16 +200,9 @@ def verify_schurid(
         lhs_hash.update(data)
         rhs_hash.update(data if lvals == rvals else _value_bytes(rvals))
         ok = ok and lvals == rvals
-    return _report(
-        identity, params, lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16], ok, method
-    )
-
-
-def _expansion_report(identity, params, lhs: MPoly, rhs: MPoly) -> VerificationReport:
-    # a digest is a function of (nvars, terms), so equal sides are digested once
-    digest, match = lhs.digest(), lhs == rhs
-    rhs_digest = digest if match else rhs.digest()
-    return _report(identity, params, digest, rhs_digest, match, FULL_EXPANSION)
+    params = zip(_SCHURID, (gamma1, gamma2, alpha, n))
+    lhs, rhs = lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16]
+    return _report(f"schurid{which}", params, lhs, rhs, ok, EVALUATION_SWEEP)
 
 
 def _value_bytes(values: list[int]) -> bytes:
@@ -241,124 +247,74 @@ def _swept_values(
     return walk(first.terms, second.terms, rhs.terms, first.nvars + 1)
 
 
-def verify_square_reduction(
-    gamma: int, alpha: int, n: int, budget: WorkBudget | None = None
-) -> VerificationReport:
-    """Setting the extra variable to zero with equal widths must reduce the
-    gluing sum to the square of a single rectangular Schur polynomial.  The
-    terms with a strip vanish there, so only the strip-free glued terms are
-    summed, in x_1..x_n, charged as in ``verify_schurid``."""
-    params = {"gamma": gamma, "alpha": alpha, "n": n}
-    budget = budget or WorkBudget()
-    terms = _glued_terms(1, gamma, gamma, alpha, n, budget)
-    free = [term for term in terms if term[1] == 0]
-    reduced = _glue_sum(free, n, WorkBudget(budget.cap), trailing=0)
+def _strip_free_sum(gamma: int, alpha: int, n: int, budget: WorkBudget) -> MPoly:
+    """The gluing sum of identity 1 with equal widths at x_{n+1} = 0, in
+    x_1..x_n.  Only the strip-free term of each mu (pi = lam = mu) survives
+    there, so only it is listed and charged."""
+    free = _glue(alpha, gamma, gamma, n, budget, lambda mu: (mu, (mu,)))
+    return _glue_sum(free, n, WorkBudget(budget.cap), trailing=0)
+
+
+def _schur_square(gamma: int, alpha: int, n: int, budget: WorkBudget) -> MPoly:
+    """The square of the alpha x gamma rectangular Schur polynomial in
+    x_1..x_n, built under a fresh budget of the cap."""
     root = schur_tableau_sum(rectangle(alpha, gamma), n, WorkBudget(budget.cap))
-    return _expansion_report("square-reduction", params, reduced, root * root)
+    return root * root
 
 
 # ---------------------------------------------------------------------------
-# enumeration vs. closed forms
+# sides that are numbers or strings
 
-def verify_box(a: int, b: int, c: int, budget: WorkBudget | None = None) -> VerificationReport:
-    brute = count_pp(a, b, c, budget)
-    closed = box_count(a, b, c)
-    return _report(
-        "box", {"a": a, "b": b, "c": c}, brute, closed, brute == closed, ENUMERATION
-    )
+def _closed(form: Callable[..., int]) -> Callable[..., int]:
+    """A closed form as a side; it charges nothing."""
+    return lambda *values, budget: form(*values)
 
 
-def verify_scpp_count(a: int, b: int, c: int, budget: WorkBudget | None = None) -> VerificationReport:
-    brute = count_scpp(a, b, c, budget)
-    closed = sc_count(a, b, c)
-    return _report(
-        "scpp", {"a": a, "b": b, "c": c}, brute, closed, brute == closed, ENUMERATION
-    )
+def _all_even(a: int, b: int, c: int) -> bool:
+    return a % 2 == b % 2 == c % 2 == 0
 
 
-def verify_middle_line(
-    a: int, b: int, c1: int, c2: int, budget: WorkBudget | None = None
-) -> VerificationReport:
-    brute = count_scpp_middle_line(a, b, c1, c2, budget)
-    closed = middle_line_product(a, b, c1, c2)
-    return _report(
-        "middle-line",
-        {"a": a, "b": b, "c1": c1, "c2": c2},
-        brute,
-        closed,
-        brute == closed,
-        ENUMERATION,
-    )
+def _signed_total(a: int, b: int, c: int, budget: WorkBudget) -> int:
+    """The signed brute-force total in absolute value: the closed forms fix
+    the magnitude only."""
+    return abs(count_scpp_signed(a, b, c, budget).signed_total)
 
 
-def verify_signed_enumeration(
-    a: int, b: int, c: int, budget: WorkBudget | None = None
-) -> VerificationReport:
-    """Signed brute-force total against the closed product, in absolute value
-    (the closed form fixes the magnitude only)."""
-    signed = count_scpp_signed(a, b, c, budget).signed_total
-    if a % 2 == 0 and b % 2 == 0 and c % 2 == 0:
-        closed = signed_enumeration_all_even(a, b, c)
-        identity = "signed-all-even"
-    else:
-        closed = signed_enumeration_product(a, b, c)
-        identity = "signed"
-    return _report(
-        identity,
-        {"a": a, "b": b, "c": c},
-        abs(signed),
-        closed,
-        abs(signed) == closed,
-        ENUMERATION,
-    )
+def _signed_product(a: int, b: int, c: int, budget: WorkBudget) -> int:
+    closed = signed_enumeration_all_even if _all_even(a, b, c) else signed_enumeration_product
+    return closed(a, b, c)
 
 
-def verify_weight_consistency(
-    a: int, b: int, c: int, budget: WorkBudget | None = None
-) -> VerificationReport:
+def _move_graph(a: int, b: int, c: int, budget: WorkBudget) -> str:
     """Move-graph connectivity plus a sign flip across every single move."""
     report = check_move_graph(a, b, c, budget)
-    lhs = f"components={report.components};sign_flips_ok={report.sign_flips_consistent}"
-    rhs = f"components={min(report.components, 1)};sign_flips_ok=True"
-    return _report(
-        "weight",
-        {"a": a, "b": b, "c": c},
-        lhs,
-        rhs,
-        lhs == rhs,
-        ENUMERATION,
-    )
+    return f"components={report.components};sign_flips_ok={report.sign_flips_consistent}"
 
 
-def verify_specialization_bridge(
-    gamma: int, alpha: int, m: int, budget: WorkBudget | None = None
-) -> VerificationReport:
-    """Evaluations of the rectangular Schur polynomial at all-ones and
-    alternating points must equal the box count and the signed
-    self-complementary count of the matching box.  Both values come from
-    ``schur_value``, the branching rule on numbers, which builds no
-    polynomial; ``tests/test_schur.py`` checks it against the polynomial
-    route and the tableau count, and ``specialize_alternating`` against the
-    limit at q -> -1 in ``tests/oracles.py``.  The counts come from the
-    closed products, so the two sides share no route.
+def _one_component(a: int, b: int, c: int, budget: WorkBudget) -> str:
+    """One component when the box holds a self-complementary plane
+    partition, none when it holds none, and a sign flip across every move."""
+    return f"components={int(sc_count(a, b, c) > 0)};sign_flips_ok=True"
 
-    The all-ones value is the box count on the nose.  The alternating value
-    carries a parity sign: it equals (-1)^(gamma*alpha*(alpha+3)/2) times
-    the self-complementary count, as the factor-pairing limit shows, so the
-    comparison is exact including sign.  ``tests/test_verify.py`` checks
-    every tuple with gamma, alpha <= 5 and alpha <= m <= 12.
-    """
+
+def _bridge_values(gamma: int, alpha: int, m: int, budget: WorkBudget) -> str:
+    """The alpha x gamma rectangular Schur polynomial in m variables at all
+    ones and at (1, -1, 1, ...), from ``schur_value``, the branching rule on
+    numbers, which builds no polynomial; ``tests/test_schur.py`` checks it."""
     if m < alpha:
         raise ValueError("argument count must be at least the number of rows")
-    params = {"gamma": gamma, "alpha": alpha, "m": m}
     ones = schur_value(rectangle(alpha, gamma), (1,) * m, budget)
-    alt = specialize_alternating(gamma, alpha, m, budget)
-    box = box_count(alpha, m - alpha, gamma)
+    return f"ones={ones};alternating={specialize_alternating(gamma, alpha, m, budget)}"
+
+
+def _bridge_counts(gamma: int, alpha: int, m: int, budget: WorkBudget) -> str:
+    """The box count of the alpha x (m - alpha) x gamma box and, with the
+    parity sign (-1)^(gamma*alpha*(alpha+3)/2) that the factor-pairing limit
+    gives the alternating value, its self-complementary count, both from
+    the closed products: the comparison is exact including sign."""
     sign = -1 if (gamma * alpha * (alpha + 3) // 2) % 2 else 1
-    sc = sign * sc_count(alpha, m - alpha, gamma)
-    lhs = f"ones={ones};alternating={alt}"
-    rhs = f"ones={box};alternating={sc}"
-    return _report("bridge", params, lhs, rhs, lhs == rhs, "evaluation")
+    box, sc = box_count(alpha, m - alpha, gamma), sc_count(alpha, m - alpha, gamma)
+    return f"ones={box};alternating={sign * sc}"
 
 
 # ---------------------------------------------------------------------------
@@ -377,58 +333,101 @@ class Grid:
 
 @dataclass(frozen=True)
 class Identity:
-    """One checkable identity: its parameters, both routes and standard grid."""
+    """One checkable identity: its report name (or a function of the values
+    giving it), parameters, two sides, report method, the ``scpp`` functions
+    (``module.qualname``) both sides may call, and standard grid.  ``sweep``
+    is the Schur identities' other ``--method``, the evaluation sweep.
 
+    The left side runs first, so an input both sides refuse is refused by
+    the left side, and a capped run stops there first.  For the Schur
+    identities the two factors are built, under a fresh budget of the cap,
+    before the right side lists and charges its glued terms."""
+
+    name: str | Callable[..., str]
     params: tuple[str, ...]
-    verify: Callable[..., VerificationReport]
+    lhs: Callable[..., object]
+    rhs: Callable[..., object]
+    method: str
+    shares: tuple[str, ...]
     grid: Grid
-    takes_method: bool = False
+    sweep: Callable[..., VerificationReport] | None = None
 
     def run(
         self, values: Sequence[int], budget: WorkBudget | None = None, method: str | None = None
     ) -> VerificationReport:
         """Check the identity at one tuple, given in ``params`` order."""
-        if self.takes_method:
-            return self.verify(*values, method=method or FULL_EXPANSION, budget=budget)
-        return self.verify(*values, budget=budget)
+        budget = budget or WorkBudget()
+        if method not in (None, self.method):
+            if method != EVALUATION_SWEEP or self.sweep is None:
+                raise ValueError(f"unknown method {method!r}")
+            return self.sweep(*values, budget=budget)
+        lhs = self.lhs(*values, budget=budget)
+        rhs = self.rhs(*values, budget=budget)
+        match = lhs == rhs
+        if isinstance(lhs, MPoly):
+            # a digest is a function of (nvars, terms), so equal sides are digested once
+            lhs = lhs.digest()
+            rhs = lhs if match else rhs.digest()
+        name = self.name(*values) if callable(self.name) else self.name
+        return _report(name, zip(self.params, values), lhs, rhs, match, self.method)
 
 
 _BOX = ("a", "b", "c")
 _LINE = ("a", "b", "c1", "c2")
 _SCHURID = ("gamma1", "gamma2", "alpha", "n")
 _SCHURID_GRID = Grid((range(4), range(4), range(4), range(6)), lambda g1, g2, alpha, n: g2 <= g1)
+# the branching descent of scpp.schur, which both sides of a Schur identity run
+_DESCENT = (
+    "schur._descend", "schur.schur_combination", "partitions.strip_ranges",
+    "partitions.strips_of", "partitions.partition", "partitions.part_at",
+    "partitions.rectangle", "polynomials.MPoly.__init__",
+)
+_BOX_CHECK = ("products.check_box_sides",)
+
+
+def _schurid(which: int) -> Identity:
+    return Identity(
+        f"schurid{which}", _SCHURID, partial(_factor_product, which), partial(_glued_sum, which),
+        FULL_EXPANSION, ("verify._check_widths", *_DESCENT), _SCHURID_GRID,
+        sweep=partial(verify_by_sweep, which),
+    )
+
 
 IDENTITIES: dict[str, Identity] = {
-    "box": Identity(_BOX, verify_box, Grid((range(5),) * 3)),
+    "box": Identity(
+        "box", _BOX, count_pp, _closed(box_count), ENUMERATION, _BOX_CHECK, Grid((range(5),) * 3)
+    ),
     # all-odd boxes stay in: both routes give 0 there
-    "scpp": Identity(_BOX, verify_scpp_count, Grid((range(7),) * 3)),
+    "scpp": Identity(
+        "scpp", _BOX, count_scpp, _closed(sc_count), ENUMERATION, _BOX_CHECK, Grid((range(7),) * 3)
+    ),
     "middle-line": Identity(
-        _LINE,
-        verify_middle_line,
+        "middle-line", _LINE, count_scpp_middle_line, _closed(middle_line_product), ENUMERATION,
+        ("products.check_middle_line_params", "products.check_line_lengths"),
         Grid(
             (range(6), range(6), range(0, 7, 2), range(0, 7, 2)),
             lambda a, b, c1, c2: not (a % 2 == 0 and b % 2) and c2 <= c1,
         ),
     ),
     "signed": Identity(
-        _BOX,
-        verify_signed_enumeration,
+        lambda a, b, c: "signed-all-even" if _all_even(a, b, c) else "signed",
+        _BOX, _signed_total, _signed_product, ENUMERATION, _BOX_CHECK,
         # the three parity classes: b and c of one parity, not all odd
         Grid((range(7),) * 3, lambda a, b, c: b % 2 == c % 2 and not a % 2 == b % 2 == 1),
     ),
-    "schurid1": Identity(_SCHURID, partial(verify_schurid, 1), _SCHURID_GRID, takes_method=True),
-    "schurid2": Identity(_SCHURID, partial(verify_schurid, 2), _SCHURID_GRID, takes_method=True),
+    "schurid1": _schurid(1),
+    "schurid2": _schurid(2),
+    # schurid1's gluing sum at gamma1 = gamma2 and x_{n+1} = 0
     "square-reduction": Identity(
-        ("gamma", "alpha", "n"), verify_square_reduction, Grid((range(3), range(3), range(4)))
+        "square-reduction", ("gamma", "alpha", "n"), _strip_free_sum, _schur_square,
+        FULL_EXPANSION, _DESCENT, Grid((range(3), range(3), range(4))),
     ),
     "weight": Identity(
-        _BOX,
-        verify_weight_consistency,
+        "weight", _BOX, _move_graph, _one_component, ENUMERATION, _BOX_CHECK,
         Grid((range(5),) * 3, lambda a, b, c: not (a % 2 and b % 2 and c % 2)),
     ),
     "bridge": Identity(
-        ("gamma", "alpha", "m"),
-        verify_specialization_bridge,
+        "bridge", ("gamma", "alpha", "m"), _bridge_values, _bridge_counts, "evaluation", (),
         Grid((range(4), range(4), range(8)), lambda gamma, alpha, m: m >= alpha),
     ),
 }

@@ -8,7 +8,7 @@ import time
 
 from oracles import schur_determinant_oracle
 from scpp.partitions import partitions_in_rectangle
-from scpp.pfaffian import corollary_matrix, exact_determinant, pfaffian, pfaffian_check
+from scpp.pfaffian import corollary_matrix, exact_determinant, pfaffian
 from scpp.plane_partitions import (
     check_move_graph,
     count_pp,
@@ -17,13 +17,7 @@ from scpp.plane_partitions import (
 )
 from scpp.products import box_count, middle_line_product, sc_count
 from scpp.schur import schur_tableau_sum
-from scpp.verify import (
-    IDENTITIES,
-    PFAFFIAN_GRID,
-    verify_schurid,
-    verify_specialization_bridge,
-    verify_square_reduction,
-)
+from scpp.verify import IDENTITIES, PFAFFIAN_GRID
 
 
 def _pass(number: int, label: str, start: float) -> None:
@@ -58,7 +52,7 @@ def test_criterion_03_schur_product_identities():
     start = time.perf_counter()
     for which in (1, 2):
         for gamma1, gamma2, alpha, n in _grid(f"schurid{which}", 240):
-            report = verify_schurid(which, gamma1, gamma2, alpha, n)
+            report = IDENTITIES[f"schurid{which}"].run((gamma1, gamma2, alpha, n))
             assert report.match, (which, gamma1, gamma2, alpha, n)
     _pass(3, "both product identities hold as exact polynomials on the grid", start)
 
@@ -66,7 +60,7 @@ def test_criterion_03_schur_product_identities():
 def test_criterion_04_square_reduction():
     start = time.perf_counter()
     for gamma, alpha, n in _grid("square-reduction", 36):
-        report = verify_square_reduction(gamma, alpha, n)
+        report = IDENTITIES["square-reduction"].run((gamma, alpha, n))
         assert report.match, (gamma, alpha, n)
     _pass(4, "extra variable at zero reduces the gluing sum to the Schur square", start)
 
@@ -96,11 +90,11 @@ def test_criterion_07_pfaffian_corollary():
     tuples = list(PFAFFIAN_GRID)
     assert len(tuples) == 555
     for case, a, b, c1, c2 in tuples:
-        check = pfaffian_check(case, a, b, c1, c2)
-        assert check.match, check
-        matrix, _ = corollary_matrix(case, a, b, c1, c2)
+        # one build of each matrix serves both comparisons
+        matrix, prefactor = corollary_matrix(case, a, b, c1, c2)
         pf = pfaffian(matrix)
-        assert pf * pf == exact_determinant(matrix.entries)
+        assert prefactor * pf == middle_line_product(a, b, c1, c2), (case, a, b, c1, c2)
+        assert pf * pf == exact_determinant(matrix.entries), (case, a, b, c1, c2)
     _pass(7, "sign-adjusted Pfaffians equal the products, with Pf^2 = det throughout", start)
 
 
@@ -116,7 +110,7 @@ def test_criterion_08_weight_well_definedness():
 def test_criterion_09_specialization_bridge():
     start = time.perf_counter()
     for gamma, alpha, m in _grid("bridge", 104):
-        report = verify_specialization_bridge(gamma, alpha, m)
+        report = IDENTITIES["bridge"].run((gamma, alpha, m))
         assert report.match, (gamma, alpha, m, report.lhs, report.rhs)
     _pass(9, "all-ones and alternating evaluations match the box counts", start)
 

@@ -407,6 +407,12 @@ GOLDEN = [
     ('verify schurid1 --gamma1 3 --gamma2 3 --alpha 3 --n 5 --method evaluation-sweep', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 100000001 nodes > cap 100000000"}}\n'),
     ('verify schurid1 --gamma1 1 --gamma2 1 --alpha 1 --n -1 --budget 1', 2, '{"error": {"code": "invalid-parameter", "message": "variable count must be nonnegative"}}\n'),
     ('verify square-reduction --gamma 1 --alpha 1 --n -1 --budget 1', 2, '{"error": {"code": "invalid-parameter", "message": "variable count must be nonnegative"}}\n'),
+    # the left side runs first: these are its errors, and the right side's would differ
+    ('verify bridge --gamma 2 --alpha 3 --m 2', 2, '{"error": {"code": "invalid-parameter", "message": "argument count must be at least the number of rows"}}\n'),
+    ('verify bridge --gamma -1 --alpha 1 --m 2', 2, '{"error": {"code": "invalid-parameter", "message": "rectangle dimensions must be nonnegative"}}\n'),
+    ('verify signed --a 2 --b 41 --c 40 --budget 10', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 11 nodes > cap 10"}}\n'),
+    # square reduction reports full expansion, its one route, but takes no --method
+    ('verify square-reduction --gamma 1 --alpha 1 --n 2 --method full-expansion', 2, '{"error": {"code": "usage", "message": "--method does not apply to identity square-reduction"}}\n'),
     ('schur evaluate --shape 1 --n 1 --at 1/0', 2, '{"error": {"code": "invalid-parameter", "message": "--at coordinate 1 (1/0) has a zero denominator"}}\n'),
     ('sweep bridge --set gamma=1 --set alpha=1 --set m=3..1', 2, '{"error": {"code": "usage", "message": "empty range for m: \'3..1\'"}}\n'),
     ('sweep bridge --set gamma=1 --set alpha=1 --set m=,', 2, '{"error": {"code": "usage", "message": "empty range for m: \',\'"}}\n'),
@@ -543,7 +549,7 @@ def _divide_by_zero(a, b, c, budget=None):
 def test_sweep_records_arithmetic_errors(capsys, monkeypatch, workers):
     row = IDENTITIES["box"]
     # sweep workers are forked, so they see the patched row too
-    monkeypatch.setitem(IDENTITIES, "box", dataclasses.replace(row, verify=_divide_by_zero))
+    monkeypatch.setitem(IDENTITIES, "box", dataclasses.replace(row, lhs=_divide_by_zero))
     code, out = run_cli(
         capsys, "sweep", "box", "--set", "a=1", "--set", "b=1..2", "--set", "c=1",
         "--workers", workers,

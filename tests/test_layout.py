@@ -1,4 +1,5 @@
-"""Guards on the layout of the package: ``scpp`` holds production code only.
+"""Guards on the layout of the package: ``scpp`` holds production code only,
+and the two sides of each identity stay two routes.
 
 Every top-level function, class and constant of a ``src/scpp`` module is
 read somewhere in ``src/`` or ``scripts/`` outside its own definition; code
@@ -11,15 +12,25 @@ or is listed as read by the benchmark or the standard library.  Every
 defaulted parameter of a ``src/scpp`` function or method is passed by some
 call in ``src/`` or ``scripts/``.  No ``src/scpp`` code compares a budget
 with ``None``.
+
+Each row of ``IDENTITIES`` has its two sides traced, one at a time under
+``sys.setprofile``, on a few tuples of its standard grid.  The ``scpp``
+functions that both sides call, ``scpp.budget`` aside, must be the ones
+its ``shares`` lists, no more and no fewer.
 """
 
 import ast
+import dataclasses
 import importlib
+import sys
 import types
 from collections import Counter
 from functools import partial
 from pathlib import Path
 
+from scpp import schur
+from scpp.budget import WorkBudget
+from scpp.plane_partitions import count_scpp
 from scpp.verify import IDENTITIES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,13 +178,14 @@ def _calls() -> dict[str, list[tuple[bool, int, set[str]]]]:
 
 
 def _identity_arguments() -> dict[tuple[str, str], set[str]]:
-    """What ``Identity.run`` passes each ``verify_*`` function of ``IDENTITIES``
-    by keyword: ``budget``, and ``method`` where the identity takes one."""
+    """What ``Identity.run`` passes each side, and each sweep, of
+    ``IDENTITIES`` by keyword: ``budget``."""
     passed = {}
     for identity in IDENTITIES.values():
-        verify = identity.verify.func if isinstance(identity.verify, partial) else identity.verify
-        key = (verify.__module__.rpartition(".")[2], verify.__name__)
-        passed[key] = {"budget", "method"} if identity.takes_method else {"budget"}
+        for side in (identity.lhs, identity.rhs, identity.sweep):
+            side = side.func if isinstance(side, partial) else side
+            if side is not None:
+                passed[(side.__module__.rpartition(".")[2], side.__qualname__)] = {"budget"}
     return passed
 
 
@@ -247,3 +259,54 @@ def test_pfaffian_submodule_is_not_shadowed():
     import scpp
 
     assert isinstance(scpp.pfaffian, types.ModuleType)
+
+
+def _traced(side, values) -> set[str]:
+    """``module.qualname`` of each ``scpp`` function that ``side`` calls at
+    ``values``, ``scpp.budget`` aside; code nested in a function (a closure,
+    a comprehension) counts as that function.  The Schur cache is emptied
+    first, so that a polynomial built earlier cannot hide a descent."""
+    schur._kept.clear()
+    called = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("scpp.") and module != "scpp.budget":
+            called.add(f"{module[5:]}.{frame.f_code.co_qualname.split('.<locals>')[0]}")
+
+    sys.setprofile(profile)
+    try:
+        side(*values, budget=WorkBudget())
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def _sharing(identity, tuples) -> tuple[list[str], list[str]]:
+    """The functions both sides of ``identity`` call on some of ``tuples``
+    that its ``shares`` leaves out, and those it lists that they never
+    both call."""
+    shared = set().union(*(_traced(identity.lhs, t) & _traced(identity.rhs, t) for t in tuples))
+    declared = set(identity.shares)
+    return sorted(shared - declared), sorted(declared - shared)
+
+
+def _sample(identity) -> list[tuple]:
+    """Four tuples spread over the standard grid, its first left out."""
+    tuples = list(identity.grid)
+    return [tuples[len(tuples) * k // 4] for k in (1, 2, 3)] + [tuples[-1]]
+
+
+def test_the_sides_of_each_identity_share_only_what_it_declares():
+    # the routes checked against each other stay two routes
+    sharing = {name: _sharing(identity, _sample(identity)) for name, identity in IDENTITIES.items()}
+    assert {name: s for name, s in sharing.items() if s != ([], [])} == {}
+
+
+def test_the_guard_sees_a_route_both_sides_take():
+    # two sides that both enumerate: the guard must name the shared count
+    both_count = dataclasses.replace(
+        IDENTITIES["scpp"], rhs=lambda a, b, c, budget: count_scpp(a, b, c, budget) + 0
+    )
+    undeclared, _ = _sharing(both_count, [(2, 2, 2)])
+    assert "plane_partitions.count_scpp" in undeclared

@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -10,16 +11,12 @@ from scpp.polynomials import MPoly
 from scpp.partitions import rectangle
 from scpp.products import sc_count
 from scpp.schur import schur_tableau_sum, specialize_alternating
-from scpp.verify import (
-    verify_box,
-    verify_middle_line,
-    verify_schurid,
-    verify_scpp_count,
-    verify_signed_enumeration,
-    verify_specialization_bridge,
-    verify_square_reduction,
-    verify_weight_consistency,
-)
+from scpp.verify import EVALUATION_SWEEP, IDENTITIES
+
+
+def _check(name, *values, budget=None, method=None):
+    """The report of the row ``name`` of ``IDENTITIES`` at ``values``."""
+    return IDENTITIES[name].run(values, budget, method)
 
 
 def _rhs(which, gamma1, gamma2, alpha, n):
@@ -67,7 +64,7 @@ def test_glue_descent_on_the_strip_free_terms_of_square_reduction():
 
 def test_schurid_in_full_expansion_at_reach():
     # 6 variables plus the glued one; the glue descent builds its right side
-    report = verify_schurid(1, 4, 3, 3, 6)
+    report = _check("schurid1", 4, 3, 3, 6)
     assert report.match and report.lhs == report.rhs
 
 
@@ -75,7 +72,7 @@ def test_rhs_rejects_decreasing_widths():
     with pytest.raises(ValueError):
         _rhs(1, 1, 2, 1, 2)
     with pytest.raises(ValueError):
-        verify_schurid(1, 2, 3, 1, 2)
+        _check("schurid1", 2, 3, 1, 2)
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -84,7 +81,7 @@ def test_rhs_rejects_decreasing_widths():
     [(1, 1, 1, 2), (2, 1, 1, 2), (2, 2, 2, 3), (3, 1, 2, 3), (0, 0, 2, 2)],
 )
 def test_verify_schurid_full_expansion(which, gamma1, gamma2, alpha, n):
-    report = verify_schurid(which, gamma1, gamma2, alpha, n)
+    report = _check(f"schurid{which}", gamma1, gamma2, alpha, n)
     assert report.match
     assert report.method == "full-expansion"
     assert report.lhs == report.rhs
@@ -96,8 +93,8 @@ def test_verify_schurid_full_expansion(which, gamma1, gamma2, alpha, n):
     [(1, 0, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2), (2, 1, 1, 1)],
 )
 def test_methods_agree_where_both_run(which, gamma1, gamma2, alpha, n):
-    full = verify_schurid(which, gamma1, gamma2, alpha, n, method="full-expansion")
-    sweep = verify_schurid(which, gamma1, gamma2, alpha, n, method="evaluation-sweep")
+    full = _check(f"schurid{which}", gamma1, gamma2, alpha, n, method="full-expansion")
+    sweep = _check(f"schurid{which}", gamma1, gamma2, alpha, n, method=EVALUATION_SWEEP)
     assert full.match and sweep.match
     assert sweep.method == "evaluation-sweep"
 
@@ -106,7 +103,7 @@ def test_methods_agree_where_both_run(which, gamma1, gamma2, alpha, n):
 def test_both_methods_catch_a_missing_glued_term(monkeypatch, method):
     glued = verify._glued_terms
     monkeypatch.setattr(verify, "_glued_terms", lambda *args: glued(*args)[:-1])
-    report = verify_schurid(2, 2, 1, 2, 3, method=method)
+    report = _check("schurid2", 2, 1, 2, 3, method=method)
     assert not report.match
     assert report.lhs != report.rhs
 
@@ -158,7 +155,7 @@ def test_sweep_substitutes_once_per_prefix(monkeypatch):
     monkeypatch.setattr(verify, "schur_value", _refuse)  # the sweep must not call it
     monkeypatch.setattr(MPoly, "__mul__", _refuse)  # nor multiply two polynomials
     which, gamma1, gamma2, alpha, n = SWEEP_TUPLES[0]
-    report = verify_schurid(which, gamma1, gamma2, alpha, n, method="evaluation-sweep")
+    report = _check(f"schurid{which}", gamma1, gamma2, alpha, n, method=EVALUATION_SWEEP)
     assert report.match
     bound = alpha * gamma1 + (alpha + 1) * gamma2
     # three term maps grouped at each internal node x_1..x_k, k = 0..n-1, of
@@ -178,7 +175,7 @@ def test_sweep_catches_a_right_side_above_the_degree_bound(monkeypatch, which, g
         return MPoly(rhs.nvars, {**rhs.terms, bound + 1: 1})  # + x_{n+1}^(bound+1)
 
     monkeypatch.setattr(verify, "_glue_sum", with_extra_term)
-    report = verify_schurid(which, gamma1, gamma2, alpha, n, method="evaluation-sweep")
+    report = _check(f"schurid{which}", gamma1, gamma2, alpha, n, method=EVALUATION_SWEEP)
     assert not report.match
     assert report.lhs != report.rhs
 
@@ -187,28 +184,28 @@ def test_full_expansion_digests_equal_sides_once(monkeypatch):
     calls = []
     digest = MPoly.digest
     monkeypatch.setattr(MPoly, "digest", lambda self: calls.append(1) or digest(self))
-    report = verify_schurid(1, 2, 1, 2, 3)
+    report = _check("schurid1", 2, 1, 2, 3)
     assert report.match and report.lhs == report.rhs
     assert len(calls) == 1
-    square = verify_square_reduction(2, 2, 3)
+    square = _check("square-reduction", 2, 2, 3)
     assert square.match and square.lhs == square.rhs
     assert len(calls) == 2
     glued = verify._glued_terms
     monkeypatch.setattr(verify, "_glued_terms", lambda *args: glued(*args)[:-1])
-    report = verify_schurid(1, 2, 1, 2, 3)
+    report = _check("schurid1", 2, 1, 2, 3)
     assert not report.match and report.lhs != report.rhs
     assert len(calls) == 4
 
 
 def test_verify_schurid_zero_when_fewer_variables_than_rows():
     # both sides vanish, so the identity still holds
-    report = verify_schurid(2, 2, 1, 3, 2)
+    report = _check("schurid2", 2, 1, 3, 2)
     assert report.match
 
 
 def test_verify_schurid_unknown_method():
     with pytest.raises(ValueError):
-        verify_schurid(1, 1, 1, 1, 2, method="monte-carlo")
+        _check("schurid1", 1, 1, 1, 2, method="monte-carlo")
 
 
 def test_square_reduction_sums_what_the_whole_glued_sum_restricts_to():
@@ -220,7 +217,17 @@ def test_square_reduction_sums_what_the_whole_glued_sum_restricts_to():
         terms = verify._glued_terms(1, gamma, gamma, alpha, n, WorkBudget())
         whole = TupleMPoly(n + 1, tuple_terms(glue_sum_by_shapes(terms, n)))
         expected = whole.restrict_last_zero().digest()
-        assert verify_square_reduction(gamma, alpha, n).lhs == expected, (gamma, alpha, n)
+        assert _check("square-reduction", gamma, alpha, n).lhs == expected, (gamma, alpha, n)
+
+
+def test_square_reduction_lists_one_strip_free_term_per_mu():
+    # the strip-free terms of the whole glued listing, one per mu, each charged once
+    for gamma, alpha, n in product(range(4), range(4), range(6)):
+        terms = verify._glued_terms(1, gamma, gamma, alpha, n, WorkBudget())
+        budget = WorkBudget()
+        reduced = verify._strip_free_sum(gamma, alpha, n, budget)
+        assert reduced == verify._glue_sum([t for t in terms if t[1] == 0], n, trailing=0)
+        assert budget.used == comb(alpha + gamma, alpha), (gamma, alpha, n)
 
 
 def test_square_reduction_grid():
@@ -228,60 +235,60 @@ def test_square_reduction_grid():
     for gamma, alpha, n in product(range(4), range(4), range(6)):
         if gamma < 3 and alpha < 3 and n < 4:
             continue
-        assert verify_square_reduction(gamma, alpha, n).match, (gamma, alpha, n)
+        assert _check("square-reduction", gamma, alpha, n).match, (gamma, alpha, n)
 
 
 def test_verify_box():
-    report = verify_box(3, 3, 3)
+    report = _check("box", 3, 3, 3)
     assert report.match and report.lhs == report.rhs == "980"
 
 
 def test_verify_scpp_count():
-    assert verify_scpp_count(2, 2, 2).match
-    assert verify_scpp_count(3, 3, 3).match  # both sides zero
-    assert verify_scpp_count(4, 3, 2).match
+    assert _check("scpp", 2, 2, 2).match
+    assert _check("scpp", 3, 3, 3).match  # both sides zero
+    assert _check("scpp", 4, 3, 2).match
 
 
 def test_verify_middle_line():
-    report = verify_middle_line(2, 2, 4, 2)
+    report = _check("middle-line", 2, 2, 4, 2)
     assert report.match and report.rhs == "6"
-    assert verify_middle_line(3, 3, 6, 2).match
-    assert verify_middle_line(5, 3, 4, 2).match
+    assert _check("middle-line", 3, 3, 6, 2).match
+    assert _check("middle-line", 5, 3, 4, 2).match
 
 
 def test_verify_signed_enumeration():
-    report = verify_signed_enumeration(2, 3, 3)
+    report = _check("signed", 2, 3, 3)
     assert report.identity == "signed"
     assert report.match and report.rhs == "1"
-    assert verify_signed_enumeration(1, 2, 2).match  # zero on both sides
-    all_even = verify_signed_enumeration(2, 2, 2)
+    assert _check("signed", 1, 2, 2).match  # zero on both sides
+    all_even = _check("signed", 2, 2, 2)
     assert all_even.identity == "signed-all-even"
     assert all_even.match and all_even.rhs == "2"
 
 
 def test_verify_weight_consistency():
-    report = verify_weight_consistency(2, 2, 2)
+    report = _check("weight", 2, 2, 2)
     assert report.match
     assert "components=1" in report.lhs
-    vacuous = verify_weight_consistency(1, 1, 1)
+    vacuous = _check("weight", 1, 1, 1)
     assert vacuous.match
     assert "components=0" in vacuous.lhs
 
 
 def test_verify_bridge():
-    assert verify_specialization_bridge(2, 2, 4).match
-    assert verify_specialization_bridge(1, 1, 2).match
-    assert verify_specialization_bridge(1, 2, 3).match  # negative-sign case
-    assert verify_specialization_bridge(0, 2, 4).match
+    assert _check("bridge", 2, 2, 4).match
+    assert _check("bridge", 1, 1, 2).match
+    assert _check("bridge", 1, 2, 3).match  # negative-sign case
+    assert _check("bridge", 0, 2, 4).match
     with pytest.raises(ValueError):
-        verify_specialization_bridge(2, 3, 2)
+        _check("bridge", 2, 3, 2)
 
 
 def test_bridge_on_a_wider_grid():
     # 378 tuples, up to 25-cell rectangles in 12 variables
     tuples = [(g, a, m) for g in range(6) for a in range(6) for m in range(a, 13)]
     assert len(tuples) == 378
-    assert [t for t in tuples if not verify_specialization_bridge(*t).match] == []
+    assert [t for t in tuples if not _check("bridge", *t).match] == []
 
 
 def test_alternating_value_on_the_largest_rectangle():
@@ -295,7 +302,7 @@ def test_alternating_value_on_the_largest_rectangle():
 
 def test_bridge_and_alternating_build_no_polynomial(monkeypatch, capsys):
     monkeypatch.setattr(schur, "schur_combination", _refuse)  # the term-map descent
-    assert verify_specialization_bridge(3, 3, 7).match
+    assert _check("bridge", 3, 3, 7).match
     assert specialize_alternating(3, 2, 6) == -sc_count(2, 4, 3) == -18
     assert main(["schur", "evaluate", "--shape", "2,2", "--n", "3", "--at", "1,1/2,-1"]) == 0
     assert capsys.readouterr().out == '{"value": "5/4"}\n'
@@ -307,10 +314,17 @@ def test_bridge_and_alternating_build_no_polynomial(monkeypatch, capsys):
 @pytest.mark.parametrize(
     ("run", "charged"),
     [
-        (lambda budget: verify_schurid(2, 2, 1, 2, 3, budget=budget), 6),
-        (lambda budget: verify_schurid(2, 2, 1, 2, 3, "evaluation-sweep", budget), 6 + 8**4),
-        (lambda budget: verify_square_reduction(2, 2, 3, budget), 15),
-        (lambda budget: verify_specialization_bridge(2, 2, 4, budget), None),
+        (lambda budget: _check("schurid2", 2, 1, 2, 3, budget=budget), 6),
+        (
+            lambda budget: _check("schurid2", 2, 1, 2, 3, budget=budget, method=EVALUATION_SWEEP),
+            6 + 8**4,
+        ),
+        # one strip-free term per mu in the 2 x 2 rectangle
+        pytest.param(
+            lambda budget: _check("square-reduction", 2, 2, 3, budget=budget), 6,
+            id="square-reduction-6",
+        ),
+        (lambda budget: _check("bridge", 2, 2, 4, budget=budget), None),
     ],
 )
 def test_schur_descents_are_capped_by_the_given_cap(monkeypatch, run, charged):
@@ -337,34 +351,42 @@ def test_schur_descents_are_capped_by_the_given_cap(monkeypatch, run, charged):
 
 def test_budget_threads_through_verifiers():
     with pytest.raises(BudgetExceededError):
-        verify_box(4, 4, 4, WorkBudget(5))
+        _check("box", 4, 4, 4, budget=WorkBudget(5))
     with pytest.raises(BudgetExceededError):
-        verify_schurid(1, 2, 2, 2, 3, budget=WorkBudget(2))
+        _check("schurid1", 2, 2, 2, 3, budget=WorkBudget(2))
     with pytest.raises(BudgetExceededError):
-        verify_schurid(1, 1, 1, 1, 2, method="evaluation-sweep", budget=WorkBudget(4))
+        _check("schurid1", 1, 1, 1, 2, budget=WorkBudget(4), method=EVALUATION_SWEEP)
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda budget: verify_schurid(1, 20, 20, 3, 1, budget=budget),
-        lambda budget: verify_schurid(2, 20, 20, 3, 1, method="evaluation-sweep", budget=budget),
-        lambda budget: verify_square_reduction(20, 3, 1, budget),
+        lambda budget: _check("schurid1", 20, 20, 3, 1, budget=budget),
+        lambda budget: _check("schurid2", 20, 20, 3, 1, method=EVALUATION_SWEEP, budget=budget),
+        lambda budget: _check("square-reduction", 20, 3, 1, budget=budget),
     ],
 )
 def test_the_cap_stops_the_glued_listing(monkeypatch, run):
     # at gamma1 = gamma2 = 20 and alpha = 3, identity 1 has 230,230 glued terms
-    # and identity 2 has 888,030; each term is charged as it is listed, so the
+    # and identity 2 has 888,030; square reduction lists one strip-free term
+    # for each of the 1,771 mu.  Each term is charged as it is listed, so the
     # cap stops the listing at cap + 1
     listed = []
-    strips = verify.horizontal_strips_within
+    glue = verify._glue
 
-    def counted(lam):
-        for pi in strips(lam):
+    def tally(pis):
+        for pi in pis:
             listed.append(pi)
             yield pi
 
-    monkeypatch.setattr(verify, "horizontal_strips_within", counted)
+    def counted(alpha, gamma1, gamma2, n, budget, strips):
+        def listing(mu):
+            lam, pis = strips(mu)
+            return lam, tally(pis)
+
+        return glue(alpha, gamma1, gamma2, n, budget, listing)
+
+    monkeypatch.setattr(verify, "_glue", counted)
     with pytest.raises(BudgetExceededError, match="1001 nodes > cap 1000"):
         run(WorkBudget(1000))
     assert 0 < len(listed) <= 1001
@@ -379,15 +401,15 @@ def test_uncapped_sweep_stops_at_the_default_cap_before_building(monkeypatch):
     monkeypatch.setattr(verify, "schur_tableau_sum", building)
     monkeypatch.setattr(verify, "schur_combination", building)  # the glue descent
     with pytest.raises(BudgetExceededError, match="100000001 nodes > cap 100000000"):
-        verify_schurid(1, 3, 3, 3, 5, method="evaluation-sweep")
+        _check("schurid1", 3, 3, 3, 5, method=EVALUATION_SWEEP)
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda budget: verify_schurid(1, 1, 1, 1, -1, budget=budget),
-        lambda budget: verify_schurid(1, 1, 1, 1, -1, method="evaluation-sweep", budget=budget),
-        lambda budget: verify_square_reduction(1, 1, -1, budget),
+        lambda budget: _check("schurid1", 1, 1, 1, -1, budget=budget),
+        lambda budget: _check("schurid1", 1, 1, 1, -1, method=EVALUATION_SWEEP, budget=budget),
+        lambda budget: _check("square-reduction", 1, 1, -1, budget=budget),
     ],
 )
 def test_variable_count_is_checked_before_any_charge(run):
@@ -398,7 +420,7 @@ def test_variable_count_is_checked_before_any_charge(run):
 
 
 def test_reports_are_deterministic():
-    first = verify_schurid(1, 2, 1, 1, 2)
-    second = verify_schurid(1, 2, 1, 1, 2)
+    first = _check("schurid1", 2, 1, 1, 2)
+    second = _check("schurid1", 2, 1, 1, 2)
     assert (first.lhs, first.rhs, first.match) == (second.lhs, second.rhs, second.match)
     assert first.parameters == {"gamma1": 2, "gamma2": 1, "alpha": 1, "n": 2}

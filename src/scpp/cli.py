@@ -24,8 +24,9 @@ parse) is a ``usage`` error too.
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
 line per tuple, whose ``status`` is ``ok`` (checked; ``match`` tells the
 outcome), ``skipped`` (outside the identity's cases), ``budget-exceeded``
-(the tuple passed ``--budget``) or ``error`` (an arithmetic failure); the
-last three carry a ``reason``.  A tuple that fails does not stop the
+(the tuple passed ``--budget``) or ``error`` (an arithmetic failure, or a
+failed internal consistency check: a ``RuntimeError`` or ``LookupError``);
+the last three carry a ``reason``.  A tuple that fails does not stop the
 others.  The closing summary line counts ``checked``, ``matched``,
 ``mismatched``, ``skipped`` and ``failed`` (budget-exceeded or error).  A
 sweep exits 2 if any tuple failed, else 1 if any mismatched, else 0.  Its
@@ -38,7 +39,8 @@ the brute-force ``count`` targets, ``verify`` and ``sweep`` (a sweep caps
 each tuple on its own, a Schur identity check each Schur build apart), and
 ``schur evaluate`` and ``alternating``; by default ``DEFAULT_NODE_CAP``
 units.  ``pfaffian`` charges dim^3 units for its elimination before it
-builds the matrix.  The closed-form ``count`` targets and ``schur
+builds the matrix, and ``verify pfaffian`` 2 dim^3, for the Pfaffian and
+the determinant.  The closed-form ``count`` targets and ``schur
 hook-content`` take the flag and reject a value below 1, but charge
 nothing.
 """
@@ -59,7 +61,7 @@ from typing import Sequence
 
 from scpp.budget import DEFAULT_NODE_CAP, BudgetExceededError, WorkBudget
 from scpp.partitions import partition
-from scpp.pfaffian import CASES, pfaffian_check
+from scpp.pfaffian import CASES, corollary_pfaffian
 from scpp.plane_partitions import (
     SignedCount,
     count_pp,
@@ -211,13 +213,11 @@ def _handle_schur(args, budget: WorkBudget) -> tuple[dict, int]:
 
 
 def _handle_pfaffian(args, budget: WorkBudget) -> tuple[dict, int]:
-    check = pfaffian_check(*_values(args, ("case", *_LINE), "pfaffian"), budget)
-    payload = {
-        "match": check.match,
-        "pfaffian": str(check.pfaffian),
-        "product": str(check.product),
-    }
-    return payload, 0 if check.match else 1
+    case, *line = _values(args, ("case", *_LINE), "pfaffian")
+    _, value = corollary_pfaffian(case, *line, budget)
+    product = middle_line_product(*line)
+    match = value == product
+    return {"match": match, "pfaffian": str(value), "product": str(product)}, 0 if match else 1
 
 
 def _identity(args) -> Identity:
@@ -302,9 +302,9 @@ def _sweep_tuple(task) -> dict:
     identity, params, cap, method = task
     try:
         report = IDENTITIES[identity].run(tuple(params.values()), WorkBudget(cap), method)
-    except BudgetExceededError as exc:
+    except BudgetExceededError as exc:  # a RuntimeError, so caught first
         status, reason = "budget-exceeded", str(exc)
-    except ArithmeticError as exc:
+    except (ArithmeticError, RuntimeError, LookupError) as exc:
         status, reason = "error", str(exc)
     except ValueError as exc:  # a ParityError too: outside the identity's cases
         status, reason = "skipped", str(exc)

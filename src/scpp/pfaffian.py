@@ -16,6 +16,10 @@ skew-symmetric one: exchanging i and j negates p*m[i][j] and turns each
 product term into minus the other.  The core block of a bordered binomial
 matrix is built from big-integer products, one per row and block of
 min(a, kmax) summands (Kronecker substitution; see ``_core_rows``).
+
+``corollary_pfaffian`` gives a case's matrix and its sign-adjusted
+Pfaffian to ``scpp pfaffian`` and to the ``pfaffian`` row of
+``scpp.verify.IDENTITIES``, which also takes the matrix's determinant.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from struct import Struct
 from typing import Iterable, Sequence
 
 from scpp.budget import WorkBudget
-from scpp.products import ParityError, check_line_lengths, middle_line_product
+from scpp.products import ParityError, check_line_lengths
 
 
 @dataclass(frozen=True)
@@ -252,31 +256,16 @@ def corollary_matrix(
     return SkewSymmetricMatrix(tuple(rows)), prefactor
 
 
-@dataclass(frozen=True)
-class PfaffianCheck:
-    """Comparison of a sign-adjusted Pfaffian with the closed-form product."""
-
-    case: str
-    a: int
-    b: int
-    c1: int
-    c2: int
-    pfaffian: int
-    product: int
-    match: bool
-
-
-def pfaffian_check(
-    case: str, a: int, b: int, c1: int, c2: int, budget: WorkBudget | None = None
-) -> PfaffianCheck:
-    """Evaluate the case's Pfaffian and compare with the middle-line product.
+def corollary_pfaffian(
+    case: str, a: int, b: int, c1: int, c2: int, budget: WorkBudget
+) -> tuple[SkewSymmetricMatrix, int]:
+    """The case's bordered binomial matrix and its sign-adjusted Pfaffian,
+    which the corollary equates with the middle-line product.
 
     After the parameter checks, charges dim^3 units for the elimination,
     dim the matrix's dimension, before it builds the matrix.
     """
     _check_case(case, a, b, c1, c2)
-    (budget or WorkBudget()).charge((a + a % 2) ** 3)
+    budget.charge((a + a % 2) ** 3)
     matrix, prefactor = corollary_matrix(case, a, b, c1, c2)
-    value = prefactor * pfaffian(matrix)
-    product = middle_line_product(a, b, c1, c2)
-    return PfaffianCheck(case, a, b, c1, c2, value, product, value == product)
+    return matrix, prefactor * pfaffian(matrix)

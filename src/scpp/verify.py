@@ -12,16 +12,20 @@ it.  To add an identity, add one row.
 
 ``tests/test_layout.py`` traces each row's sides on a few grid tuples and
 fails unless the functions both call are the ones ``shares`` lists.  The
-enumeration rows share only their parameter checks, the bridge nothing,
-and the Schur rows the branching descent of ``scpp.schur``, until one
-side gets a route without it (a Littlewood-Richardson product, say).
+enumeration rows and the Pfaffian share only their parameter checks, the
+bridge nothing, and the Schur rows the branching descent of
+``scpp.schur``, until one side gets a route without it (a
+Littlewood-Richardson product, say).
 
 The Schur product identities have a second method, the evaluation sweep
 (``verify_by_sweep``): it compares values on an integer grid and never
 multiplies two polynomials, so it is the one route whose verdict does not
 depend on ``MPoly.__mul__``.  It never forms the left side, so it is a
-function, not a pair of sides.  ``PFAFFIAN_GRID`` is the standard grid of
-``pfaffian_check``.
+function, not a pair of sides.
+
+The ``pfaffian`` row reads the bordered binomial case off the parities of
+a and b, and builds the case's matrix once for its Pfaffian and its
+determinant, to compare with the middle-line product and its square.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from scpp.partitions import (
     rotated_complement,
     size,
 )
-from scpp.pfaffian import CASE_PARITY, CASES
+from scpp.pfaffian import CASE_PARITY, corollary_pfaffian, exact_determinant
 from scpp.plane_partitions import (
     check_move_graph,
     count_pp,
@@ -53,6 +57,7 @@ from scpp.plane_partitions import (
 from scpp.polynomials import MPoly, group_by_first, max_exponent, substitute_groups
 from scpp.products import (
     box_count,
+    check_middle_line_params,
     middle_line_product,
     sc_count,
     signed_enumeration_all_even,
@@ -317,6 +322,23 @@ def _bridge_counts(gamma: int, alpha: int, m: int, budget: WorkBudget) -> str:
     return f"ones={box};alternating={sign * sc}"
 
 
+def _pfaffian_and_det(a: int, b: int, c1: int, c2: int, budget: WorkBudget) -> str:
+    """The sign-adjusted Pfaffian and the Bareiss determinant of one build of
+    the case's matrix.  Charges dim^3 units for Bareiss after the parameter
+    checks, and ``corollary_pfaffian`` dim^3 more, before the build."""
+    check_middle_line_params(a, b, c1, c2)
+    case = next(name for name, (parity, _) in CASE_PARITY.items() if parity == (a % 2, b % 2))
+    budget.charge((a + a % 2) ** 3)
+    matrix, value = corollary_pfaffian(case, a, b, c1, c2, budget)
+    return f"pfaffian={value};determinant={exact_determinant(matrix.entries)}"
+
+
+def _product_and_square(a: int, b: int, c1: int, c2: int, budget: WorkBudget) -> str:
+    """The middle-line product, and its square, which det M = Pf(M)^2 equals."""
+    product = middle_line_product(a, b, c1, c2)
+    return f"pfaffian={product};determinant={product * product}"
+
+
 # ---------------------------------------------------------------------------
 # the verification table
 
@@ -383,6 +405,12 @@ _DESCENT = (
     "partitions.rectangle", "polynomials.MPoly.__init__",
 )
 _BOX_CHECK = ("products.check_box_sides",)
+_LINE_CHECKS = ("products.check_middle_line_params", "products.check_line_lengths")
+
+
+def _covered(a: int, b: int, c1: int, c2: int) -> bool:
+    """The (a, b) parities the middle-line products cover, and c2 <= c1."""
+    return not (a % 2 == 0 and b % 2) and c2 <= c1
 
 
 def _schurid(which: int) -> Identity:
@@ -403,11 +431,7 @@ IDENTITIES: dict[str, Identity] = {
     ),
     "middle-line": Identity(
         "middle-line", _LINE, count_scpp_middle_line, _closed(middle_line_product), ENUMERATION,
-        ("products.check_middle_line_params", "products.check_line_lengths"),
-        Grid(
-            (range(6), range(6), range(0, 7, 2), range(0, 7, 2)),
-            lambda a, b, c1, c2: not (a % 2 == 0 and b % 2) and c2 <= c1,
-        ),
+        _LINE_CHECKS, Grid((range(6), range(6), range(0, 7, 2), range(0, 7, 2)), _covered),
     ),
     "signed": Identity(
         lambda a, b, c: "signed-all-even" if _all_even(a, b, c) else "signed",
@@ -430,10 +454,8 @@ IDENTITIES: dict[str, Identity] = {
         "bridge", ("gamma", "alpha", "m"), _bridge_values, _bridge_counts, "evaluation", (),
         Grid((range(4), range(4), range(8)), lambda gamma, alpha, m: m >= alpha),
     ),
+    "pfaffian": Identity(
+        "pfaffian", _LINE, _pfaffian_and_det, _product_and_square, "elimination",
+        _LINE_CHECKS, Grid((range(7), range(7), range(0, 9, 2), range(0, 9, 2)), _covered),
+    ),
 }
-
-# (case, a, b, c1, c2) for pfaffian_check
-PFAFFIAN_GRID = Grid(
-    (CASES, range(7), range(7), range(0, 9, 2), range(0, 9, 2)),
-    lambda case, a, b, c1, c2: (a % 2, b % 2) == CASE_PARITY[case][0] and c2 <= c1,
-)

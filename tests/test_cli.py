@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import scpp.verify
 from scpp import partitions
 from scpp.cli import build_parser, main
 from scpp.verify import IDENTITIES
@@ -128,7 +129,7 @@ def test_schur_lists_no_strips_of_a_shape_with_too_many_rows(monkeypatch, capsys
     assert json.loads(out) == expected
 
 
-def test_pfaffian_check(capsys):
+def test_pfaffian_subcommand(capsys):
     code, out = run_cli(
         capsys, "pfaffian", "--case", "even-even", "--a", "2", "--b", "2", "--c1", "2", "--c2", "2"
     )
@@ -340,6 +341,9 @@ def test_text_format(capsys):
 # value it cannot parse, a missing positional) became a JSON usage line.
 # The two pfaffian --budget lines were recorded when pfaffian began to
 # charge dim^3 units (64 at dimension 4) before it builds the matrix.
+# The last five were recorded when the Pfaffians became the pfaffian row
+# of the verification table, which charges 2 dim^3 units (128 at
+# dimension 4) for the Pfaffian and the determinant before the build.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -428,6 +432,11 @@ GOLDEN = [
     ('verify', 2, '{"error": {"code": "usage", "message": "the following arguments are required: identity"}}\n'),
     ('pfaffian --case a-odd --a 3 --b 2 --c1 4 --c2 2 --budget 63', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 64 nodes > cap 63"}}\n'),
     ('pfaffian --case a-odd --a 3 --b 2 --c1 4 --c2 2 --budget 64', 0, '{"match": true, "pfaffian": "9", "product": "9"}\n'),
+    ('verify pfaffian --a 3 --b 2 --c1 4 --c2 2', 0, '{"identity": "pfaffian", "lhs": "pfaffian=9;determinant=81", "match": true, "method": "elimination", "parameters": {"a": 3, "b": 2, "c1": 4, "c2": 2}, "rhs": "pfaffian=9;determinant=81"}\n'),
+    ('verify pfaffian --a 2 --b 3 --c1 2 --c2 2', 2, '{"error": {"code": "bad-parity", "message": "a even with b odd is not a covered case"}}\n'),
+    ('verify pfaffian --a 3 --b 2 --c1 4 --c2 2 --budget 127', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 128 nodes > cap 127"}}\n'),
+    ('verify pfaffian --a 3 --b 2 --c1 4 --c2 2 --budget 128', 0, '{"identity": "pfaffian", "lhs": "pfaffian=9;determinant=81", "match": true, "method": "elimination", "parameters": {"a": 3, "b": 2, "c1": 4, "c2": 2}, "rhs": "pfaffian=9;determinant=81"}\n'),
+    ('sweep pfaffian --set a=2..3 --set b=3 --set c1=2 --set c2=0..2:2', 0, '{"identity": "pfaffian", "parameters": {"a": 2, "b": 3, "c1": 2, "c2": 0}, "reason": "a even with b odd is not a covered case", "status": "skipped"}\n{"identity": "pfaffian", "parameters": {"a": 2, "b": 3, "c1": 2, "c2": 2}, "reason": "a even with b odd is not a covered case", "status": "skipped"}\n{"identity": "pfaffian", "lhs": "pfaffian=3;determinant=9", "match": true, "method": "elimination", "parameters": {"a": 3, "b": 3, "c1": 2, "c2": 0}, "rhs": "pfaffian=3;determinant=9", "status": "ok"}\n{"identity": "pfaffian", "lhs": "pfaffian=9;determinant=81", "match": true, "method": "elimination", "parameters": {"a": 3, "b": 3, "c1": 2, "c2": 2}, "rhs": "pfaffian=9;determinant=81", "status": "ok"}\n{"checked": 2, "failed": 0, "identity": "pfaffian", "matched": 2, "mismatched": 0, "skipped": 2, "status": "summary"}\n'),
 ]
 
 
@@ -450,8 +459,8 @@ def test_importing_the_cli_loads_no_process_pool():
 
 _FORMATS = ("json", "csv", "text")
 _METHODS = ("full-expansion", "evaluation-sweep")
-_NAMES = ("box", "bridge", "middle-line", "schurid1", "schurid2", "scpp", "signed",
-          "square-reduction", "weight")
+_NAMES = ("box", "bridge", "middle-line", "pfaffian", "schurid1", "schurid2", "scpp",
+          "signed", "square-reduction", "weight")
 _COMMON = {"-h": None, "--format": _FORMATS, "--budget": None, "--out": None}
 HELP_FLAGS = {
     "count": {"target": ("box", "box-brute", "scpp", "scpp-brute", "scpp-signed",
@@ -558,6 +567,28 @@ def test_sweep_records_arithmetic_errors(capsys, monkeypatch, workers):
     assert code == 2
     assert [(l["status"], l["reason"]) for l in lines[:-1]] == [("error", "division by zero")] * 2
     assert (lines[-1]["checked"], lines[-1]["failed"]) == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "fault", [RuntimeError("the walk listed 1 array, count_scpp 2"), KeyError((0, 0, 0, 0))]
+)
+def test_sweep_records_a_failed_consistency_check(capsys, monkeypatch, fault):
+    # a move-graph walk that disagrees with the count, or misses a
+    # neighbour, fails its tuple alone
+    real = scpp.verify.check_move_graph
+
+    def faulty(a, b, c, budget=None):
+        if (a, b, c) == (2, 2, 2):
+            raise fault
+        return real(a, b, c, budget)
+
+    monkeypatch.setattr(scpp.verify, "check_move_graph", faulty)
+    code, out = run_cli(capsys, "sweep", "weight", "--set", "a=1..2", "--set", "b=2", "--set", "c=2")
+    first, second, summary = [json.loads(l) for l in out.strip().splitlines()]
+    assert code == 2
+    assert (first["parameters"], first["status"], first["match"]) == ({"a": 1, "b": 2, "c": 2}, "ok", True)
+    assert (second["status"], second["reason"]) == ("error", str(fault))
+    assert (summary["checked"], summary["failed"]) == (1, 1)
 
 
 def test_an_empty_range_in_a_config_file_is_a_usage_error(capsys, tmp_path):

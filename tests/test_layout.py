@@ -30,6 +30,7 @@ from pathlib import Path
 
 from scpp import schur
 from scpp.budget import WorkBudget
+from scpp.pfaffian import corollary_matrix
 from scpp.plane_partitions import count_scpp
 from scpp.verify import IDENTITIES
 
@@ -310,3 +311,13 @@ def test_the_guard_sees_a_route_both_sides_take():
     )
     undeclared, _ = _sharing(both_count, [(2, 2, 2)])
     assert "plane_partitions.count_scpp" in undeclared
+    # a product side that also builds the matrix: the guard must name the build
+    pfaffian = IDENTITIES["pfaffian"]
+
+    def product_and_build(a, b, c1, c2, budget):
+        corollary_matrix("a-odd", a, b, c1, c2)
+        return pfaffian.rhs(a, b, c1, c2, budget=budget)
+
+    both_build = dataclasses.replace(pfaffian, rhs=product_and_build)
+    undeclared, _ = _sharing(both_build, [(3, 2, 4, 2)])
+    assert "pfaffian.corollary_matrix" in undeclared

@@ -12,16 +12,17 @@ from oracles import core_rows_oracle
 from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.cli import main
 from scpp.pfaffian import (
+    CASE_PARITY,
     SkewSymmetricMatrix,
     _core_rows,
     binomial_safe,
     corollary_matrix,
+    corollary_pfaffian,
     exact_determinant,
     pfaffian,
-    pfaffian_check,
 )
 from scpp.products import ParityError, middle_line_product
-from scpp.verify import PFAFFIAN_GRID
+from scpp.verify import IDENTITIES
 
 # tuples whose matrices reach dimension 40
 DIMENSION_40 = [("even-even", 40, 40, 8, 4), ("a-odd", 41, 40, 8, 2), ("ab-odd", 41, 41, 8, 4)]
@@ -236,13 +237,12 @@ def test_pfaffian_with_zeros_at_later_steps():
 
 @pytest.mark.parametrize(("case", "a", "b", "c1", "c2"), DIMENSION_40)
 def test_pfaffian_reaches_dimension_40(case, a, b, c1, c2):
-    # far past any enumeration: the Pfaffian is the independent route here
-    check = pfaffian_check(case, a, b, c1, c2)
-    assert check.match, check
+    # far past any enumeration: the Pfaffian is the independent route here;
+    # the row compares it with the product and det M with the product's square
+    report = IDENTITIES["pfaffian"].run((a, b, c1, c2))
+    assert report.match, report
     matrix = corollary_matrix(case, a, b, c1, c2)[0]
     assert matrix.dim == a + a % 2  # bordered when a is odd
-    value = pfaffian(matrix)
-    assert value * value == exact_determinant(matrix.entries)
 
 
 def test_pfaffian_retains_nothing_on_return():
@@ -333,11 +333,10 @@ def test_corollary_matrix_diagonal_zero_and_antisymmetry():
         ("ab-odd", 3, 3, 4, 2, 18),
     ],
 )
-def test_pfaffian_check_frozen_values(case, a, b, c1, c2, value):
-    check = pfaffian_check(case, a, b, c1, c2)
-    assert check.match
-    assert check.pfaffian == value == check.product
-    assert check.product == middle_line_product(a, b, c1, c2)
+def test_corollary_pfaffian_frozen_values(case, a, b, c1, c2, value):
+    matrix, pf = corollary_pfaffian(case, a, b, c1, c2, WorkBudget())
+    assert matrix == corollary_matrix(case, a, b, c1, c2)[0]
+    assert pf == value == middle_line_product(a, b, c1, c2)
 
 
 def test_corollary_matrix_rejects_bad_parities():
@@ -355,18 +354,10 @@ def test_corollary_matrix_rejects_bad_parities():
         corollary_matrix("mystery", 2, 2, 2, 2)
 
 
-def test_pfaffian_check_small_grid():
-    for case, apar, bpar in (("even-even", 0, 0), ("a-odd", 1, 0), ("ab-odd", 1, 1)):
-        for a in range(apar, 5, 2):
-            for b in range(bpar, 5, 2):
-                for c1 in range(0, 7, 2):
-                    for c2 in range(0, c1 + 1, 2):
-                        check = pfaffian_check(case, a, b, c1, c2)
-                        assert check.match, check
-
-
 def test_packed_core_build_matches_inner_products(monkeypatch):
-    tuples = list(PFAFFIAN_GRID) + DIMENSION_40
+    case_of = {parity: name for name, (parity, _) in CASE_PARITY.items()}
+    grid = [(case_of[a % 2, b % 2], a, b, c1, c2) for a, b, c1, c2 in IDENTITIES["pfaffian"].grid]
+    tuples = grid + DIMENSION_40
     packed = [corollary_matrix(*t) for t in tuples]
     monkeypatch.setattr(scpp.pfaffian, "_core_rows", core_rows_oracle)
     assert packed == [corollary_matrix(*t) for t in tuples]
@@ -430,20 +421,28 @@ def test_core_build_packs_only_the_binomials_it_reads(monkeypatch, capsys, argv,
     assert capsys.readouterr().out == out
 
 
-def test_pfaffian_check_charges_cube_of_dimension_before_building(monkeypatch):
+def test_corollary_pfaffian_charges_cube_of_dimension_before_building(monkeypatch):
     budget = WorkBudget(64)
-    assert pfaffian_check("a-odd", 3, 2, 4, 2, budget).match
+    assert corollary_pfaffian("a-odd", 3, 2, 4, 2, budget)[1] == 9
     assert budget.used == 64  # dimension 4
+    # the registry row charges dim^3 more, for the determinant
+    budget = WorkBudget(128)
+    assert IDENTITIES["pfaffian"].run((3, 2, 4, 2), budget).match
+    assert budget.used == 128
 
     def unbuilt(*args):
         raise AssertionError("matrix built past the cap")
 
     monkeypatch.setattr(scpp.pfaffian, "corollary_matrix", unbuilt)
     with pytest.raises(BudgetExceededError, match="64 nodes > cap 63"):
-        pfaffian_check("a-odd", 3, 2, 4, 2, WorkBudget(63))
+        corollary_pfaffian("a-odd", 3, 2, 4, 2, WorkBudget(63))
+    with pytest.raises(BudgetExceededError, match="128 nodes > cap 127"):
+        IDENTITIES["pfaffian"].run((3, 2, 4, 2), WorkBudget(127))
     # dimension 1000 passes the default cap before anything is built
     with pytest.raises(BudgetExceededError):
-        pfaffian_check("even-even", 1000, 2, 2, 0)
+        corollary_pfaffian("even-even", 1000, 2, 2, 0, WorkBudget())
     # the parameter checks come first
     with pytest.raises(ParityError):
-        pfaffian_check("even-even", 1001, 2, 2, 0)
+        corollary_pfaffian("even-even", 1001, 2, 2, 0, WorkBudget())
+    with pytest.raises(ParityError):
+        IDENTITIES["pfaffian"].run((1000, 1001, 2, 0), WorkBudget(1))

@@ -4,7 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from scpp.verify import IDENTITIES, PFAFFIAN_GRID
+import scpp.verify
+from scpp.verify import IDENTITIES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,7 +18,8 @@ def test_run_checks_every_table_row():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split()[0] for line in lines[:-1]] == [*IDENTITIES, "pfaffian"]
+    assert [line.split()[0] for line in lines[:-1]] == list(IDENTITIES)
+    assert lines[-2].split()[:4] == ["pfaffian", "555", "tuples", "ok"]
     assert all(" tuples  ok " in line for line in lines[:-1])
     assert lines[-1] == "all checks passed"
 
@@ -27,9 +29,10 @@ def test_pfaffian_sweep_checks_the_determinant(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("run_all_checks", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    tuples = list(PFAFFIAN_GRID)[:20]
-    assert script.sweep("pfaffian", script.pfaffian_and_determinant, tuples) == 0
+    row = IDENTITIES["pfaffian"]
+    tuples = list(row.grid)[::28]  # 20 tuples, all three cases
+    assert script.sweep("pfaffian", row.run, tuples) == 0
     # a determinant that disagrees with Pf^2 must count as a mismatch
-    monkeypatch.setattr(script, "exact_determinant", lambda rows: -1)
-    assert script.sweep("pfaffian", script.pfaffian_and_determinant, tuples) == 20
+    monkeypatch.setattr(scpp.verify, "exact_determinant", lambda rows: -1)
+    assert script.sweep("pfaffian", row.run, tuples) == 20
     assert capsys.readouterr().out.count("MISMATCH pfaffian") == 20

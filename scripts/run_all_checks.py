@@ -4,7 +4,8 @@ the bordered binomial Pfaffians last, and print one line each.
 
     PYTHONPATH=src python3 scripts/run_all_checks.py
 
-Exits 0 when every tuple matches and 1 otherwise.
+A tuple whose check raises is printed as an error and counted, and the
+sweep goes on.  Exits 0 when every tuple matches and 1 otherwise.
 """
 
 import sys
@@ -15,22 +16,28 @@ from scpp.verify import IDENTITIES
 
 def sweep(label, check, tuples):
     start = time.perf_counter()
-    total = bad = 0
+    total = mismatched = errors = 0
     for values in tuples:
         total += 1
-        if not check(values).match:
-            bad += 1
+        try:
+            match = check(values).match
+        except (ArithmeticError, RuntimeError, LookupError, ValueError) as exc:
+            errors += 1
+            print(f"  ERROR {label} {values}: {exc}")
+            continue
+        if not match:
+            mismatched += 1
             print(f"  MISMATCH {label} {values}")
-    status = "ok" if bad == 0 else f"{bad} MISMATCHES"
+    status = f"{mismatched} MISMATCHES, {errors} ERRORS" if mismatched or errors else "ok"
     print(f"{label:20s} {total:5d} tuples  {status:14s} {time.perf_counter() - start:6.1f}s")
-    return bad
+    return mismatched + errors
 
 
 def main() -> int:
     failures = 0
     for name, row in IDENTITIES.items():
         failures += sweep(name, row.run, row.grid)
-    print("all checks passed" if failures == 0 else f"{failures} total mismatches")
+    print("all checks passed" if failures == 0 else f"{failures} tuples failed")
     return 0 if failures == 0 else 1
 
 

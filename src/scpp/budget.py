@@ -13,9 +13,10 @@ class WorkBudget:
     """Mutable counter of work units with a hard cap.
 
     Every route that charges work charges one budget: the one it is given,
-    or a fresh ``WorkBudget()`` made where the route is entered.  Work whose
-    size is known before it starts is charged once, before it starts; work
-    found only by walking is charged as it is walked.  Each route's
+    or a fresh ``WorkBudget()`` made where the route is entered, never a
+    second one, so the cap a check is given bounds all its work.  Work
+    whose size is known before it starts is charged once, before it starts;
+    work found only by walking is charged as it is walked.  Each route's
     docstring says what it charges.  Pass one instance through a single
     verification run; do not share across concurrent workers.
     """

@@ -10,39 +10,39 @@ range that ``sweep`` needs was not given, ``--method`` given for an
 identity with a single route, a sweep range that lists no value, or a
 parameter given two ``--set`` flags or two ``--config`` lines; ``schur``
 reads a missing flag as 0 and a missing ``--shape`` as the empty shape),
-``bad-parity``, ``budget-exceeded`` or ``invalid-parameter`` (a parameter
-out of range, including a ``--budget`` below 1, which every subcommand
-rejects before doing any work, a ``sweep --workers`` below 1, a ``schur
-evaluate --shape`` part that is not an integer and an ``--at`` coordinate
-that is not a rational number or has a zero denominator; also a sweep
-range that does not parse, and a ``--config`` or ``--out`` file that
-cannot be read or written).  Every error argparse finds (a missing
-positional argument, an unknown flag or choice, a flag value it cannot
-parse) is a ``usage`` error too.
+``bad-parity``, ``budget-exceeded``, ``error`` (a failed internal
+consistency check: a ``RuntimeError`` or ``LookupError``) or
+``invalid-parameter`` (a parameter out of range, including a ``--budget``
+below 1, which every subcommand rejects before doing any work, a ``sweep
+--workers`` below 1, a ``schur evaluate --shape`` part that is not an
+integer and an ``--at`` coordinate that is not a rational number or has a
+zero denominator; also a sweep range that does not parse, and a
+``--config`` or ``--out`` file that cannot be read or written).  Every
+error argparse finds (a missing positional argument, an unknown flag or
+choice, a flag value it cannot parse) is a ``usage`` error too.
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
 line per tuple, whose ``status`` is ``ok`` (checked; ``match`` tells the
 outcome), ``skipped`` (outside the identity's cases), ``budget-exceeded``
 (the tuple passed ``--budget``) or ``error`` (an arithmetic failure, or a
-failed internal consistency check: a ``RuntimeError`` or ``LookupError``);
-the last three carry a ``reason``.  A tuple that fails does not stop the
-others.  The closing summary line counts ``checked``, ``matched``,
-``mismatched``, ``skipped`` and ``failed`` (budget-exceeded or error).  A
-sweep exits 2 if any tuple failed, else 1 if any mismatched, else 0.  Its
+failed internal consistency check, as above); the last three carry a
+``reason``.  A tuple that fails does not stop the others.  The closing
+summary line counts ``checked``, ``matched``, ``mismatched``, ``skipped``
+and ``failed`` (budget-exceeded or error).  A sweep exits 2 if any tuple
+failed, else 1 if any mismatched, else 0.  Its
 grid comes from ``--config`` lines and ``--set`` flags, ``key=range`` each;
 a ``--set`` overrides the same key in the config file, and giving one
 parameter twice in either is a usage error.
 
 ``--budget`` caps the work units that enumeration and expansion charge:
 the brute-force ``count`` targets, ``verify`` and ``sweep`` (a sweep caps
-each tuple on its own, a Schur identity check each Schur build apart), and
-``schur evaluate`` and ``alternating``; by default ``DEFAULT_NODE_CAP``
-units.  ``pfaffian`` charges dim^3 units for its elimination before it
-builds the matrix, and ``verify pfaffian`` 2 dim^3, for the Pfaffian and
-the determinant.  The closed-form ``count`` targets and ``schur
-hook-content`` take the flag and reject a value below 1, but charge
-nothing.
+each tuple on its own), and ``schur evaluate`` and ``alternating``; by
+default ``DEFAULT_NODE_CAP`` units.  ``pfaffian`` charges dim^3 units for
+its elimination before it builds the matrix, and ``verify pfaffian`` 2
+dim^3, for the Pfaffian and the determinant.  The closed-form ``count``
+targets and ``schur hook-content`` take the flag and reject a value below
+1, but charge nothing.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[
                 if not line:
                     continue
                 if "=" not in line:
-                    raise UsageError(f"bad config line {raw!r}")
+                    raise UsageError(f"bad config line {raw.rstrip()!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
                 if key in grid:
@@ -421,9 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the error code of each exception main reports, tried in this order:
-# ParityError and UsageError subclass ValueError
+# BudgetExceededError subclasses RuntimeError, and ParityError and
+# UsageError subclass ValueError
 _ERROR_CODES = {
-    BudgetExceededError: "budget-exceeded", ParityError: "bad-parity", UsageError: "usage",
+    BudgetExceededError: "budget-exceeded", RuntimeError: "error", LookupError: "error",
+    ParityError: "bad-parity", UsageError: "usage",
     **dict.fromkeys((ValueError, ArithmeticError, OSError), "invalid-parameter"),
 }
 

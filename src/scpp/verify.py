@@ -17,11 +17,11 @@ bridge nothing, and the Schur rows the branching descent of
 ``scpp.schur``, until one side gets a route without it (a
 Littlewood-Richardson product, say).
 
-The Schur product identities have a second method, the evaluation sweep
-(``verify_by_sweep``): it compares values on an integer grid and never
-multiplies two polynomials, so it is the one route whose verdict does not
-depend on ``MPoly.__mul__``.  It never forms the left side, so it is a
-function, not a pair of sides.
+The Schur product identities have a second method, the evaluation sweep:
+it compares values on an integer grid and never multiplies two
+polynomials, so it is the one route whose verdict does not depend on
+``MPoly.__mul__``.  It never forms the left side, so it is one function
+that gives both sides' digests and their verdict, not a pair of sides.
 
 The ``pfaffian`` row reads the bordered binomial case off the parities of
 a and b, and builds the case's matrix once for its Pfaffian and its
@@ -81,10 +81,6 @@ class VerificationReport:
     rhs: str
     match: bool
     method: str
-
-
-def _report(identity, parameters, lhs, rhs, match, method) -> VerificationReport:
-    return VerificationReport(identity, dict(parameters), str(lhs), str(rhs), bool(match), method)
 
 
 # ---------------------------------------------------------------------------
@@ -164,39 +160,37 @@ def _factor_product(
 ) -> MPoly:
     """The left side of identity 1 or 2, expanded: s_{alpha x gamma1} in
     x_1..x_n times s_{alpha x gamma2} (identity 1) or s_{(alpha+1) x gamma2}
-    (identity 2) in x_1..x_{n+1}.  Both factors are built under one fresh
-    budget of the cap, so ``budget`` pays only for the right side's glued
-    terms, whichever side runs first."""
+    (identity 2) in x_1..x_{n+1}.  Both factor builds charge ``budget``."""
     _check_widths(gamma1, gamma2, n)
-    first, second = _lhs_factors(which, gamma1, gamma2, alpha, n, WorkBudget(budget.cap))
+    first, second = _lhs_factors(which, gamma1, gamma2, alpha, n, budget)
     return first.lift(n + 1) * second
 
 
 def _glued_sum(
     which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
 ) -> MPoly:
-    """The right side of identity 1 or 2: its glued terms, charged to
-    ``budget``, summed under a fresh budget of the cap."""
+    """The right side of identity 1 or 2: its glued terms and their sum,
+    both charged to ``budget``."""
     terms = _glued_terms(which, gamma1, gamma2, alpha, n, budget)
-    return _glue_sum(terms, n, WorkBudget(budget.cap))
+    return _glue_sum(terms, n, budget)
 
 
-def verify_by_sweep(
+def _swept_digests(
     which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
-) -> VerificationReport:
-    """Check one of the two Schur product identities by the evaluation
-    sweep: compare values on an integer grid larger than the per-variable
-    degree bound, which by the polynomial identity theorem is also a proof.
-    The sweep specializes by prefix (``_swept_values``), compares the two
-    sides' value lists prefix by prefix and hashes their values "v;" in
-    lexicographic order of the points, one hash update per prefix and side.
-    Charges the glued terms and one unit per grid point before it builds
-    any polynomial; each Schur build charges a budget of that cap."""
+) -> tuple[str, str, bool]:
+    """The two digests of identity 1 or 2 by the evaluation sweep, and
+    whether they match: values on an integer grid larger than the
+    per-variable degree bound, which by the polynomial identity theorem is
+    also a proof.  The sweep specializes by prefix (``_swept_values``),
+    compares the two sides' value lists prefix by prefix and hashes their
+    values "v;" in lexicographic order of the points, one hash update per
+    prefix and side.  Charges the glued terms and one unit per grid point
+    before any build, then each Schur build."""
     terms = _glued_terms(which, gamma1, gamma2, alpha, n, budget)
     bound = alpha * gamma1 + (alpha + 1) * gamma2  # safe per-variable degree bound
     budget.charge((bound + 1) ** (n + 1))
-    rhs = _glue_sum(terms, n, WorkBudget(budget.cap))
-    first, second = _lhs_factors(which, gamma1, gamma2, alpha, n, WorkBudget(budget.cap))
+    rhs = _glue_sum(terms, n, budget)
+    first, second = _lhs_factors(which, gamma1, gamma2, alpha, n, budget)
     lhs_hash = hashlib.sha256()
     rhs_hash = hashlib.sha256()
     ok = True
@@ -205,9 +199,7 @@ def verify_by_sweep(
         lhs_hash.update(data)
         rhs_hash.update(data if lvals == rvals else _value_bytes(rvals))
         ok = ok and lvals == rvals
-    params = zip(_SCHURID, (gamma1, gamma2, alpha, n))
-    lhs, rhs = lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16]
-    return _report(f"schurid{which}", params, lhs, rhs, ok, EVALUATION_SWEEP)
+    return lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16], ok
 
 
 def _value_bytes(values: list[int]) -> bytes:
@@ -257,13 +249,13 @@ def _strip_free_sum(gamma: int, alpha: int, n: int, budget: WorkBudget) -> MPoly
     x_1..x_n.  Only the strip-free term of each mu (pi = lam = mu) survives
     there, so only it is listed and charged."""
     free = _glue(alpha, gamma, gamma, n, budget, lambda mu: (mu, (mu,)))
-    return _glue_sum(free, n, WorkBudget(budget.cap), trailing=0)
+    return _glue_sum(free, n, budget, trailing=0)
 
 
 def _schur_square(gamma: int, alpha: int, n: int, budget: WorkBudget) -> MPoly:
     """The square of the alpha x gamma rectangular Schur polynomial in
-    x_1..x_n, built under a fresh budget of the cap."""
-    root = schur_tableau_sum(rectangle(alpha, gamma), n, WorkBudget(budget.cap))
+    x_1..x_n, whose build charges ``budget``."""
+    root = schur_tableau_sum(rectangle(alpha, gamma), n, budget)
     return root * root
 
 
@@ -358,12 +350,12 @@ class Identity:
     """One checkable identity: its report name (or a function of the values
     giving it), parameters, two sides, report method, the ``scpp`` functions
     (``module.qualname``) both sides may call, and standard grid.  ``sweep``
-    is the Schur identities' other ``--method``, the evaluation sweep.
+    is the Schur identities' other ``--method``, the evaluation sweep, which
+    gives the two digests and the verdict in one call.
 
     The left side runs first, so an input both sides refuse is refused by
-    the left side, and a capped run stops there first.  For the Schur
-    identities the two factors are built, under a fresh budget of the cap,
-    before the right side lists and charges its glued terms."""
+    the left side, and a capped run stops there first.  Both sides, and the
+    sweep, charge the one budget the check is given."""
 
     name: str | Callable[..., str]
     params: tuple[str, ...]
@@ -372,26 +364,29 @@ class Identity:
     method: str
     shares: tuple[str, ...]
     grid: Grid
-    sweep: Callable[..., VerificationReport] | None = None
+    sweep: Callable[..., tuple[str, str, bool]] | None = None
 
     def run(
         self, values: Sequence[int], budget: WorkBudget | None = None, method: str | None = None
     ) -> VerificationReport:
         """Check the identity at one tuple, given in ``params`` order."""
         budget = budget or WorkBudget()
-        if method not in (None, self.method):
-            if method != EVALUATION_SWEEP or self.sweep is None:
-                raise ValueError(f"unknown method {method!r}")
-            return self.sweep(*values, budget=budget)
-        lhs = self.lhs(*values, budget=budget)
-        rhs = self.rhs(*values, budget=budget)
-        match = lhs == rhs
-        if isinstance(lhs, MPoly):
-            # a digest is a function of (nvars, terms), so equal sides are digested once
-            lhs = lhs.digest()
-            rhs = lhs if match else rhs.digest()
+        if method in (None, self.method):
+            method = self.method
+            lhs = self.lhs(*values, budget=budget)
+            rhs = self.rhs(*values, budget=budget)
+            match = lhs == rhs
+            if isinstance(lhs, MPoly):
+                # a digest is a function of (nvars, terms), so equal sides are digested once
+                lhs = lhs.digest()
+                rhs = lhs if match else rhs.digest()
+        elif method == EVALUATION_SWEEP and self.sweep is not None:
+            lhs, rhs, match = self.sweep(*values, budget=budget)
+        else:
+            raise ValueError(f"unknown method {method!r}")
         name = self.name(*values) if callable(self.name) else self.name
-        return _report(name, zip(self.params, values), lhs, rhs, match, self.method)
+        params = dict(zip(self.params, values))
+        return VerificationReport(name, params, str(lhs), str(rhs), bool(match), method)
 
 
 _BOX = ("a", "b", "c")
@@ -417,7 +412,7 @@ def _schurid(which: int) -> Identity:
     return Identity(
         f"schurid{which}", _SCHURID, partial(_factor_product, which), partial(_glued_sum, which),
         FULL_EXPANSION, ("verify._check_widths", *_DESCENT), _SCHURID_GRID,
-        sweep=partial(verify_by_sweep, which),
+        sweep=partial(_swept_digests, which),
     )
 
 

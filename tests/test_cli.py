@@ -317,9 +317,13 @@ def test_text_format(capsys):
 # --budget stops the counts and the weight check on a box too large to list;
 # a count or a weight check without --budget stops at the default cap on
 # such a box, and scpp-signed rejects a negative side as scpp-brute does.
-# The three evaluation-sweep lines for schurid2 at (2, 1, 2, 3), recorded
-# before the sweep evaluated each prefix once, pin its hashes and its
-# budget: 6 glued terms plus one unit for each of the 8^4 = 4,096 points.
+# The five evaluation-sweep lines for schurid2 at (2, 1, 2, 3), the first
+# three recorded before the sweep evaluated each prefix once, pin its
+# hashes and its budget: 6 glued terms plus one unit for each of the
+# 8^4 = 4,096 points before any build, then 28 units for the descent of
+# the glued sum and 22 for the two factors, 4,152 in all.  The last two of
+# them were recorded, and the one at --budget 4102 re-recorded, when the
+# Schur builds began to charge the budget the check is given.
 # The csv hook-content line was re-recorded when a list-valued csv or text
 # cell began to carry the JSON text of the list, and the text evaluate line
 # was recorded then.  The last three lines were recorded when every charging
@@ -344,6 +348,8 @@ def test_text_format(capsys):
 # The last five were recorded when the Pfaffians became the pfaffian row
 # of the verification table, which charges 2 dim^3 units (128 at
 # dimension 4) for the Pfaffian and the determinant before the build.
+# The last three pin the sweep grid errors of a range step below 1, a
+# --set without '=' and a parameter the identity does not take.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -356,7 +362,9 @@ GOLDEN = [
     ('verify schurid2 --gamma1 1 --gamma2 1 --alpha 1 --n 2 --method evaluation-sweep', 0, '{"identity": "schurid2", "lhs": "672d8115202ebff5", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 1, "gamma1": 1, "gamma2": 1, "n": 2}, "rhs": "672d8115202ebff5"}\n'),
     ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep', 0, '{"identity": "schurid2", "lhs": "469ea84f7340846c", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 2, "gamma2": 1, "n": 3}, "rhs": "469ea84f7340846c"}\n'),
     ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4101', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 4102 nodes > cap 4101"}}\n'),
-    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4102', 0, '{"identity": "schurid2", "lhs": "469ea84f7340846c", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 2, "gamma2": 1, "n": 3}, "rhs": "469ea84f7340846c"}\n'),
+    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4102', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 4103 nodes > cap 4102"}}\n'),
+    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4151', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 4152 nodes > cap 4151"}}\n'),
+    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4152', 0, '{"identity": "schurid2", "lhs": "469ea84f7340846c", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 2, "gamma2": 1, "n": 3}, "rhs": "469ea84f7340846c"}\n'),
     ('verify square-reduction --gamma 1 --alpha 1 --n 2', 0, '{"identity": "square-reduction", "lhs": "df748c6d1e674427", "match": true, "method": "full-expansion", "parameters": {"alpha": 1, "gamma": 1, "n": 2}, "rhs": "df748c6d1e674427"}\n'),
     ('verify weight --a 2 --b 2 --c 2', 0, '{"identity": "weight", "lhs": "components=1;sign_flips_ok=True", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "components=1;sign_flips_ok=True"}\n'),
     ('verify bridge --gamma 1 --alpha 2 --m 4', 0, '{"identity": "bridge", "lhs": "ones=6;alternating=-2", "match": true, "method": "evaluation", "parameters": {"alpha": 2, "gamma": 1, "m": 4}, "rhs": "ones=6;alternating=-2"}\n'),
@@ -437,6 +445,9 @@ GOLDEN = [
     ('verify pfaffian --a 3 --b 2 --c1 4 --c2 2 --budget 127', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 128 nodes > cap 127"}}\n'),
     ('verify pfaffian --a 3 --b 2 --c1 4 --c2 2 --budget 128', 0, '{"identity": "pfaffian", "lhs": "pfaffian=9;determinant=81", "match": true, "method": "elimination", "parameters": {"a": 3, "b": 2, "c1": 4, "c2": 2}, "rhs": "pfaffian=9;determinant=81"}\n'),
     ('sweep pfaffian --set a=2..3 --set b=3 --set c1=2 --set c2=0..2:2', 0, '{"identity": "pfaffian", "parameters": {"a": 2, "b": 3, "c1": 2, "c2": 0}, "reason": "a even with b odd is not a covered case", "status": "skipped"}\n{"identity": "pfaffian", "parameters": {"a": 2, "b": 3, "c1": 2, "c2": 2}, "reason": "a even with b odd is not a covered case", "status": "skipped"}\n{"identity": "pfaffian", "lhs": "pfaffian=3;determinant=9", "match": true, "method": "elimination", "parameters": {"a": 3, "b": 3, "c1": 2, "c2": 0}, "rhs": "pfaffian=3;determinant=9", "status": "ok"}\n{"identity": "pfaffian", "lhs": "pfaffian=9;determinant=81", "match": true, "method": "elimination", "parameters": {"a": 3, "b": 3, "c1": 2, "c2": 2}, "rhs": "pfaffian=9;determinant=81", "status": "ok"}\n{"checked": 2, "failed": 0, "identity": "pfaffian", "matched": 2, "mismatched": 0, "skipped": 2, "status": "summary"}\n'),
+    ('sweep box --set a=0..4:0 --set b=1 --set c=1', 2, '{"error": {"code": "usage", "message": "range step must be positive"}}\n'),
+    ('sweep box --set a --set b=1 --set c=1', 2, '{"error": {"code": "usage", "message": "bad --set value \'a\'"}}\n'),
+    ('sweep box --set a=1 --set b=1 --set c=1 --set q=1', 2, '{"error": {"code": "usage", "message": "unknown parameters for box: q"}}\n'),
 ]
 
 
@@ -574,7 +585,7 @@ def test_sweep_records_arithmetic_errors(capsys, monkeypatch, workers):
 )
 def test_sweep_records_a_failed_consistency_check(capsys, monkeypatch, fault):
     # a move-graph walk that disagrees with the count, or misses a
-    # neighbour, fails its tuple alone
+    # neighbour, fails its tuple alone, and a single verify with code error
     real = scpp.verify.check_move_graph
 
     def faulty(a, b, c, budget=None):
@@ -589,14 +600,22 @@ def test_sweep_records_a_failed_consistency_check(capsys, monkeypatch, fault):
     assert (first["parameters"], first["status"], first["match"]) == ({"a": 1, "b": 2, "c": 2}, "ok", True)
     assert (second["status"], second["reason"]) == ("error", str(fault))
     assert (summary["checked"], summary["failed"]) == (1, 1)
+    code, out = run_cli(capsys, "verify", "weight", "--a", "2", "--b", "2", "--c", "2")
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "error", "message": str(fault)}
 
 
 def test_an_empty_range_in_a_config_file_is_a_usage_error(capsys, tmp_path):
+    # so is a line without '=', quoted without its newline
     config = tmp_path / "grid.txt"
-    config.write_text("gamma = 1\nalpha = 1  # one row\nm = 4..2\n")
-    code, out = run_cli(capsys, "sweep", "bridge", "--config", str(config))
-    assert code == 2
-    assert json.loads(out)["error"] == {"code": "usage", "message": "empty range for m: '4..2'"}
+    for text, message in [
+        ("gamma = 1\nalpha = 1  # one row\nm = 4..2\n", "empty range for m: '4..2'"),
+        ("gamma = 1\nalpha\nm = 1\n", "bad config line 'alpha'"),
+    ]:
+        config.write_text(text)
+        code, out = run_cli(capsys, "sweep", "bridge", "--config", str(config))
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "usage", "message": message}
 
 
 def test_a_set_overrides_the_same_key_in_a_config_file(capsys, tmp_path):

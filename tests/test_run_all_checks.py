@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -36,3 +37,14 @@ def test_pfaffian_sweep_checks_the_determinant(monkeypatch, capsys):
     monkeypatch.setattr(scpp.verify, "exact_determinant", lambda rows: -1)
     assert script.sweep("pfaffian", row.run, tuples) == 20
     assert capsys.readouterr().out.count("MISMATCH pfaffian") == 20
+    # and one that raises is an error: printed, counted, and the sweep goes on
+    def broken(rows):
+        raise RuntimeError("elimination failed")
+
+    monkeypatch.setattr(scpp.verify, "exact_determinant", broken)
+    monkeypatch.setattr(script, "IDENTITIES", {"pfaffian": dataclasses.replace(row, grid=tuples)})
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-2] == [f"  ERROR pfaffian {t}: elimination failed" for t in tuples]
+    assert lines[-2].split()[:6] == ["pfaffian", "20", "tuples", "0", "MISMATCHES,", "20"]
+    assert lines[-1] == "20 tuples failed"

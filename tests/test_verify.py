@@ -8,7 +8,7 @@ from scpp import schur, verify
 from scpp.budget import DEFAULT_NODE_CAP, BudgetExceededError, WorkBudget
 from scpp.cli import main
 from scpp.polynomials import MPoly
-from scpp.partitions import rectangle
+from scpp.partitions import partitions_in_rectangle, rectangle
 from scpp.products import sc_count
 from scpp.schur import schur_tableau_sum, specialize_alternating
 from scpp.verify import EVALUATION_SWEEP, IDENTITIES
@@ -220,14 +220,28 @@ def test_square_reduction_sums_what_the_whole_glued_sum_restricts_to():
         assert _check("square-reduction", gamma, alpha, n).lhs == expected, (gamma, alpha, n)
 
 
-def test_square_reduction_lists_one_strip_free_term_per_mu():
-    # the strip-free terms of the whole glued listing, one per mu, each charged once
+def test_square_reduction_lists_one_strip_free_term_per_mu(monkeypatch):
+    # the strip-free terms of the whole glued listing, one listed per mu: mu itself
+    listed = []
+    glue = verify._glue
+
+    def counted(alpha, gamma1, gamma2, n, budget, strips):
+        def listing(mu):
+            lam, pis = strips(mu)
+            pis = list(pis)
+            listed.extend(pis)
+            return lam, pis
+
+        return glue(alpha, gamma1, gamma2, n, budget, listing)
+
+    monkeypatch.setattr(verify, "_glue", counted)
     for gamma, alpha, n in product(range(4), range(4), range(6)):
         terms = verify._glued_terms(1, gamma, gamma, alpha, n, WorkBudget())
-        budget = WorkBudget()
-        reduced = verify._strip_free_sum(gamma, alpha, n, budget)
+        listed.clear()
+        reduced = verify._strip_free_sum(gamma, alpha, n, WorkBudget())
         assert reduced == verify._glue_sum([t for t in terms if t[1] == 0], n, trailing=0)
-        assert budget.used == comb(alpha + gamma, alpha), (gamma, alpha, n)
+        assert len(listed) == comb(alpha + gamma, alpha), (gamma, alpha, n)
+        assert listed == list(partitions_in_rectangle(alpha, gamma)), (gamma, alpha, n)
 
 
 def test_square_reduction_grid():
@@ -311,26 +325,47 @@ def test_bridge_and_alternating_build_no_polynomial(monkeypatch, capsys):
         schur_tableau_sum((3, 3), 3)
 
 
-@pytest.mark.parametrize(
-    ("run", "charged"),
-    [
-        (lambda budget: _check("schurid2", 2, 1, 2, 3, budget=budget), 6),
-        (
-            lambda budget: _check("schurid2", 2, 1, 2, 3, budget=budget, method=EVALUATION_SWEEP),
-            6 + 8**4,
-        ),
-        # one strip-free term per mu in the 2 x 2 rectangle
-        pytest.param(
-            lambda budget: _check("square-reduction", 2, 2, 3, budget=budget), 6,
-            id="square-reduction-6",
-        ),
-        (lambda budget: _check("bridge", 2, 2, 4, budget=budget), None),
-    ],
-)
-def test_schur_descents_are_capped_by_the_given_cap(monkeypatch, run, charged):
-    # a check given a budget makes no budget with another cap, so no default
-    # cap stops its Schur descents; a Schur identity check charges its own
-    # budget only the glued terms and grid points, and the bridge its strips
+# (row, one tuple of its grid, method, the units the check charges)
+CHARGES = [
+    pytest.param("box", (2, 2, 2), None, 12, id="box"),
+    pytest.param("scpp", (2, 3, 4), None, 35, id="scpp"),
+    pytest.param("middle-line", (3, 3, 4, 2), None, 40, id="middle-line"),
+    pytest.param("signed", (2, 3, 3), None, 40, id="signed"),
+    # 2,857 units, where the glued terms alone are 84
+    pytest.param("schurid1", (3, 3, 3, 5), None, 2857, id="schurid1"),
+    # 22 for the two factors, 6 glued terms and 28 for their sum's descent
+    pytest.param("schurid2", (2, 1, 2, 3), None, 22 + 6 + 28, id="schurid2"),
+    # 6 strip-free terms, one per mu in the 2 x 2 rectangle, 41 for their
+    # sum's descent and 12 for the square's root
+    pytest.param("square-reduction", (2, 2, 3), None, 6 + 41 + 12, id="square-reduction"),
+    pytest.param("weight", (2, 2, 2), None, 19, id="weight"),
+    pytest.param(
+        "bridge", (2, 2, 4), None, 2 * descent_strip_count(rectangle(2, 2), 4), id="bridge"
+    ),
+    # 2 dim^3 at dimension 4
+    pytest.param("pfaffian", (3, 2, 4, 2), None, 2 * 4**3, id="pfaffian"),
+    pytest.param("schurid1", (2, 1, 1, 2), EVALUATION_SWEEP, 154, id="schurid1-sweep"),
+    # the glued terms and the 8^4 grid points, then the glued sum and the two factors
+    pytest.param(
+        "schurid2", (2, 1, 2, 3), EVALUATION_SWEEP, 6 + 8**4 + 28 + 22, id="schurid2-sweep"
+    ),
+]
+
+
+def test_the_charge_cases_cover_every_row_and_both_sweeps():
+    cases = [case.values for case in CHARGES]
+    assert {name for name, _, method, _ in cases if method is None} == set(IDENTITIES)
+    swept = {name for name, _, method, _ in cases if method == EVALUATION_SWEEP}
+    assert swept == {name for name, row in IDENTITIES.items() if row.sweep is not None}
+    assert all(values in set(IDENTITIES[name].grid) for name, values, _, _ in cases)
+
+
+@pytest.mark.parametrize(("name", "values", "method", "charged"), CHARGES)
+def test_schur_descents_are_capped_by_the_given_cap(monkeypatch, name, values, method, charged):
+    # a check makes no budget of its own, so the cap it is given bounds all
+    # its work, the Schur builds included, and no default cap stops them;
+    # a cached Schur build charges what it listed, so a warm run charges
+    # what a cold one does
     made = []
     init = WorkBudget.__init__
 
@@ -338,15 +373,13 @@ def test_schur_descents_are_capped_by_the_given_cap(monkeypatch, run, charged):
         made.append(cap)
         init(self, cap)
 
-    cap = 10 * DEFAULT_NODE_CAP
-    budget = WorkBudget(cap)
+    budgets = [WorkBudget(10 * DEFAULT_NODE_CAP) for _ in ("cold", "warm")]
+    schur._kept.clear()
     monkeypatch.setattr(WorkBudget, "__init__", recorded)
-    assert run(budget).match
-    assert set(made) <= {cap}
-    if charged is None:
-        assert budget.used == 2 * descent_strip_count(rectangle(2, 2), 4)
-    else:
-        assert budget.used == charged
+    for budget in budgets:
+        assert _check(name, *values, budget=budget, method=method).match
+    assert made == []
+    assert [budget.used for budget in budgets] == [charged, charged]
 
 
 def test_budget_threads_through_verifiers():

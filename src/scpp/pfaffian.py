@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from operator import sub
-from struct import Struct
 from typing import Iterable, Sequence
 
 from scpp.budget import WorkBudget
+from scpp.polynomials import field_reader
 from scpp.products import ParityError, check_line_lengths
 
 
@@ -126,21 +126,32 @@ def exact_determinant(rows: Sequence[Sequence[int]]) -> int:
     (p*m[i][j] - m[i][0]*m[0][j]) // q, for p the pivot and q the one
     before; the entries are then minors of M, so the division is exact, and
     det(M) is the last pivot up to the swaps' sign.
+
+    Rows are scaled lazily: each is kept as (R, s), the true row being
+    R * q / s.  A row whose first entry is 0 only drops it and keeps s, so
+    it is not rescaled at each step it waits.  A row that is eliminated
+    becomes ((p*R[j] - R[0]*m[0][j]) // s, p): those are the true entries,
+    so the division is exact, and p is the next q.  The pivot row is made
+    true, as R * q // s, when s != q.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    m = _integer_rows(rows)
+    m = [(row, 1) for row in _integer_rows(rows)]
     sign, prev = 1, 1
     while m:
-        r = next((r for r, row in enumerate(m) if row[0]), None)
+        r = next((r for r, (row, _) in enumerate(m) if row[0]), None)
         if r is None:
             return 0
         if r:
             m[0], m[r] = m[r], m[0]
             sign = -sign
-        (p, *top), rest = m[0], m[1:]
-        m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
+        (pivot, scale), rest = m[0], m[1:]
+        if scale != prev:
+            pivot = [x * prev // scale for x in pivot]
+        p, top = pivot[0], pivot[1:]
+        m = [([(p * x - row[0] * y) // s for x, y in zip(row[1:], top)], p) if row[0]
+             else (row[1:], s) for row, s in rest]
         prev = p
     return sign * prev
 
@@ -195,13 +206,8 @@ def _core_rows(
         return [(0,) * a] * a
     r = [binomial_safe(top_row, b + m) for m in range(1 - kmax, a)]
     c = [binomial_safe(top_col, t) for t in range(kmax)]
-    wb = (max(r).bit_length() + max(c).bit_length() + kmax.bit_length() + 7) // 8
-    if wb <= 8:  # fields of 1, 2, 4 or 8 bytes, so that struct reads a row at once
-        wb = 1 << (wb - 1).bit_length()
-        read = Struct(f"<{a}{'BHIQ'[wb.bit_length() - 1]}").unpack_from
-    else:
-        def read(x: bytes, at: int) -> list[int]:
-            return [int.from_bytes(x[f:f + wb], "little") for f in range(at, at + a * wb, wb)]
+    bits = max(r).bit_length() + max(c).bit_length() + kmax.bit_length()
+    wb, read = field_reader((bits + 7) // 8, a)
     h = min(a, kmax)
     blocks = -(-kmax // h)
     pad = blocks * h - kmax  # the first block starts at k = 1 - pad

@@ -24,7 +24,11 @@ multiplied again.
 operations that production code uses: product, lifting to more variables
 and a digest.  The evaluation sweep of ``scpp.verify`` groups a term map
 by the exponent of x_1 once (``group_by_first``) and sets x_1 from the
-groups (``substitute_groups``).  Setting x_1 term by term
+groups (``substitute_groups``).  Neither reads a coefficient except to
+add and scale it, so the sweep's coefficients may be packed vectors:
+integers that hold the values along the last variable, one per field
+(Kronecker substitution).  ``field_reader`` reads such fields, for the
+sweep and for the packed Pfaffian build.  Setting x_1 term by term
 (``substitute_first``), setting the last variable to zero and sums are
 test oracles (``tests/oracles.py``); values at one point come from
 ``scpp.schur.schur_value``.
@@ -35,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 Exponents = tuple[int, ...]
 Value = int | Fraction
@@ -56,6 +60,23 @@ def max_exponent(terms: dict[int, Value], nvars: int) -> int:
     """The largest exponent in a term map in x_1..x_nvars; 0 if there is none."""
     fields = range(0, FIELD_BITS * nvars, FIELD_BITS)
     return max((key >> shift & FIELD_MASK for key in terms for shift in fields), default=0)
+
+
+def field_reader(width: int, count: int) -> tuple[int, Callable[[bytes, int], Sequence[int]]]:
+    """A reader of ``count`` unsigned little-endian fields of at least
+    ``width`` >= 1 bytes, with the width it reads: rounded up to 1, 2, 4 or
+    8 bytes when it fits, so that one struct call reads all the fields, else
+    ``width`` bytes, read by ``int.from_bytes`` slices.  read(data, at)
+    reads the fields from byte ``at`` of data."""
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+        return width, struct.Struct(f"<{count}{'BHIQ'[width.bit_length() - 1]}").unpack_from
+
+    def read(data: bytes, at: int) -> list[int]:
+        fields = range(at, at + count * width, width)
+        return [int.from_bytes(data[f:f + width], "little") for f in fields]
+
+    return width, read
 
 
 def group_by_first(terms: dict[int, Value], nvars: int) -> list[tuple[int, list]]:

@@ -18,7 +18,9 @@ bridge nothing, and the Schur rows the branching descent of
 Littlewood-Richardson product, say).
 
 The Schur product identities have a second method, the evaluation sweep:
-it compares values on an integer grid and never multiplies two
+it compares values on an integer grid, with the values along the last
+coordinate packed into one integer per prefix.  Its products are of
+numbers, a factor's value times such a packed vector, never of two
 polynomials, so it is the one route whose verdict does not depend on
 ``MPoly.__mul__``.  It never forms the left side, so it is one function
 that gives both sides' digests and their verdict, not a pair of sides.
@@ -33,8 +35,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
-from itertools import product as _cartesian, repeat
-from operator import add, mul
+from itertools import product as _cartesian
 from typing import Callable, Iterable, Iterator, Sequence
 
 from scpp.budget import WorkBudget
@@ -54,7 +55,15 @@ from scpp.plane_partitions import (
     count_scpp_middle_line,
     count_scpp_signed,
 )
-from scpp.polynomials import MPoly, group_by_first, max_exponent, substitute_groups
+from scpp.polynomials import (
+    FIELD_BITS,
+    FIELD_MASK,
+    MPoly,
+    field_reader,
+    group_by_first,
+    max_exponent,
+    substitute_groups,
+)
 from scpp.products import (
     box_count,
     check_middle_line_params,
@@ -182,10 +191,10 @@ def _swept_digests(
     whether they match: values on an integer grid larger than the
     per-variable degree bound, which by the polynomial identity theorem is
     also a proof.  The sweep specializes by prefix (``_swept_values``),
-    compares the two sides' value lists prefix by prefix and hashes their
-    values "v;" in lexicographic order of the points, one hash update per
-    prefix and side.  Charges the glued terms and one unit per grid point
-    before any build, then each Schur build."""
+    compares the two sides' values at each prefix as two packed integers
+    and hashes the values "v;" in lexicographic order of the points, one
+    hash update per prefix and side.  Charges the glued terms and one unit
+    per grid point before any build, then each Schur build."""
     terms = _glued_terms(which, gamma1, gamma2, alpha, n, budget)
     bound = alpha * gamma1 + (alpha + 1) * gamma2  # safe per-variable degree bound
     budget.charge((bound + 1) ** (n + 1))
@@ -207,6 +216,14 @@ def _value_bytes(values: list[int]) -> bytes:
     return (";".join(map(str, values)) + ";").encode()
 
 
+def _value_bound(poly: MPoly, bound: int) -> int:
+    """A bound on |poly| on {0..bound}^nvars: the sum of |c| times
+    max(bound, 1)^d, d the largest total degree of a term."""
+    fields = range(0, FIELD_BITS * poly.nvars, FIELD_BITS)
+    degree = max((sum(key >> s & FIELD_MASK for s in fields) for key in poly.terms), default=0)
+    return sum(map(abs, poly.terms.values())) * max(bound, 1) ** degree
+
+
 def _swept_values(
     first: MPoly, second: MPoly, rhs: MPoly, bound: int
 ) -> Iterator[tuple[list[int], list[int]]]:
@@ -214,34 +231,58 @@ def _swept_values(
     pair of value lists per prefix x_1..x_n, in lexicographic order, each
     list holding the values at x_{n+1} = t = 0..bound.
 
-    The walk is depth first.  Each node groups its three term maps once
-    (``group_by_first``) and substitutes each coordinate from the groups,
-    with powers from a table sized by the largest exponent present.  Below
-    the last prefix ``first`` is a constant and the other two are term maps
-    in t, evaluated at every t in one pass over their terms.
+    The values along t are packed into one integer (Kronecker
+    substitution): a vector v is the sum of v_t * 2^(w*t) over t, with
+    fields of w bits, the bit length of the larger side's value bound
+    (``_value_bound``; the left side's is the product of its factors')
+    plus a sign bit, rounded up to 8, 16, 32 or 64 bits when it fits, else
+    to whole bytes.  That sum is exact for signed v_t and linear, so
+    ``second`` and ``rhs`` become term maps in x_1..x_n whose coefficients
+    are packed vectors: c * x^e * t^k adds c * T_k to the coefficient of
+    x^e, T_k the packed vector of t^k, built for the k that occur.
+
+    The walk over x_1..x_n is depth first.  Each node groups its three term
+    maps once (``group_by_first``) and substitutes each coordinate from the
+    groups, with powers from a table sized by the largest exponent present.
+    At a leaf ``first`` is a number f, and the sides are the integers f * S
+    and R.  They are compared whole and unpacked once when equal: adding
+    2^(w-1) to every field makes each one nonnegative, and it is taken off
+    again after the fields are read.
     """
     coords = range(bound + 1)
     top = max(max_exponent(p.terms, p.nvars) for p in (first, second, rhs))
     rows = [[x**e for e in range(top + 1)] for x in coords]  # rows[x][e] = x**e
-    columns = list(zip(*rows))  # columns[e][t] = t**e
-    zeros = [0] * len(coords)
+    most = max(_value_bound(first, bound) * _value_bound(second, bound), _value_bound(rhs, bound))
+    width, read = field_reader(-(-(most.bit_length() + 1) // 8), len(coords))  # bytes per field
+    w = 8 * width
+    half = 1 << (w - 1)
+    bias = sum(half << w * t for t in coords)
+    vectors: dict[int, int] = {}  # k -> T_k
 
-    def values(terms: dict) -> list[int]:
-        acc = zeros
-        for k, c in terms.items():
-            acc = list(map(add, acc, map(mul, columns[k], repeat(c))))
-        return acc
+    def packed(poly: MPoly) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for key, c in poly.terms.items():
+            k = key & FIELD_MASK
+            if k not in vectors:
+                vectors[k] = sum(t**k << w * t for t in coords)
+            rest = key >> FIELD_BITS
+            out[rest] = out.get(rest, 0) + c * vectors[k]
+        return out
+
+    def unpacked(x: int) -> list[int]:
+        return [v - half for v in read((x + bias).to_bytes(width * len(coords), "little"), 0)]
 
     def walk(f: dict, s: dict, r: dict, nvars: int) -> Iterator[tuple[list[int], list[int]]]:
-        if nvars == 1:
-            scale = f.get(0, 0)
-            yield [scale * v for v in values(s)] if scale else zeros, values(r)
+        if not nvars:
+            left, right = f.get(0, 0) * s.get(0, 0), r.get(0, 0)
+            values = unpacked(left)
+            yield values, values if left == right else unpacked(right)
             return
-        groups = group_by_first(f, nvars - 1), group_by_first(s, nvars), group_by_first(r, nvars)
+        groups = [group_by_first(g, nvars) for g in (f, s, r)]
         for row in rows:
             yield from walk(*[substitute_groups(g, row) for g in groups], nvars - 1)
 
-    return walk(first.terms, second.terms, rhs.terms, first.nvars + 1)
+    return walk(first.terms, packed(second), packed(rhs), first.nvars)
 
 
 def _strip_free_sum(gamma: int, alpha: int, n: int, budget: WorkBudget) -> MPoly:

@@ -350,6 +350,9 @@ def test_text_format(capsys):
 # dimension 4) for the Pfaffian and the determinant before the build.
 # The last three pin the sweep grid errors of a range step below 1, a
 # --set without '=' and a parameter the identity does not take.
+# The last line was recorded before the sweep packed the values along
+# x_{n+1} into one integer per prefix: with bound 20 over 9,261 points its
+# fields need 75 bits, wider than any struct field.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -448,6 +451,7 @@ GOLDEN = [
     ('sweep box --set a=0..4:0 --set b=1 --set c=1', 2, '{"error": {"code": "usage", "message": "range step must be positive"}}\n'),
     ('sweep box --set a --set b=1 --set c=1', 2, '{"error": {"code": "usage", "message": "bad --set value \'a\'"}}\n'),
     ('sweep box --set a=1 --set b=1 --set c=1 --set q=1', 2, '{"error": {"code": "usage", "message": "unknown parameters for box: q"}}\n'),
+    ('verify schurid1 --gamma1 4 --gamma2 4 --alpha 2 --n 2 --method evaluation-sweep', 0, '{"identity": "schurid1", "lhs": "cc17f64c2cdbd0df", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 4, "gamma2": 4, "n": 2}, "rhs": "cc17f64c2cdbd0df"}\n'),
 ]
 
 

@@ -170,6 +170,11 @@ def test_determinant_matches_permutation_expansion():
                 kept[0][0], kept[-1][0] = 1, 0
                 cases.append(kept)
                 cases.append([[v if rng.random() < 0.4 else 0 for v in r] for r in rows])
+                # row i starts with i - 1 zeros, so it waits that many steps
+                # unscaled before it is eliminated, then becomes the pivot;
+                # reversed, the waiting rows are swapped up as pivots
+                waiting = [[v if j >= i - 1 else 0 for j, v in enumerate(r)] for i, r in enumerate(rows)]
+                cases += [waiting, waiting[::-1]]
             for m in cases:
                 assert exact_determinant(m) == _det_by_permutations(m), m
     assert exact_determinant([[0, 0], [0, 5]]) == 0

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from oracles import TupleMPoly, constant, descent_strip_count, glue_sum_by_shapes, tuple_terms
+from oracles import TupleMPoly, constant, descent_strip_count, glue_sum_by_shapes, packed, tuple_terms
 from scpp import schur, verify
 from scpp.budget import DEFAULT_NODE_CAP, BudgetExceededError, WorkBudget
 from scpp.cli import main
@@ -123,9 +123,8 @@ def _at(poly, point):
     return TupleMPoly(poly.nvars, tuple_terms(poly)).evaluate(point)
 
 
-@pytest.mark.parametrize(("which", "gamma1", "gamma2", "alpha", "n"), SWEEP_TUPLES)
-def test_sweep_walk_matches_pointwise_evaluation(which, gamma1, gamma2, alpha, n):
-    first, second, rhs, bound = _sweep_inputs(which, gamma1, gamma2, alpha, n)
+def _assert_swept_pointwise(first, second, rhs, bound):
+    n = first.nvars
     expected = [
         (_at(first, point[:-1]) * _at(second, point), _at(rhs, point))
         for point in product(range(bound + 1), repeat=n + 1)
@@ -135,6 +134,39 @@ def test_sweep_walk_matches_pointwise_evaluation(which, gamma1, gamma2, alpha, n
     assert len(swept) == (bound + 1) ** n
     assert all(len(lvals) == len(rvals) == bound + 1 for lvals, rvals in swept)
     assert [pair for lvals, rvals in swept for pair in zip(lvals, rvals)] == expected
+
+
+@pytest.mark.parametrize(("which", "gamma1", "gamma2", "alpha", "n"), SWEEP_TUPLES)
+def test_sweep_walk_matches_pointwise_evaluation(which, gamma1, gamma2, alpha, n):
+    _assert_swept_pointwise(*_sweep_inputs(which, gamma1, gamma2, alpha, n))
+
+
+# (first, second, rhs) as tuple-keyed term maps, swept on {0..3}^(n+1).  The
+# sweep packs the values along t into fields one sign bit wider than the
+# larger side's value bound, rounded up to 8, 16, 32 or 64 bits, else to
+# whole bytes.  In the three boundary cases that bound is 3 * 2^k, whose bit
+# length is a multiple of 8, and a value reaches it in size: a field without
+# the sign bit is one byte narrower, and that value does not fit it.  In the
+# last case only the product of the two factors' bounds holds the left side.
+WIDE = 2**70
+SWEEP_FIELD_CASES = {
+    "wide-mixed-signs": (
+        {(0,): 3, (1,): -WIDE},
+        {(0, 0): -5, (1, 2): WIDE, (2, 1): -WIDE},
+        {(0, 0): 7, (1, 1): WIDE - 1, (2, 3): -WIDE},
+    ),
+    "32-bit-boundary": ({(0,): 1}, {(0, 1): 2**30}, {(1, 0): -(2**30)}),
+    "64-bit-boundary": ({(): 1}, {(1,): 2**62}, {(1,): -(2**62)}),
+    "72-bit-boundary": ({(0,): -1}, {(0, 1): WIDE}, {(0, 1): -WIDE}),
+    "left-side-product": ({(1,): 2**35}, {(0, 1): -(2**35)}, {(1, 1): 5}),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_FIELD_CASES)
+def test_sweep_fields_hold_wide_and_negative_values(case):
+    first, second, rhs = SWEEP_FIELD_CASES[case]
+    n = len(next(iter(first)))
+    _assert_swept_pointwise(packed(n, first), packed(n + 1, second), packed(n + 1, rhs), 3)
 
 
 def _refuse(*args, **kwargs):

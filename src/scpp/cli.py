@@ -4,33 +4,32 @@ All output is byte-deterministic for a fixed invocation: JSON keys are
 sorted, big integers are rendered as decimal strings, and reports carry
 no timings.  Exit codes: 0 on success and on verifications that match, 1
 on a verification mismatch, 2 on errors.  An error prints one JSON line
-``{"error": {"code": ..., "message": ...}}`` on stdout, with code
-``usage`` (a flag that ``count``, ``pfaffian`` or ``verify`` needs or a
-range that ``sweep`` needs was not given, ``--method`` given for an
-identity with a single route, a sweep range that lists no value, or a
-parameter given two ``--set`` flags or two ``--config`` lines; ``schur``
-reads a missing flag as 0 and a missing ``--shape`` as the empty shape),
-``bad-parity``, ``budget-exceeded``, ``error`` (a failed internal
-consistency check: a ``RuntimeError`` or ``LookupError``) or
-``invalid-parameter`` (a parameter out of range, including a ``--budget``
-below 1, which every subcommand rejects before doing any work, a ``sweep
---workers`` below 1, a ``schur evaluate --shape`` part that is not an
-integer and an ``--at`` coordinate that is not a rational number or has a
-zero denominator; also a sweep range that does not parse, and a
-``--config`` or ``--out`` file that cannot be read or written).  Every
-error argparse finds (a missing positional argument, an unknown flag or
-choice, a flag value it cannot parse) is a ``usage`` error too.
+``{"error": {"code": ..., "message": ...}}`` on stdout, whose message is
+the exception's text, or its class name when that is empty.  A check's
+exception is coded by ``scpp.verify.FAILURES``: ``budget-exceeded``,
+``bad-parity``, ``error`` (an arithmetic failure, memory exhaustion or a
+failed internal consistency check) or ``invalid-parameter`` (a parameter
+out of range; also a ``--budget`` below 1, which every subcommand rejects
+before any work, a ``sweep --workers`` below 1, a ``--shape`` part that
+is not an integer, an ``--at`` coordinate that is not a rational number
+or has a zero denominator, a sweep range that does not parse, and a
+``--config`` or ``--out`` file that cannot be read or written).  Code
+``usage`` is every error argparse finds, a flag that ``count``,
+``pfaffian`` or ``verify`` needs or a range that ``sweep`` needs not
+given, ``--method`` for an identity with a single route, a sweep range
+that lists no value, and a parameter given twice by ``--set`` or
+``--config``; ``schur`` reads a missing flag as 0 and a missing
+``--shape`` as the empty shape.
 
 ``verify`` and ``sweep`` read their identities, parameter flags and
 ``--method`` choices from ``scpp.verify.IDENTITIES``.  A sweep emits one
 line per tuple, whose ``status`` is ``ok`` (checked; ``match`` tells the
-outcome), ``skipped`` (outside the identity's cases), ``budget-exceeded``
-(the tuple passed ``--budget``) or ``error`` (an arithmetic failure, or a
-failed internal consistency check, as above); the last three carry a
-``reason``.  A tuple that fails does not stop the others.  The closing
-summary line counts ``checked``, ``matched``, ``mismatched``, ``skipped``
-and ``failed`` (budget-exceeded or error).  A sweep exits 2 if any tuple
-failed, else 1 if any mismatched, else 0.  Its
+outcome), ``skipped`` (code ``bad-parity`` or ``invalid-parameter``:
+outside the identity's cases), ``budget-exceeded`` or ``error``; the last
+three carry a ``reason``.  A tuple that fails does not stop the others.
+The closing summary line counts ``checked``, ``matched``,
+``mismatched``, ``skipped`` and ``failed`` (budget-exceeded or error).  A
+sweep exits 2 if any tuple failed, else 1 if any mismatched, else 0.  Its
 grid comes from ``--config`` lines and ``--set`` flags, ``key=range`` each;
 a ``--set`` overrides the same key in the config file, and giving one
 parameter twice in either is a usage error.
@@ -59,7 +58,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Sequence
 
-from scpp.budget import DEFAULT_NODE_CAP, BudgetExceededError, WorkBudget
+from scpp.budget import DEFAULT_NODE_CAP, WorkBudget
 from scpp.partitions import partition
 from scpp.pfaffian import CASES, corollary_pfaffian
 from scpp.plane_partitions import (
@@ -70,7 +69,6 @@ from scpp.plane_partitions import (
     count_scpp_signed,
 )
 from scpp.products import (
-    ParityError,
     box_count,
     middle_line_product,
     sc_count,
@@ -84,7 +82,7 @@ from scpp.schur import (
     schur_value,
     specialize_alternating,
 )
-from scpp.verify import _BOX, _LINE, IDENTITIES, METHODS, Identity
+from scpp.verify import _BOX, _LINE, FAILURES, IDENTITIES, METHODS, Identity, failure
 
 
 class UsageError(ValueError):
@@ -298,19 +296,16 @@ def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[
 
 
 def _sweep_tuple(task) -> dict:
-    """Check one tuple of a sweep; a tuple that fails is recorded, not raised."""
+    """Check one tuple of a sweep: a failure is recorded, not raised, and a
+    tuple outside the identity's cases is skipped."""
     identity, params, cap, method = task
     try:
         report = IDENTITIES[identity].run(tuple(params.values()), WorkBudget(cap), method)
-    except BudgetExceededError as exc:  # a RuntimeError, so caught first
-        status, reason = "budget-exceeded", str(exc)
-    except (ArithmeticError, RuntimeError, LookupError) as exc:
-        status, reason = "error", str(exc)
-    except ValueError as exc:  # a ParityError too: outside the identity's cases
-        status, reason = "skipped", str(exc)
-    else:
-        return {**asdict(report), "status": "ok"}
-    return {"identity": identity, "parameters": params, "status": status, "reason": reason}
+    except tuple(FAILURES) as exc:
+        code, reason = failure(exc)
+        status = "skipped" if code in ("bad-parity", "invalid-parameter") else code
+        return {"identity": identity, "parameters": params, "status": status, "reason": reason}
+    return {**asdict(report), "status": "ok"}
 
 
 def _handle_sweep(args, budget: WorkBudget) -> tuple[list[dict], int]:
@@ -323,10 +318,9 @@ def _handle_sweep(args, budget: WorkBudget) -> tuple[list[dict], int]:
     if extra:
         raise UsageError(f"unknown parameters for {args.identity}: {', '.join(extra)}")
 
-    tuples = sorted(_cartesian(*(grid[n] for n in names)))
     tasks = [
         (args.identity, dict(zip(names, values)), budget.cap, args.method)
-        for values in tuples
+        for values in sorted(_cartesian(*(grid[n] for n in names)))
     ]
     if args.workers > 1:
         # imported here: it pulls in multiprocessing, which a serial run never needs
@@ -341,13 +335,8 @@ def _handle_sweep(args, budget: WorkBudget) -> tuple[list[dict], int]:
     mismatched = statuses["ok"] - matched
     failed = statuses["budget-exceeded"] + statuses["error"]
     summary = {
-        "identity": args.identity,
-        "status": "summary",
-        "checked": statuses["ok"],
-        "matched": matched,
-        "mismatched": mismatched,
-        "skipped": statuses["skipped"],
-        "failed": failed,
+        "identity": args.identity, "status": "summary", "checked": statuses["ok"], "failed": failed,
+        "matched": matched, "mismatched": mismatched, "skipped": statuses["skipped"],
     }
     return results + [summary], 2 if failed else 1 if mismatched else 0
 
@@ -420,14 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the error code of each exception main reports, tried in this order:
-# BudgetExceededError subclasses RuntimeError, and ParityError and
-# UsageError subclass ValueError
-_ERROR_CODES = {
-    BudgetExceededError: "budget-exceeded", RuntimeError: "error", LookupError: "error",
-    ParityError: "bad-parity", UsageError: "usage",
-    **dict.fromkeys((ValueError, ArithmeticError, OSError), "invalid-parameter"),
-}
+# main's error codes: a UsageError (a ValueError) first, then FAILURES and OSError
+_ERROR_CODES = {UsageError: "usage", **FAILURES, OSError: "invalid-parameter"}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -446,8 +429,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload, code = handler(args, budget)
         _emit(_render(payload, args.format), args.out)
     except tuple(_ERROR_CODES) as exc:
-        error = next(name for kind, name in _ERROR_CODES.items() if isinstance(exc, kind))
-        _emit(_render({"error": {"code": error, "message": str(exc)}}, "json"), None)
+        error, message = failure(exc, _ERROR_CODES)
+        _emit(_render({"error": {"code": error, "message": message}}, "json"), None)
         return 2
     return code
 

@@ -8,7 +8,9 @@ expansion and a gluing construction.  A side is a callable of
 the method its report names, ``shares`` (the ``scpp`` functions both sides
 may call) and the standard grid.  The CLI ``verify`` and ``sweep``
 commands, ``scripts/run_all_checks.py`` and the acceptance suite all read
-it.  To add an identity, add one row.
+it.  To add an identity, add one row.  ``FAILURES`` gives the code of
+each exception a check may raise; ``verify``, ``sweep`` and
+``scripts/run_all_checks.py`` read it through ``failure``.
 
 ``tests/test_layout.py`` traces each row's sides on a few grid tuples and
 fails unless the functions both call are the ones ``shares`` lists.  The
@@ -38,7 +40,7 @@ from functools import partial
 from itertools import product as _cartesian
 from typing import Callable, Iterable, Iterator, Sequence
 
-from scpp.budget import WorkBudget
+from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import (
     Partition,
     horizontal_strips_within,
@@ -65,6 +67,7 @@ from scpp.polynomials import (
     substitute_groups,
 )
 from scpp.products import (
+    ParityError,
     box_count,
     check_middle_line_params,
     middle_line_product,
@@ -143,7 +146,7 @@ def _glued_terms(
 
 
 def _glue_sum(
-    terms: list[tuple[Partition, int]], n: int, budget: WorkBudget | None = None, trailing: int = 1
+    terms: list[tuple[Partition, int]], n: int, budget: WorkBudget, trailing: int = 1
 ) -> MPoly:
     """The sum of s_shape(x_1..x_n) * x_{n+1}^strip over the terms, in one
     descent.  With ``trailing`` 0 every strip is 0 and the sum is in
@@ -156,7 +159,7 @@ def _glue_sum(
 
 
 def _lhs_factors(
-    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget | None = None
+    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
 ) -> tuple[MPoly, MPoly]:
     first = schur_tableau_sum(rectangle(alpha, gamma1), n, budget)
     second_rows = alpha if which == 1 else alpha + 1
@@ -495,3 +498,19 @@ IDENTITIES: dict[str, Identity] = {
         _LINE_CHECKS, Grid((range(7), range(7), range(0, 9, 2), range(0, 9, 2)), _covered),
     ),
 }
+
+
+# the code of each exception a check may raise, tried in this order:
+# BudgetExceededError subclasses RuntimeError, and ParityError ValueError
+FAILURES: dict[type, str] = {
+    BudgetExceededError: "budget-exceeded", ParityError: "bad-parity",
+    ValueError: "invalid-parameter",
+    **dict.fromkeys((RuntimeError, LookupError, ArithmeticError, MemoryError), "error"),
+}
+
+
+def failure(exc: Exception, table: dict[type, str] = FAILURES) -> tuple[str, str]:
+    """The code of ``exc`` by the first class of ``table`` it is an instance
+    of, and its message: its text, or its class name when that is empty."""
+    code = next(code for kind, code in table.items() if isinstance(exc, kind))
+    return code, str(exc) or type(exc).__name__

@@ -353,6 +353,9 @@ def test_text_format(capsys):
 # The last line was recorded before the sweep packed the values along
 # x_{n+1} into one integer per prefix: with bound 20 over 9,261 points its
 # fields need 75 bits, wider than any struct field.
+# The last line was recorded when an arithmetic failure inside a check
+# became code error, where it was invalid-parameter: the bridge's point of
+# m ones overflows before anything is allocated.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -452,6 +455,7 @@ GOLDEN = [
     ('sweep box --set a --set b=1 --set c=1', 2, '{"error": {"code": "usage", "message": "bad --set value \'a\'"}}\n'),
     ('sweep box --set a=1 --set b=1 --set c=1 --set q=1', 2, '{"error": {"code": "usage", "message": "unknown parameters for box: q"}}\n'),
     ('verify schurid1 --gamma1 4 --gamma2 4 --alpha 2 --n 2 --method evaluation-sweep', 0, '{"identity": "schurid1", "lhs": "cc17f64c2cdbd0df", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 4, "gamma2": 4, "n": 2}, "rhs": "cc17f64c2cdbd0df"}\n'),
+    ('verify bridge --gamma 1 --alpha 1 --m 100000000000000000000', 2, '{"error": {"code": "error", "message": "cannot fit \'int\' into an index-sized integer"}}\n'),
 ]
 
 
@@ -565,23 +569,57 @@ def test_sweep_skips_a_negative_variable_count(capsys, argv):
     assert (summary["skipped"], summary["failed"]) == (1, 0)
 
 
-def _divide_by_zero(a, b, c, budget=None):
-    raise ZeroDivisionError("division by zero")
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_records_arithmetic_errors(capsys, monkeypatch, workers):
+def _box_failing_at(fault, failing):
+    """The box row, with a left side that raises ``fault`` where b is ``failing``;
+    a MemoryError is raised, never provoked, since a host that overcommits
+    may grant a huge allocation and then fill it."""
     row = IDENTITIES["box"]
-    # sweep workers are forked, so they see the patched row too
-    monkeypatch.setitem(IDENTITIES, "box", dataclasses.replace(row, lhs=_divide_by_zero))
+
+    def lhs(a, b, c, budget):
+        if b == failing:
+            raise fault
+        return row.lhs(a, b, c, budget)
+
+    return dataclasses.replace(row, lhs=lhs)
+
+
+@pytest.mark.parametrize(
+    ("fault", "message"),
+    [(ZeroDivisionError("division by zero"), "division by zero"), (MemoryError(), "MemoryError")],
+    ids=["division", "memory"],
+)
+def test_verify_reports_a_failed_check_as_error(capsys, monkeypatch, fault, message):
+    # an arithmetic failure or memory exhaustion inside a check is code error,
+    # as in a sweep; an empty message is replaced by the class name
+    monkeypatch.setitem(IDENTITIES, "box", _box_failing_at(fault, 1))
+    code, out = run_cli(capsys, "verify", "box", "--a", "1", "--b", "1", "--c", "1")
+    assert code == 2
+    assert json.loads(out) == {"error": {"code": "error", "message": message}}
+
+
+@pytest.mark.parametrize(
+    ("fault", "reason", "workers"),
+    [
+        (ZeroDivisionError("division by zero"), "division by zero", "1"),
+        (ZeroDivisionError("division by zero"), "division by zero", "2"),
+        (MemoryError(), "MemoryError", "1"),
+        (MemoryError(), "MemoryError", "2"),
+    ],
+    ids=["1", "2", "memory-1", "memory-2"],
+)
+def test_sweep_records_arithmetic_errors(capsys, monkeypatch, fault, reason, workers):
+    # sweep workers are forked, so they see the patched row too; the tuple
+    # that fails does not cost the other its line
+    monkeypatch.setitem(IDENTITIES, "box", _box_failing_at(fault, 2))
     code, out = run_cli(
         capsys, "sweep", "box", "--set", "a=1", "--set", "b=1..2", "--set", "c=1",
         "--workers", workers,
     )
-    lines = [json.loads(l) for l in out.strip().splitlines()]
+    first, second, summary = [json.loads(l) for l in out.strip().splitlines()]
     assert code == 2
-    assert [(l["status"], l["reason"]) for l in lines[:-1]] == [("error", "division by zero")] * 2
-    assert (lines[-1]["checked"], lines[-1]["failed"]) == (0, 2)
+    assert (first["parameters"], first["status"], first["match"]) == ({"a": 1, "b": 1, "c": 1}, "ok", True)
+    assert (second["status"], second["reason"]) == ("error", reason)
+    assert (summary["checked"], summary["failed"]) == (1, 1)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ attribute (``x.name``) in ``src/`` or ``scripts/`` outside its own body,
 or is listed as read by the benchmark or the standard library.  Every
 defaulted parameter of a ``src/scpp`` function or method is passed by some
 call in ``src/`` or ``scripts/``.  No ``src/scpp`` code compares a budget
-with ``None``.
+with ``None``.  No ``except`` clause in ``src/scpp`` or ``scripts/`` outside
+``scpp.verify`` names an exception whose meaning its ``FAILURES`` states.
 
 Each row of ``IDENTITIES`` has its two sides traced, one at a time under
 ``sys.setprofile``, on a few tuples of its standard grid.  The ``scpp``
@@ -239,6 +240,26 @@ def test_no_budget_is_compared_with_none():
                     isinstance(x, ast.Constant) and x.value is None for x in pair
                 ) and any(_is_budget(x) for x in pair):
                     sites.append(f"{path.stem}:{node.lineno}")
+    assert sites == []
+
+
+# the exceptions that only scpp.verify.FAILURES may name in a handler; the
+# parsing handlers of the CLI name ZeroDivisionError and ValueError
+TABLED = {"BudgetExceededError", "RuntimeError", "LookupError", "ArithmeticError", "MemoryError"}
+
+
+def test_only_the_failure_table_names_a_checks_exceptions():
+    # verify, sweep and run_all_checks.py read one table of what a failed
+    # check means, so none of them keeps a list of its own
+    sites = []
+    for path, tree in TREES.items():
+        if path == ROOT / "src" / "scpp" / "verify.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+                if named & TABLED:
+                    sites.append(f"{path.parent.name}/{path.name}:{node.lineno}")
     assert sites == []
 
 

@@ -22,7 +22,8 @@ def _check(name, *values, budget=None, method=None):
 def _rhs(which, gamma1, gamma2, alpha, n):
     """The right-hand side as the verifiers build it: the glued terms summed
     in n + 1 variables."""
-    return verify._glue_sum(verify._glued_terms(which, gamma1, gamma2, alpha, n, WorkBudget()), n)
+    terms = verify._glued_terms(which, gamma1, gamma2, alpha, n, WorkBudget())
+    return verify._glue_sum(terms, n, WorkBudget())
 
 
 def test_rhs_identity1_trivial_cases():
@@ -50,7 +51,8 @@ def test_glue_descent_matches_the_sum_shape_by_shape():
         for gamma2 in range(gamma1 + 1):
             terms = verify._glued_terms(which, gamma1, gamma2, alpha, n, WorkBudget())
             expected = glue_sum_by_shapes(terms, n)
-            assert verify._glue_sum(terms, n) == expected, (which, gamma1, gamma2, alpha, n)
+            summed = verify._glue_sum(terms, n, WorkBudget())
+            assert summed == expected, (which, gamma1, gamma2, alpha, n)
 
 
 def test_glue_descent_on_the_strip_free_terms_of_square_reduction():
@@ -58,7 +60,7 @@ def test_glue_descent_on_the_strip_free_terms_of_square_reduction():
         terms = verify._glued_terms(1, gamma, gamma, alpha, n, WorkBudget())
         free = [term for term in terms if term[1] == 0]
         # square reduction sums them in x_1..x_n; x_{n+1} enters with exponent 0
-        reduced = verify._glue_sum(free, n, trailing=0)
+        reduced = verify._glue_sum(free, n, WorkBudget(), trailing=0)
         assert reduced.lift(n + 1) == glue_sum_by_shapes(free, n), (gamma, alpha, n)
 
 
@@ -109,7 +111,7 @@ def test_both_methods_catch_a_missing_glued_term(monkeypatch, method):
 
 
 def _sweep_inputs(which, gamma1, gamma2, alpha, n):
-    first, second = verify._lhs_factors(which, gamma1, gamma2, alpha, n)
+    first, second = verify._lhs_factors(which, gamma1, gamma2, alpha, n, WorkBudget())
     return first, second, _rhs(which, gamma1, gamma2, alpha, n), alpha * gamma1 + (alpha + 1) * gamma2
 
 
@@ -271,7 +273,8 @@ def test_square_reduction_lists_one_strip_free_term_per_mu(monkeypatch):
         terms = verify._glued_terms(1, gamma, gamma, alpha, n, WorkBudget())
         listed.clear()
         reduced = verify._strip_free_sum(gamma, alpha, n, WorkBudget())
-        assert reduced == verify._glue_sum([t for t in terms if t[1] == 0], n, trailing=0)
+        free = [t for t in terms if t[1] == 0]
+        assert reduced == verify._glue_sum(free, n, WorkBudget(), trailing=0)
         assert len(listed) == comb(alpha + gamma, alpha), (gamma, alpha, n)
         assert listed == list(partitions_in_rectangle(alpha, gamma)), (gamma, alpha, n)
 

@@ -53,7 +53,6 @@ import io
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Sequence
@@ -231,7 +230,8 @@ def _handle_verify(args, budget: WorkBudget) -> tuple[dict, int]:
     row = _identity(args)
     values = _values(args, row.params, f"identity {args.identity}")
     report = row.run(values, budget, args.method)
-    return asdict(report), 0 if report.match else 1
+    # a shallow dict of the fields: asdict would deep-copy each
+    return dict(vars(report)), 0 if report.match else 1
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def _sweep_tuple(task) -> dict:
         code, reason = failure(exc)
         status = "skipped" if code in ("bad-parity", "invalid-parameter") else code
         return {"identity": identity, "parameters": params, "status": status, "reason": reason}
-    return {**asdict(report), "status": "ok"}
+    return {**vars(report), "status": "ok"}
 
 
 def _handle_sweep(args, budget: WorkBudget) -> tuple[list[dict], int]:

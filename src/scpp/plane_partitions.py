@@ -15,20 +15,24 @@ segment for the middle lines.  The counts sum over these chains with the
 transfer-matrix method (Stanley, EC1 4.7), whose states are the rows; they
 are exhaustive and use no closed form.  The rows of [0, b]^c form one row
 table per (b, c), shared by every count (``_RowTable``).  Beside its rows
-the table keeps what the counts read from them: the raised-entry index of
-the transfer steps, the sign column of the signed steps, and two closing
-tables, the indices of the rows whose mirrored entries sum to at least b
-and of those that sum to exactly b, each listed once from the table's
-columns.  A count sums its chain counts at the indices of the closing
-table; a middle line filters that list by a column, or in the punctured
-case selects its rows in one pass over the columns.  The tables of recent
-(b, c) are kept up to ``ROW_TABLE_ROWS`` rows in all (``_row_table``).
+the table keeps what the counts read from them: the live pairs of the
+transfer steps, per column the rows whose entry can be raised and the
+rows they become; the sign column of the signed steps; the chain counts
+of the steps already run, plain and signed, from the lid on, so a count
+runs each step once per table; and two closing tables, the indices of the
+rows whose mirrored entries sum to at least b and of those that sum to
+exactly b, each listed once from the table's columns.  A count sums its
+chain counts at the indices of the closing table; a middle line filters
+that list by a column, or in the punctured case selects its rows in one
+pass over the columns.  The tables of recent (b, c) and their kept steps
+are held up to ``ROW_TABLE_ROWS`` entries in all (``_row_table``).
 
 Each count charges its row states once per transfer step before it reads
-the table (``_charged_table``).  The table is built when first read, and
-each of its lists when first used, so a cap stops a count before any of
-them fills memory.  The signed count charges its two runs to one budget
-and makes both on one table.
+the table (``_charged_table``), whether it runs the steps or reads them
+kept, so no charge depends on what earlier counts ran.  The table is built
+when first read, and each of its lists when first used, so a cap stops a
+count before any of them fills memory.  The signed count charges its two
+runs to one budget and makes both on one table.
 
 The move graph joins two self-complementary arrays when one cube moves to
 its 180-degree-opposite position.  ``check_move_graph`` lists the arrays
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, compress, repeat
 from math import comb
-from operator import add, and_, eq, ge, mul
+from operator import add, and_, eq, ge, gt, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 from scpp.budget import WorkBudget
@@ -57,8 +61,9 @@ from scpp.products import check_box_sides, check_middle_line_params
 
 Row = tuple[int, ...]
 
-# rows the row tables hold at once; the enum benchmark draws 26 distinct
-# (b, c) of at most 924 rows each, 24,024 rows in all
+# entries the row tables hold at once, rows and kept step entries; every op
+# of the enum benchmark together fills 26 tables, 3,374 rows and 19,474 step
+# entries, 22,848 in all
 ROW_TABLE_ROWS = 1 << 15
 
 
@@ -68,19 +73,19 @@ def count_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
     return sum(_row_chains(_charged_table(a, b, c, budget or WorkBudget()), a))
 
 
-def _rows_above(counts: list[int], raised: list[list[int]]) -> list[int]:
+def _rows_above(counts: list[int], pairs: list[tuple[list[int], list[int]]]) -> list[int]:
     """For each row w, the sum of ``counts`` over the rows r >= w entrywise.
 
     Sums one column at a time, from the last to the first: after column j,
     w holds the sum over the rows that agree with w before column j and are
     at least w from there on, that is, its sum after column j+1 plus the sum
-    at w + e_j when that is a decreasing row.
+    at w + e_j when that is a decreasing row.  ``pairs`` lists, per column,
+    those rows w and the rows w + e_j, which come first and are summed first.
     """
     sums = list(counts)
-    for column in reversed(raised):
-        for i, r in enumerate(column):
-            if r >= 0:  # r < i: the raised row comes first and is already summed
-                sums[i] += sums[r]
+    for dst, src in reversed(pairs):
+        for i, r in zip(dst, src):
+            sums[i] += sums[r]
     return sums
 
 
@@ -98,25 +103,50 @@ class _RowTable:
     shares the lists and only reads them.
 
     Past the rows, each list is built on its first use and kept with them:
-    the raised-entry index of the transfer steps, the columns, the sign
+    the live pairs of the transfer steps (``pairs``), the columns, the sign
     column of the signed steps, and the closing tables, the indices of the
-    rows that close a chain of upper rows (``closing``).  A count reads
-    them only after it has charged its units (``_charged_table``).
+    rows that close a chain of upper rows (``closing``).  ``steps`` keeps
+    the chain counts of the plain and the signed steps run so far, from
+    the lid on, as far as the row tables have room (``_row_chains``).  A
+    count reads them only after it has charged its units
+    (``_charged_table``).
     """
 
     def __init__(self, b: int, c: int, rows: list[Row]) -> None:
         self.b, self.c, self.rows = b, c, rows
         self._closing: dict[int, list[int]] = {}  # by the parity of a
+        self.steps: tuple[list[list[int]], list[list[int]]] = ([], [])  # plain, signed
 
     @cached_property
-    def raised(self) -> list[list[int]]:
-        """Per column j the index of each row with entry j raised by one
-        (-1: none)."""
-        index = {row: i for i, row in enumerate(self.rows)}
-        return [
-            [index.get(row[:j] + (row[j] + 1,) + row[j + 1:], -1) for row in self.rows]
-            for j in range(self.c)
-        ]
+    def pairs(self) -> list[tuple[list[int], list[int]]]:
+        """Per column j the live pairs, as two parallel lists: ``dst``, the
+        rows w whose entry j can be raised by one, w[j] < w[j-1] (w[-1] =
+        b), and ``src``, the index of w + e_j, which comes first.
+
+        The rows that precede w are, for each j, those that agree with w
+        before column j and are larger at j: N(c-j, w[j-1]) - N(c-j, w[j])
+        of them, where N(n, m) = C(m+n, n) counts the decreasing rows of length
+        n in [0, m].  Raising w[j] = v changes only the terms j and j+1, so
+        w + e_j comes N(c-j-1, v+1) - N(c-j-2, v+1) rows before w, with
+        N(-1, m) = 0: an offset per column and value, and no lookup.
+        """
+        b, c, rows = self.b, self.c, self.rows
+
+        def decreasing(n: int, m: int) -> int:  # N(n, m)
+            return comb(m + n, n) if n >= 0 else 0
+
+        indices = list(range(len(rows)))  # one int per row, shared by the lists
+        out, above = [], repeat(b)
+        for j in range(c):
+            n = c - j - 1  # the entries after column j
+            gap = [decreasing(n, v + 1) - decreasing(n - 1, v + 1) for v in range(b + 1)]
+            column = list(map(itemgetter(j), rows))
+            live = list(map(gt, above, column))
+            dst = list(compress(indices, live))
+            gaps = compress(map(gap.__getitem__, column), live)
+            out.append((dst, list(map(indices.__getitem__, map(sub, dst, gaps)))))
+            above = column
+        return out
 
     @cached_property
     def columns(self) -> list[Row]:
@@ -148,9 +178,10 @@ class _RowTable:
 
 
 class _RowTables:
-    """The row tables by (b, c), the least recently used first, holding
-    ``ROW_TABLE_ROWS`` rows at most in all.  A larger table is built for
-    the call that asks for it and not kept."""
+    """The row tables by (b, c), the least recently used first, and their
+    kept chain steps, holding ``ROW_TABLE_ROWS`` entries at most in all: a
+    table's rows, and its rows again for each step list kept.  A table with
+    more rows is built for the call that asks for it and not kept."""
 
     def __init__(self) -> None:
         self.tables: OrderedDict[tuple[int, int], _RowTable] = OrderedDict()
@@ -166,8 +197,18 @@ class _RowTables:
             self.tables[(b, c)] = table
             self.held += len(table.rows)
             while self.held > ROW_TABLE_ROWS:
-                self.held -= len(self.tables.popitem(last=False)[1].rows)
+                old = self.tables.popitem(last=False)[1]
+                self.held -= len(old.rows) * (1 + sum(map(len, old.steps)))
         return table
+
+    def hold(self, table: _RowTable, lists: int) -> int:
+        """How many of ``lists`` more step lists of ``table`` fit under the
+        bound, none for a table not held here; counts them as held."""
+        if self.tables.get((table.b, table.c)) is not table:
+            return 0
+        lists = min(lists, (ROW_TABLE_ROWS - self.held) // len(table.rows))
+        self.held += lists * len(table.rows)
+        return lists
 
 
 _row_table = _RowTables()
@@ -189,12 +230,25 @@ def _row_chains(table: _RowTable, k: int, signed: bool = False) -> list[int]:
     """Chains of k rows from ``table``, each entrywise at most the one
     before, counted by their last row.  ``signed`` weights each row by its
     sign in ``table.signs``.
+
+    Step s of the run is kept in ``table.steps[signed][s]``, from the lid
+    on, while the row tables have room (``_RowTables.hold``), and a later
+    run reads the steps kept and goes on from the last.  Callers only read
+    the list returned.
     """
-    counts = [1] + [0] * (len(table.rows) - 1)  # the lid
-    for _ in range(k):
-        counts = _rows_above(counts, table.raised)
-        if signed:
-            counts = list(map(mul, counts, table.signs))
+    steps = table.steps[signed]
+    if k < len(steps):
+        return steps[k]
+    keep = _row_table.hold(table, k + 1 - len(steps))
+    counts = steps[-1] if steps else [1] + [0] * (len(table.rows) - 1)  # the lid
+    for s in range(len(steps), k + 1):
+        if s:
+            counts = _rows_above(counts, table.pairs)
+            if signed:
+                counts = list(map(mul, counts, table.signs))
+        if keep:
+            steps.append(counts)
+            keep -= 1
     return counts
 
 

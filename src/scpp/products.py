@@ -1,13 +1,13 @@
 """Closed-form product counts for box-bounded plane partitions.
 
-All arithmetic is exact: the box product is accumulated as a rational
-reduced at each step, and a non-integer final value raises instead of
-rounding.
+All arithmetic is exact: the box product is accumulated one row factor
+at a time, each partial product an integer, and a factor that leaves a
+remainder raises instead of rounding.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 
 class ParityError(ValueError):
@@ -36,12 +36,15 @@ def box_count(a: int, b: int, c: int) -> int:
     Symmetric in the three sides.
     """
     check_box_sides(a, b, c)
-    value = Fraction(1)
+    value = 1
     for i in range(1, a + 1):
-        value *= Fraction(rising_factorial(c + i, b), rising_factorial(i, b))
-    if value.denominator != 1:
-        raise ArithmeticError(f"box product for {(a, b, c)} is not an integer")
-    return value.numerator
+        # after this factor, value is the box count of an i x b x c box
+        up, down = rising_factorial(c + i, b), rising_factorial(i, b)
+        common = gcd(up, down)
+        value, rest = divmod(value * (up // common), down // common)
+        if rest:
+            raise ArithmeticError(f"box product for {(a, b, c)} is not an integer")
+    return value
 
 
 def sc_count(a: int, b: int, c: int) -> int:

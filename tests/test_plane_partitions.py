@@ -1,5 +1,6 @@
 from itertools import permutations, product
 from math import comb
+from operator import ge
 
 import pytest
 
@@ -450,15 +451,90 @@ def test_row_table_is_built_once_per_row_shape(monkeypatch):
 def test_row_tables_hold_at_most_the_row_bound(monkeypatch):
     tables = plane_partitions._RowTables()
     monkeypatch.setattr(plane_partitions, "_row_table", tables)
+
+    def entries():  # each table's rows, and its rows again per step list kept
+        return sum(len(t.rows) * (1 + sum(map(len, t.steps))) for t in tables.tables.values())
+
     # every table of sides up to 6, the enum benchmark's, fits at once
     shapes = set(product(range(7), repeat=2))
     for b, c in shapes:
         tables(b, c)
-    # C(20, 10) = 184,756 rows: built for the count, and not kept
+    assert tables.held == sum(len(t.rows) for t in tables.tables.values())
+    # many steps on a tiny table: kept only while they fit under the bound
+    assert count_pp(40_000, 1, 1) == box_count(40_000, 1, 1)
+    kept = len(tables.tables[(1, 1)].steps[False])
+    assert 0 < kept < 40_001
+    assert tables.held + 2 > plane_partitions.ROW_TABLE_ROWS
+    # C(20, 10) = 184,756 rows: built for the count, and neither it nor its
+    # steps kept
+    held = tables.held
     assert count_pp(1, 10, 10) == box_count(1, 10, 10)
+    assert tables.held == held
     assert shapes <= set(tables.tables)
     assert max(len(t.rows) for t in tables.tables.values()) < 184_756
-    assert tables.held == sum(len(t.rows) for t in tables.tables.values()) <= plane_partitions.ROW_TABLE_ROWS
+    assert tables.held == entries() <= plane_partitions.ROW_TABLE_ROWS
+    # C(16, 8) + C(16, 7) = 24,310 rows more: the tables used least
+    # recently, (1, 1) and its steps among them, make room
+    tables(8, 8), tables(9, 7)
+    assert (1, 1) not in tables.tables
+    assert tables.held == entries() <= plane_partitions.ROW_TABLE_ROWS
+
+
+def _chains_oracle(table, k, signed):
+    """Chains of k rows of ``table``, by their last row w: counts_k[w] is
+    the sum of counts_{k-1}[r] over the rows r >= w entrywise, times w's
+    sign when ``signed``."""
+    b, c, rows = table.b, table.c, table.rows
+    counts = [1] + [0] * (len(rows) - 1)
+    for _ in range(k):
+        counts = [
+            sum(n for n, r in zip(counts, rows) if all(map(ge, r, w)))
+            * ((-1) ** (b * c - sum(w)) if signed else 1)
+            for w in rows
+        ]
+    return counts
+
+
+def test_row_chains_are_the_chains_of_the_oracle_in_any_order(monkeypatch):
+    ascending = [(k, signed) for k in range(7) for signed in (False, True)]
+    interleaved = [(k, signed) for k in (3, 0, 6, 1, 4, 2, 5) for signed in (True, False)]
+    for order in (ascending, ascending[::-1], interleaved):
+        monkeypatch.setattr(plane_partitions, "_row_table", plane_partitions._RowTables())
+        for b, c in product(range(5), repeat=2):
+            table = plane_partitions._row_table(b, c)
+            for k, signed in order:
+                expected = _chains_oracle(table, k, signed)
+                assert plane_partitions._row_chains(table, k, signed) == expected, (b, c, k, signed)
+
+
+def test_a_count_charges_the_same_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(plane_partitions, "_row_table", plane_partitions._RowTables())
+    counts = [
+        (count_pp, (3, 3, 4)),
+        (count_scpp, (4, 3, 4)),
+        (count_scpp_signed, (5, 2, 4)),
+        (count_scpp_middle_line, (3, 2, 6, 2)),
+    ]
+    for count, sides in counts:
+        cold, warm = WorkBudget(), WorkBudget()
+        first = count(*sides, cold)
+        assert all(t.steps[False] for t in plane_partitions._row_table.tables.values())
+        assert count(*sides, warm) == first
+        assert cold.used == warm.used > 0, count.__name__
+
+
+def test_live_pairs_raise_one_entry_of_every_raisable_row():
+    for b, c in product(range(7), repeat=2):
+        table = plane_partitions._row_table(b, c)
+        rows = table.rows
+        assert len(table.pairs) == c
+        for j, (dst, src) in enumerate(table.pairs):
+            assert len(dst) == len(src)
+            assert dst == [i for i, w in enumerate(rows) if w[j] < (w[j - 1] if j else b)]
+            for i, r in zip(dst, src):
+                assert r < i
+                assert rows[r] == rows[i][:j] + (rows[i][j] + 1,) + rows[i][j + 1:]
+    assert sum(len(dst) for dst, _ in plane_partitions._row_table(6, 6).pairs) == 2_772
 
 
 def _per_row(a, b, c, weight, signed=False):

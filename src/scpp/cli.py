@@ -265,34 +265,30 @@ def _parse_range(name: str, spec: str) -> list[int]:
     return values
 
 
-def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[int]]:
-    """The range of each parameter: from ``--config``, then from ``--set``,
-    which overrides a config key; each gives a parameter at most once."""
-    grid: dict[str, list[int]] = {}
-    if config_path:
-        with open(config_path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"bad config line {raw.rstrip()!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in grid:
-                    raise UsageError(f"--config gives {key} more than once")
-                grid[key] = _parse_range(key, value)
-    given = set()
-    for item in sets:
+def _ranges(items: Sequence[tuple[str, str]], source: str) -> dict[str, list[int]]:
+    """The range of each ``key=range`` item, each paired with the message
+    that refuses it when it has no "="; ``source`` gives a key at most once."""
+    ranges: dict[str, list[int]] = {}
+    for item, bad in items:
         if "=" not in item:
-            raise UsageError(f"bad --set value {item!r}")
+            raise UsageError(bad)
         key, _, value = item.partition("=")
         key = key.strip()
-        if key in given:
-            raise UsageError(f"--set gives {key} more than once")
-        given.add(key)
-        grid[key] = _parse_range(key, value)
-    return grid
+        if key in ranges:
+            raise UsageError(f"{source} gives {key} more than once")
+        ranges[key] = _parse_range(key, value)
+    return ranges
+
+
+def _parse_grid(sets: Sequence[str], config_path: str | None) -> dict[str, list[int]]:
+    """The range of each parameter: from ``--config``, then from ``--set``,
+    which overrides a config key."""
+    lines = []
+    if config_path:
+        with open(config_path) as fh:
+            lines = [(raw.split("#", 1)[0].strip(), f"bad config line {raw.rstrip()!r}") for raw in fh]
+    config = _ranges([(line, bad) for line, bad in lines if line], "--config")
+    return config | _ranges([(item, f"bad --set value {item!r}") for item in sets], "--set")
 
 
 def _sweep_tuple(task) -> dict:

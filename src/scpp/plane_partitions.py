@@ -17,15 +17,15 @@ are exhaustive and use no closed form.  The rows of [0, b]^c form one row
 table per (b, c), shared by every count (``_RowTable``).  Beside its rows
 the table keeps what the counts read from them: the live pairs of the
 transfer steps, per column the rows whose entry can be raised and the
-rows they become; the sign column of the signed steps; the chain counts
-of the steps already run, plain and signed, from the lid on, so a count
-runs each step once per table; and two closing tables, the indices of the
-rows whose mirrored entries sum to at least b and of those that sum to
-exactly b, each listed once from the table's columns.  A count sums its
-chain counts at the indices of the closing table; a middle line filters
-that list by a column, or in the punctured case selects its rows in one
-pass over the columns.  The tables of recent (b, c) and their kept steps
-are held up to ``ROW_TABLE_ROWS`` entries in all (``_row_table``).
+rows they become; the sign column of the signed steps; and two closing
+tables, the indices of the rows whose mirrored entries sum to at least b
+and of those that sum to exactly b, each listed once from the table's
+columns.  A count sums its chain counts at the indices of the closing
+table; a middle line filters that list by a column, or in the punctured
+case selects its rows in one pass over the columns.  The tables and the
+chain counts of each step run, plain and signed, are kept in
+``scpp.budget.KEPT``, sized by their rows, so a count runs each step once
+while it stays kept (``_row_table``, ``_row_chains``).
 
 Each count charges its row states once per transfer step before it reads
 the table (``_charged_table``), whether it runs the steps or reads them
@@ -48,7 +48,6 @@ condition on one array) live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, compress, repeat
@@ -56,15 +55,10 @@ from math import comb
 from operator import add, and_, eq, ge, gt, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
-from scpp.budget import WorkBudget
+from scpp.budget import KEPT, WorkBudget
 from scpp.products import check_box_sides, check_middle_line_params
 
 Row = tuple[int, ...]
-
-# entries the row tables hold at once, rows and kept step entries; every op
-# of the enum benchmark together fills 26 tables, 3,374 rows and 19,474 step
-# entries, 22,848 in all
-ROW_TABLE_ROWS = 1 << 15
 
 
 def count_pp(a: int, b: int, c: int, budget: WorkBudget | None = None) -> int:
@@ -105,17 +99,13 @@ class _RowTable:
     Past the rows, each list is built on its first use and kept with them:
     the live pairs of the transfer steps (``pairs``), the columns, the sign
     column of the signed steps, and the closing tables, the indices of the
-    rows that close a chain of upper rows (``closing``).  ``steps`` keeps
-    the chain counts of the plain and the signed steps run so far, from
-    the lid on, as far as the row tables have room (``_row_chains``).  A
-    count reads them only after it has charged its units
-    (``_charged_table``).
+    rows that close a chain of upper rows (``closing``).  A count reads them
+    only after it has charged its units (``_charged_table``).
     """
 
     def __init__(self, b: int, c: int, rows: list[Row]) -> None:
         self.b, self.c, self.rows = b, c, rows
         self._closing: dict[int, list[int]] = {}  # by the parity of a
-        self.steps: tuple[list[list[int]], list[list[int]]] = ([], [])  # plain, signed
 
     @cached_property
     def pairs(self) -> list[tuple[list[int], list[int]]]:
@@ -177,41 +167,13 @@ class _RowTable:
         return self._closing[parity]
 
 
-class _RowTables:
-    """The row tables by (b, c), the least recently used first, and their
-    kept chain steps, holding ``ROW_TABLE_ROWS`` entries at most in all: a
-    table's rows, and its rows again for each step list kept.  A table with
-    more rows is built for the call that asks for it and not kept."""
-
-    def __init__(self) -> None:
-        self.tables: OrderedDict[tuple[int, int], _RowTable] = OrderedDict()
-        self.held = 0
-
-    def __call__(self, b: int, c: int) -> _RowTable:
-        table = self.tables.get((b, c))
-        if table is not None:
-            self.tables.move_to_end((b, c))
-            return table
-        table = _RowTable(b, c, list(combinations_with_replacement(range(b, -1, -1), c)))
-        if len(table.rows) <= ROW_TABLE_ROWS:
-            self.tables[(b, c)] = table
-            self.held += len(table.rows)
-            while self.held > ROW_TABLE_ROWS:
-                old = self.tables.popitem(last=False)[1]
-                self.held -= len(old.rows) * (1 + sum(map(len, old.steps)))
-        return table
-
-    def hold(self, table: _RowTable, lists: int) -> int:
-        """How many of ``lists`` more step lists of ``table`` fit under the
-        bound, none for a table not held here; counts them as held."""
-        if self.tables.get((table.b, table.c)) is not table:
-            return 0
-        lists = min(lists, (ROW_TABLE_ROWS - self.held) // len(table.rows))
-        self.held += lists * len(table.rows)
-        return lists
-
-
-_row_table = _RowTables()
+def _row_table(b: int, c: int) -> _RowTable:
+    """The row table of (b, c), kept in ``KEPT`` sized by its rows."""
+    table = KEPT.get(("rows", b, c))
+    if table is None:
+        rows = list(combinations_with_replacement(range(b, -1, -1), c))
+        table = KEPT.put(("rows", b, c), _RowTable(b, c, rows), len(rows))
+    return table
 
 
 def _charged_table(k: int, b: int, c: int, budget: WorkBudget, runs: int = 1) -> _RowTable:
@@ -231,24 +193,23 @@ def _row_chains(table: _RowTable, k: int, signed: bool = False) -> list[int]:
     before, counted by their last row.  ``signed`` weights each row by its
     sign in ``table.signs``.
 
-    Step s of the run is kept in ``table.steps[signed][s]``, from the lid
-    on, while the row tables have room (``_RowTables.hold``), and a later
-    run reads the steps kept and goes on from the last.  Callers only read
-    the list returned.
+    Step s of the run, s > 0, is kept in ``KEPT`` under ("chains", b, c,
+    signed, s), sized by its rows; a run goes on from the highest step kept
+    at or below k, or from the lid, and keeps each step it runs.  Callers
+    only read the list returned.
     """
-    steps = table.steps[signed]
-    if k < len(steps):
-        return steps[k]
-    keep = _row_table.hold(table, k + 1 - len(steps))
-    counts = steps[-1] if steps else [1] + [0] * (len(table.rows) - 1)  # the lid
-    for s in range(len(steps), k + 1):
-        if s:
-            counts = _rows_above(counts, table.pairs)
-            if signed:
-                counts = list(map(mul, counts, table.signs))
-        if keep:
-            steps.append(counts)
-            keep -= 1
+    key = ("chains", table.b, table.c, signed)
+    for s in range(k, 0, -1):
+        counts = KEPT.get(key + (s,))
+        if counts is not None:
+            break
+    else:
+        s, counts = 0, [1] + [0] * (len(table.rows) - 1)  # the lid
+    for s in range(s + 1, k + 1):
+        counts = _rows_above(counts, table.pairs)
+        if signed:
+            counts = list(map(mul, counts, table.signs))
+        KEPT.put(key + (s,), counts, len(counts))
     return counts
 
 

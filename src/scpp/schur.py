@@ -11,7 +11,9 @@ per level.  The weights are term maps (``schur_combination``, which
 ``scpp.verify`` from its multiset) or numbers (``schur_value``: the bridge,
 ``specialize_alternating`` and ``schur evaluate --at`` build no term map).
 Each shape's strip count is charged before its strips are listed.  The
-tableau walk and a determinant in ``tests/oracles.py`` check both.
+tableau walk and a determinant in ``tests/oracles.py`` check both.  Built
+polynomials are kept in ``scpp.budget.KEPT``, sized by their terms, with
+the strips their descent listed, which a call that reads one charges.
 
 The rectangular principal specialization in a formal variable q is
 MacMahon's box product (EC2 7.21), computed on one coefficient list by
@@ -24,12 +26,9 @@ from __future__ import annotations
 from math import prod
 from typing import Callable, Iterable, Sequence
 
-from scpp.budget import WorkBudget
+from scpp.budget import KEPT, WorkBudget
 from scpp.partitions import Partition, partition, rectangle, strip_ranges, strips_of
 from scpp.polynomials import EXPONENT_LIMIT, FIELD_BITS, MPoly, Value
-
-CACHE_SIZE = 192  # one pass of the schur benchmark builds 51 distinct polynomials
-_kept: dict[tuple[Partition, int], tuple[MPoly, int]] = {}  # least recently used first
 
 
 def checked_shape(lam: Iterable[int], n: int) -> Partition:
@@ -84,21 +83,19 @@ def schur_tableau_sum(lam: Iterable[int], n: int, budget: WorkBudget | None = No
     """Schur polynomial of shape lam in n variables, zero when lam has more
     than n rows; benchmark tracing finds the Schur layer by this name.  A
     part of 2^31 or more is refused: packed keys hold exponents below 2^31,
-    and no exponent of s_lam exceeds its first part.  ``CACHE_SIZE`` results
-    are kept with the strips their descent listed, which a hit charges again,
-    so no charge depends on what earlier calls built."""
+    and no exponent of s_lam exceeds its first part.  A kept result charges
+    the strips its descent listed again, so no charge depends on what
+    earlier calls built."""
     budget = budget or WorkBudget()
-    key = (checked_shape(lam, n), n)
-    if key in _kept:
-        poly, listed = _kept[key] = _kept.pop(key)
-        budget.charge(listed)
-        return poly
-    before = budget.used
-    poly = MPoly(n, schur_combination({key[0]: {0: 1}}, n, budget=budget))
-    if len(_kept) == CACHE_SIZE:
-        del _kept[next(iter(_kept))]
-    _kept[key] = poly, budget.used - before
-    return poly
+    key = ("schur", checked_shape(lam, n), n)
+    kept = KEPT.get(key)
+    if kept is None:
+        before = budget.used
+        poly = MPoly(n, schur_combination({key[1]: {0: 1}}, n, budget=budget))
+        kept = KEPT.put(key, (poly, budget.used - before), len(poly.terms))
+    else:
+        budget.charge(kept[1])
+    return kept[0]
 
 
 def schur_value(
@@ -166,8 +163,10 @@ def alternating_point(m: int) -> tuple[int, ...]:
 
 def specialize_alternating(gamma: int, alpha: int, m: int, budget: WorkBudget | None = None) -> int:
     """Rectangular Schur polynomial at (1, -1, ..., (-1)^(m-1)), the value
-    ``schur_value`` gives, charged to ``budget``; the product formula at
-    q -> -1 in ``tests/oracles.py`` checks it."""
+    ``schur_value`` gives, charged to ``budget`` after m units for the point;
+    the product formula at q -> -1 in ``tests/oracles.py`` checks it."""
     if gamma < 0 or alpha < 0 or m < 0:
         raise ValueError("parameters must be nonnegative")
+    budget = budget or WorkBudget()
+    budget.charge(m)
     return schur_value(rectangle(alpha, gamma), alternating_point(m), budget)

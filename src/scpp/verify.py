@@ -340,10 +340,11 @@ def _one_component(a: int, b: int, c: int, budget: WorkBudget) -> str:
 
 def _bridge_values(gamma: int, alpha: int, m: int, budget: WorkBudget) -> str:
     """The alpha x gamma rectangular Schur polynomial in m variables at all
-    ones and at (1, -1, 1, ...), from ``schur_value``, the branching rule on
-    numbers, which builds no polynomial; ``tests/test_schur.py`` checks it."""
+    ones and at (1, -1, 1, ...), each after m units for the point, from
+    ``schur_value``, which builds no polynomial; ``tests/test_schur.py`` checks it."""
     if m < alpha:
         raise ValueError("argument count must be at least the number of rows")
+    budget.charge(m)
     ones = schur_value(rectangle(alpha, gamma), (1,) * m, budget)
     return f"ones={ones};alternating={specialize_alternating(gamma, alpha, m, budget)}"
 

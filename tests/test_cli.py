@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import scpp.verify
-from scpp import partitions
+from scpp import partitions, schur
 from scpp.cli import build_parser, main
 from scpp.verify import IDENTITIES
 
@@ -168,6 +168,20 @@ def test_budget_exceeded_is_exit_2(capsys):
     )
     assert code == 2
     assert json.loads(out)["error"]["code"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("command", ["verify bridge", "schur alternating"])
+def test_a_point_is_charged_before_it_is_built(monkeypatch, capsys, command):
+    # m = 10^20 coordinates: the charge stops the command at 11 units, before
+    # either point is built; the alternating one is refused here, so a build
+    # that came first fails at once instead of filling memory
+    def refuse(m):
+        raise AssertionError(f"alternating_point({m}) built before its charge")
+
+    monkeypatch.setattr(schur, "alternating_point", refuse)
+    assert main(f"{command} --gamma 1 --alpha 1 --m {10**20} --budget 10".split()) == 2
+    error = {"code": "budget-exceeded", "message": "work budget exceeded: 11 nodes > cap 10"}
+    assert capsys.readouterr() == (json.dumps({"error": error}) + "\n", "")
 
 
 def test_output_is_byte_deterministic(capsys):
@@ -455,7 +469,7 @@ GOLDEN = [
     ('sweep box --set a --set b=1 --set c=1', 2, '{"error": {"code": "usage", "message": "bad --set value \'a\'"}}\n'),
     ('sweep box --set a=1 --set b=1 --set c=1 --set q=1', 2, '{"error": {"code": "usage", "message": "unknown parameters for box: q"}}\n'),
     ('verify schurid1 --gamma1 4 --gamma2 4 --alpha 2 --n 2 --method evaluation-sweep', 0, '{"identity": "schurid1", "lhs": "cc17f64c2cdbd0df", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 4, "gamma2": 4, "n": 2}, "rhs": "cc17f64c2cdbd0df"}\n'),
-    ('verify bridge --gamma 1 --alpha 1 --m 100000000000000000000', 2, '{"error": {"code": "error", "message": "cannot fit \'int\' into an index-sized integer"}}\n'),
+    ('verify bridge --gamma 1 --alpha 1 --m 100000000000000000000', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 100000001 nodes > cap 100000000"}}\n'),
 ]
 
 

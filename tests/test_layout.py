@@ -13,6 +13,8 @@ defaulted parameter of a ``src/scpp`` function or method is passed by some
 call in ``src/`` or ``scripts/``.  No ``src/scpp`` code compares a budget
 with ``None``.  No ``except`` clause in ``src/scpp`` or ``scripts/`` outside
 ``scpp.verify`` names an exception whose meaning its ``FAILURES`` states.
+No ``src/scpp`` module but ``scpp.budget``, whose ``KEPT`` is the one store
+of values kept between calls, changes a module-level value of its own.
 
 Each row of ``IDENTITIES`` has its two sides traced, one at a time under
 ``sys.setprofile``, on a few tuples of its standard grid.  The ``scpp``
@@ -29,7 +31,7 @@ from collections import Counter
 from functools import partial
 from pathlib import Path
 
-from scpp import schur
+from conftest import fresh_kept
 from scpp.budget import WorkBudget
 from scpp.pfaffian import corollary_matrix
 from scpp.plane_partitions import count_scpp
@@ -263,6 +265,76 @@ def test_only_the_failure_table_names_a_checks_exceptions():
     assert sites == []
 
 
+# the methods that change a list, dict or set in place
+MUTATORS = {
+    "append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault",
+    "add", "discard", "move_to_end", "sort", "reverse",
+}
+
+
+def _mutable_classes() -> set[str]:
+    """The classes of ``src/scpp`` with a method, ``__init__`` aside, that
+    assigns to an attribute of ``self``."""
+    names = set()
+    for path in SRC:
+        for cls in TREES[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name != "__init__"]
+            stores = (
+                node for fn in methods for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+            )
+            if any(getattr(node.value, "id", None) == "self" for node in stores):
+                names.add(cls.name)
+    return names
+
+
+def _mutated(tree, classes) -> set[str]:
+    """The module-level values of ``tree`` that its code changes: a store or
+    ``del`` through a subscript or an attribute, a ``MUTATORS`` call, a
+    ``global`` rebinding, or an instance of one of ``classes``."""
+    values = {
+        name: node for name, node in _definitions(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+    }
+    mutated = {
+        name for name, node in values.items()
+        if isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) in classes
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            mutated.update(set(node.names) & set(values))
+            continue
+        if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            base = node.value
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
+            base = node.func.value
+        else:
+            continue
+        while isinstance(base, (ast.Subscript, ast.Attribute)):
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in values:
+            mutated.add(base.id)
+    return mutated
+
+
+def test_only_the_store_keeps_values_between_calls():
+    # a value a module changes outlives the call that changed it; only
+    # scpp.budget.KEPT may, under its one bound
+    classes = _mutable_classes()
+    kept = [
+        f"{path.stem}.{name}" for path in SRC if path.stem != "budget"
+        for name in sorted(_mutated(TREES[path], classes))
+    ]
+    assert kept == []
+    # the guard sees each kind of change
+    source = (
+        "_seen = {}\n_order = []\n_count = 0\n_box = Box()\nFROZEN = (1, 2)\n"
+        "def f(k):\n    global _count\n    _seen[k] = FROZEN[0]\n    _order.append(k)\n"
+    )
+    assert _mutated(ast.parse(source), {"Box"}) == {"_seen", "_order", "_count", "_box"}
+
+
 def test_no_src_module_imports_from_the_tests():
     test_modules = {"tests"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
     for path in SRC:
@@ -286,9 +358,8 @@ def test_pfaffian_submodule_is_not_shadowed():
 def _traced(side, values) -> set[str]:
     """``module.qualname`` of each ``scpp`` function that ``side`` calls at
     ``values``, ``scpp.budget`` aside; code nested in a function (a closure,
-    a comprehension) counts as that function.  The Schur cache is emptied
-    first, so that a polynomial built earlier cannot hide a descent."""
-    schur._kept.clear()
+    a comprehension) counts as that function.  Each side runs on an empty
+    store, so that a value kept earlier cannot hide a shared route."""
     called = set()
 
     def profile(frame, event, arg):
@@ -296,11 +367,12 @@ def _traced(side, values) -> set[str]:
         if event == "call" and module.startswith("scpp.") and module != "scpp.budget":
             called.add(f"{module[5:]}.{frame.f_code.co_qualname.split('.<locals>')[0]}")
 
-    sys.setprofile(profile)
-    try:
-        side(*values, budget=WorkBudget())
-    finally:
-        sys.setprofile(None)
+    with fresh_kept():
+        sys.setprofile(profile)
+        try:
+            side(*values, budget=WorkBudget())
+        finally:
+            sys.setprofile(None)
     return called
 
 

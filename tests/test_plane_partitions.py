@@ -5,6 +5,7 @@ from operator import ge
 import pytest
 
 import oracles
+from conftest import fresh_kept
 from oracles import (
     _closing_row,
     enumerate_pp,
@@ -22,7 +23,7 @@ from oracles import (
     weight,
 )
 from scpp import plane_partitions
-from scpp.budget import BudgetExceededError, WorkBudget
+from scpp.budget import KEPT_ENTRIES, BudgetExceededError, WorkBudget
 from scpp.partitions import rectangle
 from scpp.plane_partitions import (
     SignedCount,
@@ -441,43 +442,35 @@ def test_row_table_is_built_once_per_row_shape(monkeypatch):
         return table(b, c, rows)
 
     monkeypatch.setattr(plane_partitions, "_RowTable", counted)
-    monkeypatch.setattr(plane_partitions, "_row_table", plane_partitions._RowTables())
-    after = count_scpp(4, 3, 4), count_scpp_signed(4, 3, 4), check_move_graph(4, 3, 4)
+    with fresh_kept():
+        after = count_scpp(4, 3, 4), count_scpp_signed(4, 3, 4), check_move_graph(4, 3, 4)
     # one count, the signed count's two runs and the move graph's count, all on (3, 4)
     assert built == [(3, 4)]
     assert after == before
 
 
-def test_row_tables_hold_at_most_the_row_bound(monkeypatch):
-    tables = plane_partitions._RowTables()
-    monkeypatch.setattr(plane_partitions, "_row_table", tables)
-
-    def entries():  # each table's rows, and its rows again per step list kept
-        return sum(len(t.rows) * (1 + sum(map(len, t.steps))) for t in tables.tables.values())
-
-    # every table of sides up to 6, the enum benchmark's, fits at once
+def test_row_tables_hold_at_most_the_row_bound(kept):
+    # every table of sides up to 6, the enum benchmark's, fits at once, each
+    # costing its rows + 1
     shapes = set(product(range(7), repeat=2))
     for b, c in shapes:
-        tables(b, c)
-    assert tables.held == sum(len(t.rows) for t in tables.tables.values())
-    # many steps on a tiny table: kept only while they fit under the bound
-    assert count_pp(40_000, 1, 1) == box_count(40_000, 1, 1)
-    kept = len(tables.tables[(1, 1)].steps[False])
-    assert 0 < kept < 40_001
-    assert tables.held + 2 > plane_partitions.ROW_TABLE_ROWS
+        plane_partitions._row_table(b, c)
+    held = sum(comb(b + c, c) + 1 for b, c in shapes)
+    assert kept.held == held
     # C(20, 10) = 184,756 rows: built for the count, and neither it nor its
     # steps kept
-    held = tables.held
     assert count_pp(1, 10, 10) == box_count(1, 10, 10)
-    assert tables.held == held
-    assert shapes <= set(tables.tables)
-    assert max(len(t.rows) for t in tables.tables.values()) < 184_756
-    assert tables.held == entries() <= plane_partitions.ROW_TABLE_ROWS
-    # C(16, 8) + C(16, 7) = 24,310 rows more: the tables used least
-    # recently, (1, 1) and its steps among them, make room
-    tables(8, 8), tables(9, 7)
-    assert (1, 1) not in tables.tables
-    assert tables.held == entries() <= plane_partitions.ROW_TABLE_ROWS
+    assert kept.held == held
+    assert kept.get(("rows", 10, 10)) is None
+    assert kept.get(("chains", 10, 10, False, 1)) is None
+    # many steps on a tiny table: its newest steps, 3 entries each, push out
+    # every table, its own and (6, 6) among them, and the bound holds
+    assert count_pp(40_000, 1, 1) == box_count(40_000, 1, 1)
+    assert KEPT_ENTRIES - 3 < kept.held <= KEPT_ENTRIES
+    assert kept.get(("rows", 6, 6)) is None and kept.get(("rows", 1, 1)) is None
+    assert kept.get(("chains", 1, 1, False, 40_000)) == [1, 40_000]  # by the last row
+    # a warm count reads its last step and runs no other
+    assert count_pp(40_000, 1, 1) == box_count(40_000, 1, 1)
 
 
 def _chains_oracle(table, k, signed):
@@ -495,31 +488,33 @@ def _chains_oracle(table, k, signed):
     return counts
 
 
-def test_row_chains_are_the_chains_of_the_oracle_in_any_order(monkeypatch):
+def test_row_chains_are_the_chains_of_the_oracle_in_any_order():
     ascending = [(k, signed) for k in range(7) for signed in (False, True)]
     interleaved = [(k, signed) for k in (3, 0, 6, 1, 4, 2, 5) for signed in (True, False)]
     for order in (ascending, ascending[::-1], interleaved):
-        monkeypatch.setattr(plane_partitions, "_row_table", plane_partitions._RowTables())
-        for b, c in product(range(5), repeat=2):
-            table = plane_partitions._row_table(b, c)
-            for k, signed in order:
-                expected = _chains_oracle(table, k, signed)
-                assert plane_partitions._row_chains(table, k, signed) == expected, (b, c, k, signed)
+        with fresh_kept():
+            for b, c in product(range(5), repeat=2):
+                table = plane_partitions._row_table(b, c)
+                for k, signed in order:
+                    expected = _chains_oracle(table, k, signed)
+                    chains = plane_partitions._row_chains(table, k, signed)
+                    assert chains == expected, (b, c, k, signed)
 
 
-def test_a_count_charges_the_same_cold_and_warm(monkeypatch):
-    monkeypatch.setattr(plane_partitions, "_row_table", plane_partitions._RowTables())
+def test_a_count_charges_the_same_cold_and_warm():
+    # (count, sides, the last chain step it keeps: b, c, signed, k)
     counts = [
-        (count_pp, (3, 3, 4)),
-        (count_scpp, (4, 3, 4)),
-        (count_scpp_signed, (5, 2, 4)),
-        (count_scpp_middle_line, (3, 2, 6, 2)),
+        (count_pp, (3, 3, 4), (3, 4, False, 3)),
+        (count_scpp, (4, 3, 4), (3, 4, False, 2)),
+        (count_scpp_signed, (5, 2, 4), (2, 4, True, 3)),
+        (count_scpp_middle_line, (3, 2, 6, 2), (2, 4, False, 2)),
     ]
-    for count, sides in counts:
+    for count, sides, step in counts:
         cold, warm = WorkBudget(), WorkBudget()
-        first = count(*sides, cold)
-        assert all(t.steps[False] for t in plane_partitions._row_table.tables.values())
-        assert count(*sides, warm) == first
+        with fresh_kept() as store:
+            first = count(*sides, cold)
+            assert store.get(("chains", *step)) is not None
+            assert count(*sides, warm) == first
         assert cold.used == warm.used > 0, count.__name__
 
 

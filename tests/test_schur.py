@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import fresh_kept
 from oracles import (
     SemistandardTableau,
     TupleMPoly,
@@ -24,11 +25,9 @@ from oracles import (
     to_q_coeffs,
     tuple_terms,
 )
-from scpp import schur
 from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import partitions_in_rectangle, rectangle, size
 from scpp.schur import (
-    CACHE_SIZE,
     _stride_quotient,
     alternating_point,
     hook_content_rectangular,
@@ -112,30 +111,39 @@ def test_shape_parts_stay_below_the_exponent_limit():
 
 
 def test_polynomial_caches_are_bounded():
-    # the one cache keeps CACHE_SIZE whole polynomials and drops the least
-    # recently used; the descent keeps nothing between calls
-    schur._kept.clear()
-    for k in range(1, CACHE_SIZE + 1):
-        schur_tableau_sum((k,), 1)
-    schur_tableau_sum((1,), 1)  # now the most recently used
-    schur_tableau_sum((CACHE_SIZE + 1,), 1)
-    assert len(schur._kept) == CACHE_SIZE
-    assert ((1,), 1) in schur._kept and ((2,), 1) not in schur._kept
-    schur._kept.clear()
+    # the store bounds the terms kept, each polynomial costing its terms + 1,
+    # and drops the least recently used; the descent keeps nothing between calls
+    with fresh_kept(10) as store:
+        for k in range(1, 6):
+            schur_tableau_sum((k,), 1)  # one term each
+        schur_tableau_sum((1,), 1)  # now the most recently used
+        schur_tableau_sum((6,), 1)
+        assert store.held == 10
+        assert store.get(("schur", (1,), 1)) is not None
+        assert store.get(("schur", (2,), 1)) is None
+    # a polynomial with more terms than the bound is built again, and its
+    # second build charges what the first did
+    with fresh_kept(100) as store:
+        kept = schur_tableau_sum((2, 1), 3)  # 7 terms
+        builds = [WorkBudget() for _ in range(2)]
+        first, second = (schur_tableau_sum((4, 2), 5, budget) for budget in builds)
+        assert len(first.terms) == 185 and first == second and first is not second
+        assert [budget.used for budget in builds] == [descent_strip_count((4, 2), 5)] * 2
+        assert store.held == len(kept.terms) + 1
+        assert schur_tableau_sum((2, 1), 3) is kept
 
 
-def test_a_kept_polynomial_charges_the_strips_of_its_build():
+def test_a_kept_polynomial_charges_the_strips_of_its_build(kept):
     # so no charge, and no budget-exceeded outcome, depends on earlier calls
     listed = descent_strip_count((3, 2, 1), 4)
-    schur._kept.clear()
-    built, kept = WorkBudget(), WorkBudget()
-    assert schur_tableau_sum((3, 2, 1), 4, built) is schur_tableau_sum((3, 2, 1), 4, kept)
-    assert built.used == kept.used == listed
+    built, warm = WorkBudget(), WorkBudget()
+    assert schur_tableau_sum((3, 2, 1), 4, built) is schur_tableau_sum((3, 2, 1), 4, warm)
+    assert built.used == warm.used == listed
     with pytest.raises(BudgetExceededError, match=f"{listed} nodes > cap {listed - 1}"):
         schur_tableau_sum((3, 2, 1), 4, WorkBudget(listed - 1))
-    schur._kept.clear()
-    with pytest.raises(BudgetExceededError, match=f"{listed} nodes > cap {listed - 1}"):
-        schur_tableau_sum((3, 2, 1), 4, WorkBudget(listed - 1))
+    with fresh_kept():
+        with pytest.raises(BudgetExceededError, match=f"{listed} nodes > cap {listed - 1}"):
+            schur_tableau_sum((3, 2, 1), 4, WorkBudget(listed - 1))
 
 
 def test_combination_is_the_weighted_sum_of_its_shapes():

@@ -349,13 +349,12 @@ def test_alternating_value_on_the_largest_rectangle():
         assert specialize_alternating(gamma, alpha, m) == sign * count
 
 
-def test_bridge_and_alternating_build_no_polynomial(monkeypatch, capsys):
+def test_bridge_and_alternating_build_no_polynomial(monkeypatch, capsys, kept):
     monkeypatch.setattr(schur, "schur_combination", _refuse)  # the term-map descent
     assert _check("bridge", 3, 3, 7).match
     assert specialize_alternating(3, 2, 6) == -sc_count(2, 4, 3) == -18
     assert main(["schur", "evaluate", "--shape", "2,2", "--n", "3", "--at", "1,1/2,-1"]) == 0
     assert capsys.readouterr().out == '{"value": "5/4"}\n'
-    schur._kept.clear()
     with pytest.raises(AssertionError):  # the patch is live for the polynomial route
         schur_tableau_sum((3, 3), 3)
 
@@ -374,8 +373,9 @@ CHARGES = [
     # sum's descent and 12 for the square's root
     pytest.param("square-reduction", (2, 2, 3), None, 6 + 41 + 12, id="square-reduction"),
     pytest.param("weight", (2, 2, 2), None, 19, id="weight"),
+    # m = 4 for each point's coordinates, then the point's descent
     pytest.param(
-        "bridge", (2, 2, 4), None, 2 * descent_strip_count(rectangle(2, 2), 4), id="bridge"
+        "bridge", (2, 2, 4), None, 2 * (4 + descent_strip_count(rectangle(2, 2), 4)), id="bridge"
     ),
     # 2 dim^3 at dimension 4
     pytest.param("pfaffian", (3, 2, 4, 2), None, 2 * 4**3, id="pfaffian"),
@@ -396,7 +396,9 @@ def test_the_charge_cases_cover_every_row_and_both_sweeps():
 
 
 @pytest.mark.parametrize(("name", "values", "method", "charged"), CHARGES)
-def test_schur_descents_are_capped_by_the_given_cap(monkeypatch, name, values, method, charged):
+def test_schur_descents_are_capped_by_the_given_cap(
+    monkeypatch, kept, name, values, method, charged
+):
     # a check makes no budget of its own, so the cap it is given bounds all
     # its work, the Schur builds included, and no default cap stops them;
     # a cached Schur build charges what it listed, so a warm run charges
@@ -409,7 +411,6 @@ def test_schur_descents_are_capped_by_the_given_cap(monkeypatch, name, values, m
         init(self, cap)
 
     budgets = [WorkBudget(10 * DEFAULT_NODE_CAP) for _ in ("cold", "warm")]
-    schur._kept.clear()
     monkeypatch.setattr(WorkBudget, "__init__", recorded)
     for budget in budgets:
         assert _check(name, *values, budget=budget, method=method).match

@@ -22,16 +22,13 @@ multiplied again.
 
 ``MPoly`` has one constructor, which trusts its caller, and only the
 operations that production code uses: product, lifting to more variables
-and a digest.  The evaluation sweep of ``scpp.verify`` groups a term map
-by the exponent of x_1 once (``group_by_first``) and sets x_1 from the
-groups (``substitute_groups``).  Neither reads a coefficient except to
-add and scale it, so the sweep's coefficients may be packed vectors:
-integers that hold the values along the last variable, one per field
-(Kronecker substitution).  ``field_reader`` reads such fields, for the
-sweep and for the packed Pfaffian build.  Setting x_1 term by term
-(``substitute_first``), setting the last variable to zero and sums are
-test oracles (``tests/oracles.py``); values at one point come from
-``scpp.schur.schur_value``.
+and a digest.  The evaluation sweep of ``scpp.verify`` builds no
+``MPoly``: it walks the Schur descent on numbers, with integers that hold
+the values along the last variable, one per field (Kronecker
+substitution).  ``field_reader`` reads such fields, for the sweep and for
+the packed Pfaffian build.  Evaluation (``substitute_first``), setting the
+last variable to zero and sums are test oracles (``tests/oracles.py``);
+values at one point come from ``scpp.schur.schur_value``.
 """
 
 from __future__ import annotations
@@ -56,12 +53,6 @@ def _guard_mask(nvars: int) -> int:
     return (1 << FIELD_BITS * nvars) // FIELD_MASK * EXPONENT_LIMIT
 
 
-def max_exponent(terms: dict[int, Value], nvars: int) -> int:
-    """The largest exponent in a term map in x_1..x_nvars; 0 if there is none."""
-    fields = range(0, FIELD_BITS * nvars, FIELD_BITS)
-    return max((key >> shift & FIELD_MASK for key in terms for shift in fields), default=0)
-
-
 def field_reader(width: int, count: int) -> tuple[int, Callable[[bytes, int], Sequence[int]]]:
     """A reader of ``count`` unsigned little-endian fields of at least
     ``width`` >= 1 bytes, with the width it reads: rounded up to 1, 2, 4 or
@@ -77,36 +68,6 @@ def field_reader(width: int, count: int) -> tuple[int, Callable[[bytes, int], Se
         return [int.from_bytes(data[f:f + width], "little") for f in fields]
 
     return width, read
-
-
-def group_by_first(terms: dict[int, Value], nvars: int) -> list[tuple[int, list]]:
-    """The terms of a term map in x_1..x_nvars grouped by their exponent e
-    of x_1, as (e, [(key in x_2..x_nvars, coeff), ...]) pairs: grouped once,
-    the map is substituted at each x_1 with no shift or mask per term."""
-    shift = FIELD_BITS * (nvars - 1)
-    low = (1 << shift) - 1
-    groups: dict[int, list[tuple[int, Value]]] = {}
-    for key, coeff in terms.items():
-        e = key >> shift
-        group = groups.get(e)
-        if group is None:
-            group = groups[e] = []
-        group.append((key & low, coeff))
-    return list(groups.items())
-
-
-def substitute_groups(groups: list[tuple[int, list]], powers: Sequence[Value]) -> dict[int, Value]:
-    """The term map left when x_1 := value, from ``group_by_first`` groups
-    and powers[e] = value**e; its coefficients are exact and may be zero,
-    and groups whose power is zero are skipped."""
-    out: dict[int, Value] = {}
-    get = out.get
-    for e, items in groups:
-        power = powers[e]
-        if power:
-            for rest, coeff in items:
-                out[rest] = get(rest, 0) + coeff * power
-    return out
 
 
 class MPoly:

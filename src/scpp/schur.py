@@ -10,10 +10,11 @@ per level.  The weights are term maps (``schur_combination``, which
 ``schur_tableau_sum`` starts from {lam: 1} and the gluing sum of
 ``scpp.verify`` from its multiset) or numbers (``schur_value``: the bridge,
 ``specialize_alternating`` and ``schur evaluate --at`` build no term map).
-Each shape's strip count is charged before its strips are listed.  The
-tableau walk and a determinant in ``tests/oracles.py`` check both.  Built
-polynomials are kept in ``scpp.budget.KEPT``, sized by their terms, with
-the strips their descent listed, which a call that reads one charges.
+``_strips`` charges a shape's strip count before listing them; the
+evaluation sweep of ``scpp.verify`` reads it too.  The tableau walk and a
+determinant in ``tests/oracles.py`` check both.  Built polynomials are
+kept in ``scpp.budget.KEPT``, sized by their terms, with the strips their
+descent listed, which a call that reads one charges.
 
 The rectangular principal specialization in a formal variable q is
 MacMahon's box product (EC2 7.21), computed on one coefficient list by
@@ -42,20 +43,25 @@ def checked_shape(lam: Iterable[int], n: int) -> Partition:
     return lam
 
 
+def _strips(mu: Partition, m: int, budget: WorkBudget) -> list[tuple[Partition, int]]:
+    """(nu, |mu/nu|) for the horizontal strips mu/nu of level m, nu of at
+    most m - 1 rows, after one unit per strip (none past m rows)."""
+    ranges = strip_ranges(mu, m - 1)
+    budget.charge(prod(map(len, ranges)))
+    return [(nu, sum(mu) - sum(nu)) for nu in strips_of(ranges)]
+
+
 def _descend(states: dict, n: int, shift: Callable, budget: WorkBudget | None):
     """The weight of the empty shape after levels n..1, 0 if none reaches it;
     shift(acc, weight, m, e) is acc + weight * x_m^e, acc None for a shape new
-    to the level.  Each shape charges its strips (0 past m rows) before listing."""
+    to the level."""
     budget = budget or WorkBudget()
     for m in range(n, 0, -1):
         below: dict = {}
         get = below.get
         for mu, weight in states.items():
-            ranges = strip_ranges(mu, m - 1)
-            budget.charge(prod(map(len, ranges)))
-            mu_size = sum(mu)
-            for nu in strips_of(ranges):
-                below[nu] = shift(get(nu), weight, m, mu_size - sum(nu))
+            for nu, e in _strips(mu, m, budget):
+                below[nu] = shift(get(nu), weight, m, e)
         states = below
     return states.get((), 0)
 

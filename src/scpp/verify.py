@@ -21,11 +21,13 @@ Littlewood-Richardson product, say).
 
 The Schur product identities have a second method, the evaluation sweep:
 it compares values on an integer grid, with the values along the last
-coordinate packed into one integer per prefix.  Its products are of
-numbers, a factor's value times such a packed vector, never of two
-polynomials, so it is the one route whose verdict does not depend on
-``MPoly.__mul__``.  It never forms the left side, so it is one function
-that gives both sides' digests and their verdict, not a pair of sides.
+coordinate packed into one integer per prefix.  It walks the branching
+rule of ``scpp.schur`` on numbers, for the two factors and the gluing sum
+side by side, and builds no polynomial: it shares only the strip listing
+(``scpp.schur._strips``) with full expansion, and its verdict depends on
+neither ``MPoly.__mul__`` nor the term-map descent.  It never forms the
+left side, so it is one function that gives both sides' digests and
+their verdict, not a pair of sides.
 
 The ``pfaffian`` row reads the bordered binomial case off the parities of
 a and b, and builds the case's matrix once for its Pfaffian and its
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product as _cartesian
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -44,6 +46,7 @@ from scpp.budget import BudgetExceededError, WorkBudget
 from scpp.partitions import (
     Partition,
     horizontal_strips_within,
+    part_at,
     partitions_in_rectangle,
     rectangle,
     rotated_complement,
@@ -57,15 +60,7 @@ from scpp.plane_partitions import (
     count_scpp_middle_line,
     count_scpp_signed,
 )
-from scpp.polynomials import (
-    FIELD_BITS,
-    FIELD_MASK,
-    MPoly,
-    field_reader,
-    group_by_first,
-    max_exponent,
-    substitute_groups,
-)
+from scpp.polynomials import MPoly, field_reader
 from scpp.products import (
     ParityError,
     box_count,
@@ -75,7 +70,13 @@ from scpp.products import (
     signed_enumeration_all_even,
     signed_enumeration_product,
 )
-from scpp.schur import schur_combination, schur_tableau_sum, schur_value, specialize_alternating
+from scpp.schur import (
+    _strips,
+    schur_combination,
+    schur_tableau_sum,
+    schur_value,
+    specialize_alternating,
+)
 
 FULL_EXPANSION = "full-expansion"
 EVALUATION_SWEEP = "evaluation-sweep"
@@ -158,15 +159,6 @@ def _glue_sum(
     return MPoly(n + trailing, schur_combination(states, n, trailing, budget))
 
 
-def _lhs_factors(
-    which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
-) -> tuple[MPoly, MPoly]:
-    first = schur_tableau_sum(rectangle(alpha, gamma1), n, budget)
-    second_rows = alpha if which == 1 else alpha + 1
-    second = schur_tableau_sum(rectangle(second_rows, gamma2), n + 1, budget)
-    return first, second
-
-
 def _factor_product(
     which: int, gamma1: int, gamma2: int, alpha: int, n: int, budget: WorkBudget
 ) -> MPoly:
@@ -174,8 +166,8 @@ def _factor_product(
     x_1..x_n times s_{alpha x gamma2} (identity 1) or s_{(alpha+1) x gamma2}
     (identity 2) in x_1..x_{n+1}.  Both factor builds charge ``budget``."""
     _check_widths(gamma1, gamma2, n)
-    first, second = _lhs_factors(which, gamma1, gamma2, alpha, n, budget)
-    return first.lift(n + 1) * second
+    first = schur_tableau_sum(rectangle(alpha, gamma1), n, budget).lift(n + 1)
+    return first * schur_tableau_sum(rectangle(alpha + which - 1, gamma2), n + 1, budget)
 
 
 def _glued_sum(
@@ -193,20 +185,19 @@ def _swept_digests(
     """The two digests of identity 1 or 2 by the evaluation sweep, and
     whether they match: values on an integer grid larger than the
     per-variable degree bound, which by the polynomial identity theorem is
-    also a proof.  The sweep specializes by prefix (``_swept_values``),
-    compares the two sides' values at each prefix as two packed integers
-    and hashes the values "v;" in lexicographic order of the points, one
-    hash update per prefix and side.  Charges the glued terms and one unit
-    per grid point before any build, then each Schur build."""
+    also a proof.  ``_swept_values`` gives the two sides' values at each
+    prefix as two packed integers, compared whole, and the values "v;" are
+    hashed in lexicographic order of the points, one hash update per
+    prefix and side.  Charges the glued terms and one unit per grid point
+    before any descent, then each strip list the walk reads, once."""
     terms = _glued_terms(which, gamma1, gamma2, alpha, n, budget)
     bound = alpha * gamma1 + (alpha + 1) * gamma2  # safe per-variable degree bound
     budget.charge((bound + 1) ** (n + 1))
-    rhs = _glue_sum(terms, n, budget)
-    first, second = _lhs_factors(which, gamma1, gamma2, alpha, n, budget)
+    first, second = rectangle(alpha, gamma1), rectangle(alpha + which - 1, gamma2)
     lhs_hash = hashlib.sha256()
     rhs_hash = hashlib.sha256()
     ok = True
-    for lvals, rvals in _swept_values(first, second, rhs, bound):
+    for lvals, rvals in _swept_values(first, second, terms, n, bound, budget):
         data = _value_bytes(lvals)
         lhs_hash.update(data)
         rhs_hash.update(data if lvals == rvals else _value_bytes(rvals))
@@ -214,78 +205,66 @@ def _swept_digests(
     return lhs_hash.hexdigest()[:16], rhs_hash.hexdigest()[:16], ok
 
 
-def _value_bytes(values: list[int]) -> bytes:
+def _value_bytes(values: Sequence[int]) -> bytes:
     # the sweep's hash input: "v;" for each value
     return (";".join(map(str, values)) + ";").encode()
 
 
-def _value_bound(poly: MPoly, bound: int) -> int:
-    """A bound on |poly| on {0..bound}^nvars: the sum of |c| times
-    max(bound, 1)^d, d the largest total degree of a term."""
-    fields = range(0, FIELD_BITS * poly.nvars, FIELD_BITS)
-    degree = max((sum(key >> s & FIELD_MASK for s in fields) for key in poly.terms), default=0)
-    return sum(map(abs, poly.terms.values())) * max(bound, 1) ** degree
-
-
 def _swept_values(
-    first: MPoly, second: MPoly, rhs: MPoly, bound: int
-) -> Iterator[tuple[list[int], list[int]]]:
-    """(first * second, rhs) on {0..bound}^(n+1), n = ``first.nvars``: one
-    pair of value lists per prefix x_1..x_n, in lexicographic order, each
-    list holding the values at x_{n+1} = t = 0..bound.
+    first: Partition, second: Partition, terms: list[tuple[Partition, int]], n: int, bound: int,
+    budget: WorkBudget,
+) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
+    """(s_first(x) * s_second(x, t), the sum of s_shape(x) * t^strip over the
+    glued terms) on {0..bound}^(n+1), x = x_1..x_n, t = x_{n+1}: a pair of
+    value lists per prefix x, in lexicographic order, each holding the
+    values at t = 0..bound, none negative, as no coefficient or coordinate is.
 
-    The values along t are packed into one integer (Kronecker
-    substitution): a vector v is the sum of v_t * 2^(w*t) over t, with
-    fields of w bits, the bit length of the larger side's value bound
-    (``_value_bound``; the left side's is the product of its factors')
-    plus a sign bit, rounded up to 8, 16, 32 or 64 bits when it fits, else
-    to whole bytes.  That sum is exact for signed v_t and linear, so
-    ``second`` and ``rhs`` become term maps in x_1..x_n whose coefficients
-    are packed vectors: c * x^e * t^k adds c * T_k to the coefficient of
-    x^e, T_k the packed vector of t^k, built for the k that occur.
-
-    The walk over x_1..x_n is depth first.  Each node groups its three term
-    maps once (``group_by_first``) and substitutes each coordinate from the
-    groups, with powers from a table sized by the largest exponent present.
-    At a leaf ``first`` is a number f, and the sides are the integers f * S
-    and R.  They are compared whole and unpacked once when equal: adding
-    2^(w-1) to every field makes each one nonnegative, and it is taken off
-    again after the fields are read.
+    The three sums descend the branching rule of ``scpp.schur`` side by
+    side, depth first, peeling x_1 first (each s_mu is symmetric) with each
+    grid value; a (shape, level) has its strips listed and charged once.
+    The values along t are packed into one integer, the sum of v_t * 2^(w*t):
+    t is peeled first, as s_second is symmetric in all n + 1 variables, so
+    its strips nu start with weight T_|second/nu|, T_k the packed t^k, and a
+    glued shape with the sum of T_strip over its terms.  At a leaf the sides
+    are f * S and R, compared whole.  Each is largest at the corner (bound,
+    ..., bound), which the walk on that one point gives first: w / 8 is the
+    larger corner value's byte length, rounded up by ``field_reader``.
     """
-    coords = range(bound + 1)
-    top = max(max_exponent(p.terms, p.nvars) for p in (first, second, rhs))
-    rows = [[x**e for e in range(top + 1)] for x in coords]  # rows[x][e] = x**e
-    most = max(_value_bound(first, bound) * _value_bound(second, bound), _value_bound(rhs, bound))
-    width, read = field_reader(-(-(most.bit_length() + 1) // 8), len(coords))  # bytes per field
-    w = 8 * width
-    half = 1 << (w - 1)
-    bias = sum(half << w * t for t in coords)
-    vectors: dict[int, int] = {}  # k -> T_k
+    strips = cache(lambda mu, m: _strips(mu, m, budget))
 
-    def packed(poly: MPoly) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for key, c in poly.terms.items():
-            k = key & FIELD_MASK
-            if k not in vectors:
-                vectors[k] = sum(t**k << w * t for t in coords)
-            rest = key >> FIELD_BITS
-            out[rest] = out.get(rest, 0) + c * vectors[k]
-        return out
-
-    def unpacked(x: int) -> list[int]:
-        return [v - half for v in read((x + bias).to_bytes(width * len(coords), "little"), 0)]
-
-    def walk(f: dict, s: dict, r: dict, nvars: int) -> Iterator[tuple[list[int], list[int]]]:
-        if not nvars:
-            left, right = f.get(0, 0) * s.get(0, 0), r.get(0, 0)
-            values = unpacked(left)
-            yield values, values if left == right else unpacked(right)
+    def descend(states: list[dict], m: int, rows: list[list[int]]) -> Iterator[list[int]]:
+        # [f, S, R] at each prefix from the states at level m; a row holds the
+        # powers x**e of one grid value x
+        if not m:
+            yield [side.get((), 0) for side in states]
             return
-        groups = [group_by_first(g, nvars) for g in (f, s, r)]
+        listings = [[(nu, e, w) for mu, w in side.items() for nu, e in strips(mu, m)]
+                    for side in states]
         for row in rows:
-            yield from walk(*[substitute_groups(g, row) for g in groups], nvars - 1)
+            below: list[dict[Partition, int]] = [{} for _ in listings]
+            for out, listing in zip(below, listings):
+                for nu, e, w in listing:
+                    if row[e]:
+                        out[nu] = out.get(nu, 0) + w * row[e]
+            yield from descend(below, m - 1, rows)
 
-    return walk(first.terms, packed(second), packed(rhs), first.nvars)
+    def walk(coords: Sequence[int], vectors: dict[int, int]) -> Iterator[list[int]]:
+        # [f, S, R] at each prefix in coords^n, with T_k = vectors[k]
+        glued: dict[Partition, int] = {}
+        for shape, k in terms:
+            glued[shape] = glued.get(shape, 0) + vectors[k]
+        states = [{first: 1}, {nu: vectors[k] for nu, k in strips(second, n + 1)}, glued]
+        return descend(states, n, [[x**e for e in range(top + 1)] for x in coords])
+
+    sizes = {k for _, k in strips(second, n + 1)} | {k for _, k in terms}
+    top = max(part_at(mu, 0) for mu in (first, second, *(shape for shape, _ in terms)))
+    f, s, r = next(walk((bound,), {k: bound**k for k in sizes}))
+    coords = range(bound + 1)
+    width, read = field_reader(-(-max(f * s, r, 1).bit_length() // 8), len(coords))
+    for f, s, r in walk(coords, {k: sum(t**k << 8 * width * t for t in coords) for k in sizes}):
+        left = f * s
+        values = read(left.to_bytes(width * len(coords), "little"), 0)
+        yield values, values if left == r else read(r.to_bytes(width * len(coords), "little"), 0)
 
 
 def _strip_free_sum(gamma: int, alpha: int, n: int, budget: WorkBudget) -> MPoly:
@@ -440,7 +419,7 @@ _SCHURID = ("gamma1", "gamma2", "alpha", "n")
 _SCHURID_GRID = Grid((range(4), range(4), range(4), range(6)), lambda g1, g2, alpha, n: g2 <= g1)
 # the branching descent of scpp.schur, which both sides of a Schur identity run
 _DESCENT = (
-    "schur._descend", "schur.schur_combination", "partitions.strip_ranges",
+    "schur._descend", "schur._strips", "schur.schur_combination", "partitions.strip_ranges",
     "partitions.strips_of", "partitions.partition", "partitions.part_at",
     "partitions.rectangle", "polynomials.MPoly.__init__",
 )

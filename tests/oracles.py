@@ -12,9 +12,8 @@ the validated arrays of ``enumerate_scpp`` against the move graph's flat
 walk, the closing condition on one row (``_closing_row``) against the
 closing tables, ``flipped_pair_count`` of the half-full array against the
 arithmetic reference parity, the tuple-keyed polynomial against the
-packed ``MPoly`` and against the fold of ``substitute_first``,
-``substitute_first`` against the grouped substitution of the evaluation
-sweep (``group_by_first`` and ``substitute_groups``), the binomial inner
+packed ``MPoly``, against the fold of ``substitute_first`` and against
+the values of the evaluation sweep's walk, the binomial inner
 products of ``core_rows_oracle`` against the packed core build of
 ``scpp.pfaffian``, and so on.
 
@@ -187,8 +186,7 @@ def substitute_first(terms: dict[int, Value], nvars: int, value: Value) -> dict[
 
 def substituted(poly: MPoly, point: Sequence[int | Fraction]) -> int | Fraction:
     """poly at point, by folding ``substitute_first`` over the coordinates,
-    x_1 first: the kernel that the evaluation sweep runs prefix by prefix.
-    The tests compare it with ``TupleMPoly.evaluate``."""
+    x_1 first.  The tests compare it with ``TupleMPoly.evaluate``."""
     if len(point) != poly.nvars:
         raise ValueError(
             f"point has {len(point)} coordinates, polynomial has {poly.nvars} variables"

@@ -45,8 +45,18 @@ def test_criterion_02_self_complementary_counts():
 
 def test_criterion_03_schur_product_identities():
     start = time.perf_counter()
+    swept = 0
     for which in (1, 2):
-        _all_match(f"schurid{which}", 240)
+        name = f"schurid{which}"
+        _all_match(name, 240)
+        # the evaluation sweep too, wherever its grid has at most 2 * 10^4 points
+        for gamma1, gamma2, alpha, n in _grid(name, 240):
+            if (alpha * gamma1 + (alpha + 1) * gamma2 + 1) ** (n + 1) <= 2 * 10**4:
+                values = (gamma1, gamma2, alpha, n)
+                report = IDENTITIES[name].run(values, method="evaluation-sweep")
+                assert report.match, (name, values)
+                swept += 1
+    assert swept == 402
     _pass(3, "both product identities hold as exact polynomials on the grid", start)
 
 

@@ -334,10 +334,12 @@ def test_text_format(capsys):
 # The five evaluation-sweep lines for schurid2 at (2, 1, 2, 3), the first
 # three recorded before the sweep evaluated each prefix once, pin its
 # hashes and its budget: 6 glued terms plus one unit for each of the
-# 8^4 = 4,096 points before any build, then 28 units for the descent of
-# the glued sum and 22 for the two factors, 4,152 in all.  The last two of
-# them were recorded, and the one at --budget 4102 re-recorded, when the
-# Schur builds began to charge the budget the check is given.
+# 8^4 = 4,096 points before any descent, then 42 units for the strips of
+# each (shape, level) its walk reads, 4,144 in all.  The last two of them
+# were recorded, and the one at --budget 4102 re-recorded, when the Schur
+# builds began to charge the budget the check is given, and re-recorded at
+# 4143 and 4144, from 4151 and 4152, when the sweep began to walk the
+# descent on numbers, listing the strips that two sides share once.
 # The csv hook-content line was re-recorded when a list-valued csv or text
 # cell began to carry the JSON text of the list, and the text evaluate line
 # was recorded then.  The last three lines were recorded when every charging
@@ -366,7 +368,8 @@ def test_text_format(capsys):
 # --set without '=' and a parameter the identity does not take.
 # The last line was recorded before the sweep packed the values along
 # x_{n+1} into one integer per prefix: with bound 20 over 9,261 points its
-# fields need 75 bits, wider than any struct field.
+# fields need 10 bytes (the corner value has 74 bits), wider than any
+# struct field.
 # The last line was recorded when an arithmetic failure inside a check
 # became code error, where it was invalid-parameter: the bridge's point of
 # m ones overflows before anything is allocated.
@@ -383,8 +386,8 @@ GOLDEN = [
     ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep', 0, '{"identity": "schurid2", "lhs": "469ea84f7340846c", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 2, "gamma2": 1, "n": 3}, "rhs": "469ea84f7340846c"}\n'),
     ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4101', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 4102 nodes > cap 4101"}}\n'),
     ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4102', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 4103 nodes > cap 4102"}}\n'),
-    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4151', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 4152 nodes > cap 4151"}}\n'),
-    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4152', 0, '{"identity": "schurid2", "lhs": "469ea84f7340846c", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 2, "gamma2": 1, "n": 3}, "rhs": "469ea84f7340846c"}\n'),
+    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4143', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 4144 nodes > cap 4143"}}\n'),
+    ('verify schurid2 --gamma1 2 --gamma2 1 --alpha 2 --n 3 --method evaluation-sweep --budget 4144', 0, '{"identity": "schurid2", "lhs": "469ea84f7340846c", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 2, "gamma2": 1, "n": 3}, "rhs": "469ea84f7340846c"}\n'),
     ('verify square-reduction --gamma 1 --alpha 1 --n 2', 0, '{"identity": "square-reduction", "lhs": "df748c6d1e674427", "match": true, "method": "full-expansion", "parameters": {"alpha": 1, "gamma": 1, "n": 2}, "rhs": "df748c6d1e674427"}\n'),
     ('verify weight --a 2 --b 2 --c 2', 0, '{"identity": "weight", "lhs": "components=1;sign_flips_ok=True", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "components=1;sign_flips_ok=True"}\n'),
     ('verify bridge --gamma 1 --alpha 2 --m 4', 0, '{"identity": "bridge", "lhs": "ones=6;alternating=-2", "match": true, "method": "evaluation", "parameters": {"alpha": 2, "gamma": 1, "m": 4}, "rhs": "ones=6;alternating=-2"}\n'),

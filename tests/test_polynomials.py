@@ -10,13 +10,12 @@ from oracles import (
     pack,
     packed,
     poly_add,
-    substitute_first,
     substituted,
     to_q_coeffs,
     tuple_terms,
     unpack_key,
 )
-from scpp.polynomials import MPoly, group_by_first, max_exponent, substitute_groups
+from scpp.polynomials import MPoly
 
 NVARS = 3
 
@@ -53,32 +52,6 @@ def test_evaluation_is_a_ring_homomorphism(p, q, pt):
     # evaluation by the substitute_first fold
     assert substituted(poly_add(p, q), pt) == substituted(p, pt) + substituted(q, pt)
     assert substituted(p * q, pt) == substituted(p, pt) * substituted(q, pt)
-
-
-@st.composite
-def sized_maps(draw):
-    """(nvars, tuple-keyed term map) with nvars in 1..6."""
-    nvars = draw(st.integers(min_value=1, max_value=6))
-    return nvars, draw(tuple_maps(nvars))
-
-
-values = st.one_of(
-    st.just(0),
-    st.integers(min_value=-5, max_value=5),
-    st.fractions(min_value=-9, max_value=9, max_denominator=7),
-)
-
-
-@given(sized_maps(), values)
-def test_grouped_substitution_matches_the_substitute_first_oracle(pair, value):
-    # the evaluation sweep's kernel: group once, substitute from the groups
-    nvars, terms = pair
-    keyed = packed(nvars, terms).terms
-    top = max_exponent(keyed, nvars)
-    assert top == max((e for exps in terms for e in exps), default=0)
-    powers = [value**e for e in range(top + 1)]
-    grouped = substitute_groups(group_by_first(keyed, nvars), powers)
-    assert grouped == substitute_first(keyed, nvars, value)
 
 
 def test_evaluate_length_mismatch():
@@ -152,7 +125,7 @@ def test_packed_kernel_matches_tuple_oracle(pair, data):
     assert p.digest() == tp.digest()
     assert tuple_terms(p.lift(nvars + 2)) == tp.lift(nvars + 2).terms
     ints = data.draw(_points(nvars, st.integers(min_value=-5, max_value=5)))
-    # the substitute_first fold, which the evaluation sweep runs by prefix
+    # the substitute_first fold
     assert substituted(p, ints) == tp.evaluate(ints)
     small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
     fractions = data.draw(_points(nvars, small_fractions))

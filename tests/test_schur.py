@@ -21,13 +21,15 @@ from oracles import (
     packed,
     poly_add,
     schur_determinant_oracle,
+    skew_cells,
     substituted,
     to_q_coeffs,
     tuple_terms,
 )
 from scpp.budget import BudgetExceededError, WorkBudget
-from scpp.partitions import partitions_in_rectangle, rectangle, size
+from scpp.partitions import contains, partitions_in_rectangle, rectangle, size
 from scpp.schur import (
+    _strips,
     _stride_quotient,
     alternating_point,
     hook_content_rectangular,
@@ -174,6 +176,21 @@ def test_the_descent_charges_every_strip_it_lists():
                 schur_combination({lam: {0: 1}}, n, budget=WorkBudget(listed - 1))
             with pytest.raises(BudgetExceededError):
                 schur_value(lam, (1,) * n, WorkBudget(listed - 1))
+
+
+def test_a_level_lists_the_strips_it_charges():
+    # the one strip listing of the descent and of the evaluation sweep: the
+    # nu inside mu with mu/nu a horizontal strip and at most m - 1 rows
+    for mu, m in product(partitions_in_rectangle(4, 3), range(1, 6)):
+        budget = WorkBudget()
+        listed = _strips(mu, m, budget)
+        # no two cells of mu/nu in one column
+        expected = [
+            nu for nu in partitions_in_rectangle(m - 1, 3)
+            if contains(mu, nu) and len({c for _, c in skew_cells(mu, nu)}) == size(mu) - size(nu)
+        ]
+        assert sorted(listed) == sorted((nu, size(mu) - size(nu)) for nu in expected), (mu, m)
+        assert budget.used == len(expected)
 
 
 @pytest.mark.parametrize("lam", [(), (1,), (2, 1), (2, 2), (3, 1, 1)])

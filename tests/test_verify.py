@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from oracles import TupleMPoly, constant, descent_strip_count, glue_sum_by_shapes, packed, tuple_terms
+from oracles import TupleMPoly, constant, descent_strip_count, glue_sum_by_shapes, tuple_terms
 from scpp import schur, verify
 from scpp.budget import DEFAULT_NODE_CAP, BudgetExceededError, WorkBudget
 from scpp.cli import main
@@ -111,8 +111,11 @@ def test_both_methods_catch_a_missing_glued_term(monkeypatch, method):
 
 
 def _sweep_inputs(which, gamma1, gamma2, alpha, n):
-    first, second = verify._lhs_factors(which, gamma1, gamma2, alpha, n, WorkBudget())
-    return first, second, _rhs(which, gamma1, gamma2, alpha, n), alpha * gamma1 + (alpha + 1) * gamma2
+    """What the sweep walks at one tuple: the factor shapes, the glued
+    terms, n and the grid bound."""
+    first, second = rectangle(alpha, gamma1), rectangle(alpha if which == 1 else alpha + 1, gamma2)
+    terms = verify._glued_terms(which, gamma1, gamma2, alpha, n, WorkBudget())
+    return first, second, terms, n, alpha * gamma1 + (alpha + 1) * gamma2
 
 
 # tuples of the benchmark's sweeps with a nonconstant first factor, so that
@@ -125,17 +128,24 @@ def _at(poly, point):
     return TupleMPoly(poly.nvars, tuple_terms(poly)).evaluate(point)
 
 
-def _assert_swept_pointwise(first, second, rhs, bound):
-    n = first.nvars
-    expected = [
-        (_at(first, point[:-1]) * _at(second, point), _at(rhs, point))
+def _full_expansion_values(first, second, terms, n, bound):
+    """(left, right) at each point of {0..bound}^(n+1) in lexicographic
+    order, from the full-expansion factors and glued sum by the oracle."""
+    lhs = schur_tableau_sum(first, n), schur_tableau_sum(second, n + 1)
+    rhs = verify._glue_sum(terms, n, WorkBudget())
+    return [
+        (_at(lhs[0], point[:-1]) * _at(lhs[1], point), _at(rhs, point))
         for point in product(range(bound + 1), repeat=n + 1)
     ]
+
+
+def _assert_swept_pointwise(first, second, terms, n, bound):
     # one pair of value lists per prefix, t = 0..bound in each
-    swept = list(verify._swept_values(first, second, rhs, bound))
+    swept = list(verify._swept_values(first, second, terms, n, bound, WorkBudget()))
     assert len(swept) == (bound + 1) ** n
     assert all(len(lvals) == len(rvals) == bound + 1 for lvals, rvals in swept)
-    assert [pair for lvals, rvals in swept for pair in zip(lvals, rvals)] == expected
+    pairs = [pair for lvals, rvals in swept for pair in zip(lvals, rvals)]
+    assert pairs == _full_expansion_values(first, second, terms, n, bound)
 
 
 @pytest.mark.parametrize(("which", "gamma1", "gamma2", "alpha", "n"), SWEEP_TUPLES)
@@ -143,75 +153,83 @@ def test_sweep_walk_matches_pointwise_evaluation(which, gamma1, gamma2, alpha, n
     _assert_swept_pointwise(*_sweep_inputs(which, gamma1, gamma2, alpha, n))
 
 
-# (first, second, rhs) as tuple-keyed term maps, swept on {0..3}^(n+1).  The
-# sweep packs the values along t into fields one sign bit wider than the
-# larger side's value bound, rounded up to 8, 16, 32 or 64 bits, else to
-# whole bytes.  In the three boundary cases that bound is 3 * 2^k, whose bit
-# length is a multiple of 8, and a value reaches it in size: a field without
-# the sign bit is one byte narrower, and that value does not fit it.  In the
-# last case only the product of the two factors' bounds holds the left side.
-WIDE = 2**70
+# (first, second, glued terms) in n = 1 variable x and t, swept on {0..3}^2.
+# s_(a)(x) * s_(b,b)(x, t) = x^(a+b) * t^b, whose corner value is 3^(a+2b),
+# as is that of the glued term s_(a+b)(x) * t^b.  A field has 8 times the
+# larger corner value's byte length in bits, rounded up to 8, 16, 32 or 64
+# bits when it fits: 3^20, 3^40 and 3^45 have 32, 64 and 72 bits, which
+# fill their fields to the top bit.  In the left-side-product case only the
+# product of the two factors' corner values, 3^20 each, needs 64 bits; in
+# the last case only the right side, x^25 * t^20, needs 72.  The left
+# side's coefficients are positive and no coordinate is negative, so no
+# value is: there is no sign to hold.
 SWEEP_FIELD_CASES = {
-    "wide-mixed-signs": (
-        {(0,): 3, (1,): -WIDE},
-        {(0, 0): -5, (1, 2): WIDE, (2, 1): -WIDE},
-        {(0, 0): 7, (1, 1): WIDE - 1, (2, 3): -WIDE},
-    ),
-    "32-bit-boundary": ({(0,): 1}, {(0, 1): 2**30}, {(1, 0): -(2**30)}),
-    "64-bit-boundary": ({(): 1}, {(1,): 2**62}, {(1,): -(2**62)}),
-    "72-bit-boundary": ({(0,): -1}, {(0, 1): WIDE}, {(0, 1): -WIDE}),
-    "left-side-product": ({(1,): 2**35}, {(0, 1): -(2**35)}, {(1, 1): 5}),
+    "32-bit-boundary": ((2,), (9, 9), [((11,), 9)]),
+    "64-bit-boundary": ((4,), (18, 18), [((22,), 18)]),
+    "72-bit-boundary": ((5,), (20, 20), [((25,), 20)]),
+    "left-side-product": ((20,), (10, 10), [((30,), 10)]),
+    "wide-right-side": ((4,), (20, 20), [((25,), 20)]),
 }
 
 
 @pytest.mark.parametrize("case", SWEEP_FIELD_CASES)
-def test_sweep_fields_hold_wide_and_negative_values(case):
-    first, second, rhs = SWEEP_FIELD_CASES[case]
-    n = len(next(iter(first)))
-    _assert_swept_pointwise(packed(n, first), packed(n + 1, second), packed(n + 1, rhs), 3)
+def test_sweep_fields_hold_the_corner_value(monkeypatch, case):
+    first, second, terms = SWEEP_FIELD_CASES[case]
+    widths = []
+    reader = verify.field_reader
+
+    def recorded(width, count):
+        widths.append(width)
+        return reader(width, count)
+
+    monkeypatch.setattr(verify, "field_reader", recorded)
+    _assert_swept_pointwise(first, second, terms, 1, 3)
+    corner = max(_full_expansion_values(first, second, terms, 1, 3)[-1])
+    assert corner.bit_length() % 8 == 0
+    assert widths == [corner.bit_length() // 8]
 
 
 def _refuse(*args, **kwargs):
     raise AssertionError("called")
 
 
-def _counted(monkeypatch, name):
-    calls = []
-    kernel = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args: calls.append(1) or kernel(*args))
-    return calls
-
-
-def test_sweep_substitutes_once_per_prefix(monkeypatch):
-    grouped = _counted(monkeypatch, "group_by_first")
-    substituted = _counted(monkeypatch, "substitute_groups")
-    assert not hasattr(MPoly, "evaluate")
-    monkeypatch.setattr(verify, "schur_value", _refuse)  # the sweep must not call it
-    monkeypatch.setattr(MPoly, "__mul__", _refuse)  # nor multiply two polynomials
+def test_sweep_builds_no_polynomial_and_lists_each_strip_list_once(monkeypatch, kept):
     which, gamma1, gamma2, alpha, n = SWEEP_TUPLES[0]
+    listed = []
+    strips = schur._strips
+
+    def recorded(mu, m, budget):
+        listed.append((mu, m))
+        return strips(mu, m, budget)
+
+    # the (shape, level) pairs that the descents of the three full-expansion
+    # builds list, each build on its own
+    monkeypatch.setattr(schur, "_strips", recorded)
+    assert _check(f"schurid{which}", gamma1, gamma2, alpha, n).match
+    descended = set(listed)
+    assert len(listed) > len(descended)  # the builds share some
+    listed.clear()
+    monkeypatch.setattr(verify, "_strips", recorded)
+    for name in ("schur_tableau_sum", "schur_combination", "schur_value"):
+        monkeypatch.setattr(verify, name, _refuse)
+    monkeypatch.setattr(MPoly, "__init__", _refuse)  # no polynomial is built
+    monkeypatch.setattr(MPoly, "__mul__", _refuse)  # nor two multiplied
     report = _check(f"schurid{which}", gamma1, gamma2, alpha, n, method=EVALUATION_SWEEP)
     assert report.match
-    bound = alpha * gamma1 + (alpha + 1) * gamma2
-    # three term maps grouped at each internal node x_1..x_k, k = 0..n-1, of
-    # the prefix tree, and substituted at each node x_1..x_k, k = 1..n
-    assert len(grouped) == 3 * sum((bound + 1) ** k for k in range(n))
-    assert len(substituted) == 3 * sum((bound + 1) ** k for k in range(1, n + 1))
+    assert sorted(listed) == sorted(descended)  # each once
 
 
 @pytest.mark.parametrize(("which", "gamma1", "gamma2", "alpha", "n"), SWEEP_TUPLES)
 def test_sweep_catches_a_right_side_above_the_degree_bound(monkeypatch, which, gamma1, gamma2, alpha, n):
-    # the power table is sized by the exponents present, not by the bound
-    glue = verify._glue_sum
+    # the power tables are sized by the exponents present, not by the bound:
+    # an extra glued term t^(bound+1), or s_(bound+1)(x_1..x_n)
+    glued = verify._glued_terms
     bound = alpha * gamma1 + (alpha + 1) * gamma2
-
-    def with_extra_term(terms, n, budget):
-        rhs = glue(terms, n, budget)
-        return MPoly(rhs.nvars, {**rhs.terms, bound + 1: 1})  # + x_{n+1}^(bound+1)
-
-    monkeypatch.setattr(verify, "_glue_sum", with_extra_term)
-    report = _check(f"schurid{which}", gamma1, gamma2, alpha, n, method=EVALUATION_SWEEP)
-    assert not report.match
-    assert report.lhs != report.rhs
+    for extra in [((), bound + 1), ((bound + 1,), 0)]:
+        monkeypatch.setattr(verify, "_glued_terms", lambda *args: [*glued(*args), extra])
+        report = _check(f"schurid{which}", gamma1, gamma2, alpha, n, method=EVALUATION_SWEEP)
+        assert not report.match, extra
+        assert report.lhs != report.rhs
 
 
 def test_full_expansion_digests_equal_sides_once(monkeypatch):
@@ -379,10 +397,12 @@ CHARGES = [
     ),
     # 2 dim^3 at dimension 4
     pytest.param("pfaffian", (3, 2, 4, 2), None, 2 * 4**3, id="pfaffian"),
-    pytest.param("schurid1", (2, 1, 1, 2), EVALUATION_SWEEP, 154, id="schurid1-sweep"),
-    # the glued terms and the 8^4 grid points, then the glued sum and the two factors
+    # the glued terms and the grid points, then the strips of each (shape,
+    # level) the walk reads, each listed once: fewer than the full
+    # expansion's 28 + 22 at (2, 1, 2, 3), whose builds list some twice
+    pytest.param("schurid1", (2, 1, 1, 2), EVALUATION_SWEEP, 3 + 5**3 + 18, id="schurid1-sweep"),
     pytest.param(
-        "schurid2", (2, 1, 2, 3), EVALUATION_SWEEP, 6 + 8**4 + 28 + 22, id="schurid2-sweep"
+        "schurid2", (2, 1, 2, 3), EVALUATION_SWEEP, 6 + 8**4 + 42, id="schurid2-sweep"
     ),
 ]
 
@@ -463,12 +483,13 @@ def test_the_cap_stops_the_glued_listing(monkeypatch, run):
 
 def test_uncapped_sweep_stops_at_the_default_cap_before_building(monkeypatch):
     # 22^6 ~ 1.1e8 grid points, charged to a fresh WorkBudget() before any
-    # Schur polynomial is built
+    # Schur polynomial is built or any strip listed
     def building(*args):
         raise AssertionError("built a Schur polynomial past the cap")
 
     monkeypatch.setattr(verify, "schur_tableau_sum", building)
     monkeypatch.setattr(verify, "schur_combination", building)  # the glue descent
+    monkeypatch.setattr(verify, "_strips", building)  # the sweep's walk
     with pytest.raises(BudgetExceededError, match="100000001 nodes > cap 100000000"):
         _check("schurid1", 3, 3, 3, 5, method=EVALUATION_SWEEP)
 

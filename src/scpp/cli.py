@@ -34,6 +34,11 @@ grid comes from ``--config`` lines and ``--set`` flags, ``key=range`` each;
 a ``--set`` overrides the same key in the config file, and giving one
 parameter twice in either is a usage error.
 
+A call is parsed once, by the parser of the subcommand its first item
+names.  The top-level parser sees only an argv that names no subcommand
+first (none at all, ``-h``, an unknown word, a flag), and so prints help
+or reports a usage error; the messages are argparse's either way.
+
 ``--budget`` caps the work units that enumeration and expansion charge:
 the brute-force ``count`` targets, ``verify`` and ``sweep`` (a sweep caps
 each tuple on its own), and ``schur evaluate`` and ``alternating``; by
@@ -89,7 +94,11 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser, and its subparsers, whose errors ``main`` reports as usage."""
+    """A parser, and its subparsers, whose errors ``main`` reports as usage;
+    the top-level one maps each subcommand's name to its parser in
+    ``commands``."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str):
         raise UsageError(message)
@@ -351,13 +360,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built on first use and then reused."""
+def build_parser() -> _Parser:
+    """The parser of every subcommand, built on first use and then reused.
+    ``main`` parses a call once, with the parser in ``commands`` that its
+    first item names; this top-level parser sees only an argv that names
+    no subcommand first, and so ends in help or a usage error."""
     parser = _Parser(
         prog="scpp",
         description="Exact counting and identity verification for box-bounded plane partitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_count = sub.add_parser("count", help="closed-form and brute-force counts")
     p_count.add_argument("target", choices=tuple(COUNT_TARGETS))
@@ -410,8 +423,16 @@ _ERROR_CODES = {UsageError: "usage", **FAILURES, OSError: "invalid-parameter"}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # this parser alone reads the rest: the top-level one would scan
+            # it, then hand it over to be parsed again
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         handler = {
             "count": _handle_count,
             "schur": _handle_schur,

@@ -373,6 +373,10 @@ def test_text_format(capsys):
 # The last line was recorded when an arithmetic failure inside a check
 # became code error, where it was invalid-parameter: the bridge's point of
 # m ones overflows before anything is allocated.
+# The last eight were recorded before a call began to be parsed by its
+# subcommand's parser alone: no argument, an unknown subcommand, a flag
+# before the subcommand, an unrecognized item after it, an abbreviation
+# that matches one flag, one that matches three, and a --flag=value item.
 GOLDEN = [
     ('verify box --a 2 --b 2 --c 2', 0, '{"identity": "box", "lhs": "20", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 2, "c": 2}, "rhs": "20"}\n'),
     ('verify scpp --a 2 --b 3 --c 2', 0, '{"identity": "scpp", "lhs": "6", "match": true, "method": "enumeration", "parameters": {"a": 2, "b": 3, "c": 2}, "rhs": "6"}\n'),
@@ -473,6 +477,14 @@ GOLDEN = [
     ('sweep box --set a=1 --set b=1 --set c=1 --set q=1', 2, '{"error": {"code": "usage", "message": "unknown parameters for box: q"}}\n'),
     ('verify schurid1 --gamma1 4 --gamma2 4 --alpha 2 --n 2 --method evaluation-sweep', 0, '{"identity": "schurid1", "lhs": "cc17f64c2cdbd0df", "match": true, "method": "evaluation-sweep", "parameters": {"alpha": 2, "gamma1": 4, "gamma2": 4, "n": 2}, "rhs": "cc17f64c2cdbd0df"}\n'),
     ('verify bridge --gamma 1 --alpha 1 --m 100000000000000000000', 2, '{"error": {"code": "budget-exceeded", "message": "work budget exceeded: 100000001 nodes > cap 100000000"}}\n'),
+    ('', 2, '{"error": {"code": "usage", "message": "the following arguments are required: command"}}\n'),
+    ('bogus', 2, '{"error": {"code": "usage", "message": "argument command: invalid choice: \'bogus\' (choose from \'count\', \'schur\', \'pfaffian\', \'verify\', \'sweep\')"}}\n'),
+    ('--format json verify box --a 1 --b 1 --c 1', 2, '{"error": {"code": "usage", "message": "argument command: invalid choice: \'json\' (choose from \'count\', \'schur\', \'pfaffian\', \'verify\', \'sweep\')"}}\n'),
+    ('count box --a 1 --b 1 --c 1 extra', 2, '{"error": {"code": "usage", "message": "unrecognized arguments: extra"}}\n'),
+    ('verify box --a 1 --b 1 --c 1 --zzz', 2, '{"error": {"code": "usage", "message": "unrecognized arguments: --zzz"}}\n'),
+    ('verify box --a 1 --b 1 --c 1 --bud 5', 0, '{"identity": "box", "lhs": "2", "match": true, "method": "enumeration", "parameters": {"a": 1, "b": 1, "c": 1}, "rhs": "2"}\n'),
+    ('verify schurid1 --ga 2 --gamma2 1 --alpha 1 --n 2', 2, '{"error": {"code": "usage", "message": "ambiguous option: --ga could match --gamma1, --gamma2, --gamma"}}\n'),
+    ('verify box --a=1 --b 1 --c 1', 0, '{"identity": "box", "lhs": "2", "match": true, "method": "enumeration", "parameters": {"a": 1, "b": 1, "c": 1}, "rhs": "2"}\n'),
 ]
 
 
@@ -481,6 +493,54 @@ def test_golden_output(capsys, argv, code, out):
     # every line, an error included, is on stdout; stderr stays empty
     assert main(argv.split()) == code
     assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]], ids=["top", "verify"])
+def test_help_is_the_parsers_own(capsys, argv):
+    parser = build_parser().commands[argv[0]] if len(argv) > 1 else build_parser()
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 0
+    assert capsys.readouterr() == (parser.format_help(), "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify middle-line --a 3 --b 3 --c1 4 --c2 2",
+        "count box --a 2 --b 3 --c 4",
+        "sweep box --set a=1 --set b=1..2 --set c=1",
+    ],
+)
+def test_a_call_is_parsed_once(capsys, monkeypatch, argv):
+    # the subcommand's parser alone reads the items after its name
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(argv.split()) == 0
+    assert calls == [f"scpp {argv.split()[0]}"]
+
+
+def test_the_module_runs_as_a_script():
+    # python -m scpp.cli reads sys.argv[1:]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv, code, out in [
+        (["verify", "box", "--a", "1", "--b", "1", "--c", "1"], 0,
+         '{"identity": "box", "lhs": "2", "match": true, "method": "enumeration", '
+         '"parameters": {"a": 1, "b": 1, "c": 1}, "rhs": "2"}\n'),
+        ([], 2, '{"error": {"code": "usage", "message": '
+         '"the following arguments are required: command"}}\n'),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "scpp.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -517,11 +577,9 @@ HELP_FLAGS = {
 
 @pytest.mark.parametrize("command", sorted(HELP_FLAGS))
 def test_subcommand_flags_and_choices(command):
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     got = {
         (a.option_strings[0] if a.option_strings else a.dest): a.choices and tuple(a.choices)
-        for a in sub.choices[command]._actions
+        for a in build_parser().commands[command]._actions
     }
     assert got == {**_COMMON, **HELP_FLAGS[command]}
 
@@ -531,9 +589,7 @@ def test_each_missing_integer_flag_is_one_usage_line(capsys, command):
     # every integer flag without a default is a parameter that some call
     # needs; leaving it out of such a call is one JSON usage line on stdout
     # that names it, and argparse prints nothing on stderr
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = sub.choices[command]._actions
+    actions = build_parser().commands[command]._actions
     flags = [a.option_strings[0] for a in actions if a.type is int and a.default is None]
     if command == "count":
         heads = [["count", t] for t in next(a for a in actions if a.dest == "target").choices]
